@@ -230,15 +230,12 @@ BENCHMARK(BM_QinDbMixedReadWrite)
 
 // --- Group-commit benchmarks ----------------------------------------------
 
-// All threads stream single-op PUTs against one engine, A/B over the
-// group_commit option: 0 is the pre-group-commit path (one AOF append per
-// op under the write mutex), 1 lets the leader batch concurrent writers
-// into one append. The acceptance gate compares the 8-thread rows.
+// All threads stream single-op PUTs against one engine. The 1-thread row is
+// the batch-size-1 baseline (every commit group holds one op); with more
+// threads the leader batches concurrent writers into one append.
 void BM_QinDbConcurrentPut(benchmark::State& state) {
   if (state.thread_index() == 0) {
-    qindb::QinDbOptions options;
-    options.group_commit = state.range(0) != 0;
-    g_concurrent_db = new ConcurrentDb(options);
+    g_concurrent_db = new ConcurrentDb();
   }
   Random rnd(20 + state.thread_index());
   const std::string value = rnd.NextString(1024);
@@ -255,9 +252,6 @@ void BM_QinDbConcurrentPut(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_QinDbConcurrentPut)
-    ->ArgName("group_commit")
-    ->Arg(0)
-    ->Arg(1)
     ->Threads(1)
     ->Threads(4)
     ->Threads(8)

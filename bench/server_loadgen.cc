@@ -108,8 +108,8 @@ struct LoadgenConfig {
 };
 
 struct ThreadResult {
-  Histogram read_latency_us;
-  Histogram write_latency_us;
+  Histogram read_us;
+  Histogram write_us;
   uint64_t ok = 0;
   uint64_t busy = 0;
   uint64_t not_found = 0;  // Reads of keys no write has landed on yet.
@@ -193,12 +193,12 @@ void RunClientThread(const LoadgenConfig& config, const std::string& host,
     if (it == in_flight.end()) return true;  // Stale id; ignore.
     const double micros = MicrosSince(it->second.sent);
     if (it->second.is_write) {
-      result->write_latency_us.Add(micros);
+      result->write_us.Add(micros);
       if (response->op == rpc::Opcode::kWriteBatch) {
         result->extra_ops += config.batch - 1;
       }
     } else {
-      result->read_latency_us.Add(micros);
+      result->read_us.Add(micros);
     }
     switch (response->status) {
       case StatusCode::kOk:
@@ -249,7 +249,7 @@ void PrintPercentiles(const char* label, const Histogram& h) {
 std::string BenchKey(uint64_t i) { return "bench:k" + std::to_string(i); }
 
 /// One reader: closed-loop (depth 1) GetLatest over a Zipfian key draw, until
-/// `stop` flips. Latency lands in `result->read_latency_us`; reads answered
+/// `stop` flips. Latency lands in `result->read_us`; reads answered
 /// with an error status count as `errors` and fail the run.
 void RunRolloverReader(const LoadgenConfig& config, const std::string& host,
                        uint16_t port, int thread_id,
@@ -276,7 +276,7 @@ void RunRolloverReader(const LoadgenConfig& config, const std::string& host,
       ++result->errors;
       return;
     }
-    result->read_latency_us.Add(MicrosSince(sent));
+    result->read_us.Add(MicrosSince(sent));
     switch (response->status) {
       case StatusCode::kOk:
         ++result->ok;
@@ -408,7 +408,7 @@ int RunRollover(const LoadgenConfig& config, const std::string& host,
   Histogram reads;
   uint64_t ok = 0, busy = 0, not_found = 0, errors = 0;
   for (const ThreadResult& r : results) {
-    reads.Merge(r.read_latency_us);
+    reads.Merge(r.read_us);
     ok += r.ok;
     busy += r.busy;
     not_found += r.not_found;
@@ -506,8 +506,8 @@ struct AckedWrite {
 };
 
 struct ClusterThreadResult {
-  Histogram read_latency_us[kNumPhases];
-  Histogram write_latency_us[kNumPhases];
+  Histogram read_us[kNumPhases];
+  Histogram write_us[kNumPhases];
   std::vector<AckedWrite> acked;
   uint64_t read_ok = 0;
   uint64_t read_not_found = 0;  // Keys no write has landed on yet.
@@ -537,7 +537,7 @@ void RunClusterWorker(const LoadgenConfig& config,
       const std::string value =
           ClusterValue(key, version, config.value_bytes);
       const Status s = coordinator->Put(key, version, value);
-      result->write_latency_us[op_phase].Add(MicrosSince(sent));
+      result->write_us[op_phase].Add(MicrosSince(sent));
       if (s.ok()) {
         result->acked.push_back(AckedWrite{key, version});
       } else {
@@ -549,7 +549,7 @@ void RunClusterWorker(const LoadgenConfig& config,
     } else {
       Result<mint::MintCoordinator::ReadResult> read =
           coordinator->GetLatest(key);
-      result->read_latency_us[op_phase].Add(MicrosSince(sent));
+      result->read_us[op_phase].Add(MicrosSince(sent));
       if (read.ok()) {
         ++result->read_ok;
       } else if (read.status().IsNotFound()) {
@@ -689,8 +689,8 @@ int RunCluster(const LoadgenConfig& config) {
   uint64_t write_rejected = 0;
   for (const ClusterThreadResult& r : results) {
     for (int p = 0; p < kNumPhases; ++p) {
-      reads[p].Merge(r.read_latency_us[p]);
-      writes[p].Merge(r.write_latency_us[p]);
+      reads[p].Merge(r.read_us[p]);
+      writes[p].Merge(r.write_us[p]);
     }
     read_ok += r.read_ok;
     read_not_found += r.read_not_found;
@@ -976,8 +976,8 @@ int main(int argc, char** argv) {
   Histogram reads, writes;
   uint64_t ok = 0, busy = 0, not_found = 0, errors = 0, extra_ops = 0;
   for (const ThreadResult& r : results) {
-    reads.Merge(r.read_latency_us);
-    writes.Merge(r.write_latency_us);
+    reads.Merge(r.read_us);
+    writes.Merge(r.write_us);
     ok += r.ok;
     busy += r.busy;
     not_found += r.not_found;

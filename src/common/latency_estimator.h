@@ -12,13 +12,12 @@
 namespace directload {
 
 /// A rolling window of latency samples with on-demand quantiles — the
-/// shared estimator behind both the coordinator's hedged-read delay ("fire
-/// the backup once the primary has been silent for its recent p95") and
-/// MintCluster's derived read timeout. A fixed-size ring keeps the estimate
-/// tracking the *recent* regime: a replica that was slow during recovery
-/// but has caught up stops dominating the estimate after one window's worth
-/// of fresh samples, which is exactly the adaptivity the tail-tolerant
-/// hedging policy assumes.
+/// estimator behind the coordinator's hedged-read delay ("fire the backup
+/// once the primary has been silent for its recent p95"). A fixed-size ring
+/// keeps the estimate tracking the *recent* regime: a replica that was slow
+/// during recovery but has caught up stops dominating the estimate after
+/// one window's worth of fresh samples, which is exactly the adaptivity the
+/// tail-tolerant hedging policy assumes.
 ///
 /// Thread-safe; the internal lock is a leaf (LockRank::kLatencyEstimator)
 /// so samples can be recorded while serving-path locks are held.

@@ -153,8 +153,8 @@ enum class LockRank : int {
   kQinDbPin = 50,
   /// Lock: `LatencyEstimator::mu_` — one estimator's rolling sample window
   /// and its cached quantile.
-  /// Sibling instances: one per estimator (per storage node / per remote
-  /// replica), all leaves; recording a sample acquires nothing further.
+  /// Sibling instances: one per estimator (per remote replica), all leaves;
+  /// recording a sample acquires nothing further.
   ///
   /// High rank so a sample can be recorded while serving-path locks (and
   /// the cluster membership lock) are held.

@@ -429,32 +429,6 @@ Result<MintCluster::ReadResult> MintCluster::ParallelRead(const Slice& key,
     for (size_t i = 0; i < live.size(); ++i) run_one(i);
   }
 
-  // Feed the estimators before applying the timeout: a slow replica's
-  // samples must land in its window even when the timeout rejects them, or
-  // the estimate would never learn that the replica is slow.
-  for (size_t i = 0; i < live.size(); ++i) {
-    if (attempts[i].ok) {
-      nodes_[live[i]]->read_latency()->Record(attempts[i].latency_micros);
-    }
-  }
-
-  // The effective timeout: fixed when configured, otherwise derived from
-  // the fastest live replica's rolling p95 (<= 0 disables it, including
-  // while the estimators are still cold).
-  double timeout_micros = options_.read_timeout_micros;
-  if (timeout_micros == 0 && options_.auto_read_timeout) {
-    double best_p95 = -1;
-    for (int id : live) {
-      const double p95 = nodes_[id]->read_latency()->Quantile(
-          0.95, static_cast<size_t>(options_.read_timeout_min_samples));
-      if (p95 >= 0 && (best_p95 < 0 || p95 < best_p95)) best_p95 = p95;
-    }
-    if (best_p95 >= 0) {
-      timeout_micros = std::max(options_.read_timeout_floor_micros,
-                                best_p95 * options_.read_timeout_multiplier);
-    }
-  }
-
   ReadResult best;
   bool found = false;
   Status last_error = Status::Unavailable(
@@ -463,10 +437,6 @@ Result<MintCluster::ReadResult> MintCluster::ParallelRead(const Slice& key,
     Attempt& attempt = attempts[i];
     if (!attempt.ok) {
       last_error = attempt.error;
-      continue;
-    }
-    if (timeout_micros > 0 && attempt.latency_micros > timeout_micros) {
-      last_error = Status::Unavailable("replica exceeded read timeout");
       continue;
     }
     if (!found || attempt.latency_micros < best.latency_micros) {

@@ -8,7 +8,6 @@
 
 #include <atomic>
 
-#include "common/latency_estimator.h"
 #include "common/result.h"
 #include "common/sim_clock.h"
 #include "common/slice.h"
@@ -37,27 +36,6 @@ struct MintOptions {
   /// latency, so results are deterministic.
   bool parallel_reads = true;
 
-  /// Per-replica read timeout in simulated microseconds (device time plus
-  /// RTT). Replies slower than this are treated as unavailable — the knob
-  /// that keeps one slow or recovering replica from serving reads the rest
-  /// of the group can answer faster. Zero derives the timeout from the
-  /// rolling per-replica latency estimate (see auto_read_timeout below);
-  /// negative disables the timeout outright.
-  double read_timeout_micros = 0;
-
-  /// When read_timeout_micros is 0, each read's effective timeout is
-  /// read_timeout_multiplier × the *fastest* live replica's rolling p95 —
-  /// the same estimator family that drives the coordinator's hedging delay
-  /// — clamped below by read_timeout_floor_micros. Using the fastest
-  /// replica's estimate is the point: a recovering replica's own (slow)
-  /// history must not buy it a long leash when its peers answer quickly.
-  /// Until some replica has read_timeout_min_samples recorded samples the
-  /// timeout stays disabled, so cold clusters never reject off noise.
-  bool auto_read_timeout = true;
-  double read_timeout_multiplier = 4.0;
-  double read_timeout_floor_micros = 2000;
-  int read_timeout_min_samples = 32;
-
   uint64_t seed = 1;
 };
 
@@ -85,10 +63,6 @@ class StorageNode {
   ssd::SsdEnv* env() { return env_.get(); }
   SharedMutex* lifecycle_mu() const { return &lifecycle_mu_; }
 
-  /// Rolling window of this replica's recent successful read latencies
-  /// (simulated micros, RTT included); feeds the derived read timeout.
-  LatencyEstimator* read_latency() { return &read_latency_; }
-
   /// Simulates a crash: the engine's memory (memtable, GC table) is lost;
   /// the AOFs on the simulated SSD survive. Blocks until in-flight requests
   /// against this node's engine have drained.
@@ -109,7 +83,6 @@ class StorageNode {
   // cannot see through an accessor without REQUIRES on every caller.
   std::unique_ptr<ssd::SsdEnv> env_;  // dl-lint: ignore(guarded-by-coverage)
   std::unique_ptr<qindb::QinDb> db_;  // dl-lint: ignore(guarded-by-coverage)
-  LatencyEstimator read_latency_;     // Internally locked.
   std::atomic<bool> up_{false};
   mutable SharedMutex lifecycle_mu_{LockRank::kMintNode,
                                     "StorageNode::lifecycle_mu_"};

@@ -26,10 +26,9 @@ struct QinDbOptions {
   /// persisted in the shard manifest so every reopen routes identically.
   uint64_t shard_hash_seed = 0x51494e44u;  // "QIND"
 
-  /// Defer AOF GC while reads are in flight, unless disk usage crosses
+  /// AOF GC is deferred while reads are in flight, unless disk usage crosses
   /// `gc_space_pressure` (fraction of device capacity). This is the paper's
   /// "GC will be deferred if there are ongoing reads and free disk space".
-  bool defer_gc_during_reads = true;
   double gc_space_pressure = 0.85;
 
   /// Periodic checkpointing ("the memtable ... is checkpointed
@@ -57,17 +56,6 @@ struct QinDbOptions {
   /// re-materialize on first access by replaying their AOF records. Zero
   /// (the default) keeps every version resident forever.
   uint64_t index_memory_bytes = 0;
-
-  /// Group commit. When on, concurrent writers enqueue their batches and
-  /// the first thread into the shard's write mutex becomes the leader: it
-  /// drains the queue up to the budgets below and commits the whole group
-  /// with one vectored AOF append. When off, every op takes the legacy
-  /// one-append-per-record path (the A/B knob the benchmarks flip).
-  bool group_commit = true;
-  /// Budget caps for one commit group. The leader always takes at least one
-  /// batch, even an oversized one, so a single huge batch cannot wedge.
-  size_t group_commit_max_ops = 256;
-  uint64_t group_commit_max_bytes = 1ull << 20;
 };
 
 /// Operation counters. All fields are atomics so that reader threads and the

@@ -349,34 +349,24 @@ Status QinDb::Write(WriteBatch& batch) {
     if (!subs[s].ops_.empty()) involved.push_back(s);
   }
 
-  if (!options_.group_commit) {
-    // Ungrouped mode stays sequential (it is the single-threaded baseline);
-    // each shard still applies its sub-batch under its own lock.
-    for (uint32_t s : involved) {
-      DL_DISCARD_STATUS("first failing per-op status; re-derived from the "
-                        "stitched per-op statuses below",
-                        shards_[s]->Write(subs[s]));
-    }
-  } else {
-    // Parallel commit: enqueue the sub-batch on EVERY involved shard first,
-    // then complete them in ascending shard order. All facade writers use
-    // this order, so any wait chain between writers runs strictly from
-    // higher to lower shard index and cannot cycle; meanwhile sub-batches
-    // enqueued on shards this thread has not reached yet are committed by
-    // those shards' own leaders — that is where the parallelism comes from.
-    std::vector<Shard::PendingWrite> pending;
-    pending.reserve(involved.size());
-    for (uint32_t s : involved) {
-      subs[s].statuses_.clear();
-      subs[s].dropped_.assign(subs[s].ops_.size(), 0);
-      pending.emplace_back(&subs[s]);
-      shards_[s]->EnqueueWrite(&pending.back());
-    }
-    for (size_t i = 0; i < involved.size(); ++i) {
-      DL_DISCARD_STATUS("first failing per-op status; re-derived from the "
-                        "stitched per-op statuses below",
-                        shards_[involved[i]]->CompleteWrite(&pending[i]));
-    }
+  // Parallel commit: enqueue the sub-batch on EVERY involved shard first,
+  // then complete them in ascending shard order. All facade writers use
+  // this order, so any wait chain between writers runs strictly from
+  // higher to lower shard index and cannot cycle; meanwhile sub-batches
+  // enqueued on shards this thread has not reached yet are committed by
+  // those shards' own leaders — that is where the parallelism comes from.
+  std::vector<Shard::PendingWrite> pending;
+  pending.reserve(involved.size());
+  for (uint32_t s : involved) {
+    subs[s].statuses_.clear();
+    subs[s].dropped_.assign(subs[s].ops_.size(), 0);
+    pending.emplace_back(&subs[s]);
+    shards_[s]->EnqueueWrite(&pending.back());
+  }
+  for (size_t i = 0; i < involved.size(); ++i) {
+    DL_DISCARD_STATUS("first failing per-op status; re-derived from the "
+                      "stitched per-op statuses below",
+                      shards_[involved[i]]->CompleteWrite(&pending[i]));
   }
 
   // Stitch per-op statuses back into submission order; DropVersion counts

@@ -41,6 +41,11 @@ constexpr char kCheckpointName[] = "checkpoint.dat";
 constexpr char kCheckpointTemp[] = "checkpoint.tmp";
 constexpr uint64_t kCheckpointMagic = 0x51494e4443484b50ull;  // "QINDCHKP"
 
+// Budget caps for one commit group. The leader always takes at least one
+// batch, even an oversized one, so a single huge batch cannot wedge.
+constexpr size_t kGroupMaxOps = 256;
+constexpr uint64_t kGroupMaxBytes = 1ull << 20;
+
 // Per-entry flag bits in the checkpoint serialization.
 constexpr uint8_t kCkptDedup = 1u << 0;
 constexpr uint8_t kCkptDeleted = 1u << 1;
@@ -70,14 +75,13 @@ uint64_t EntryExtent(const MemEntry* e) {
                            e->value_size.load(std::memory_order_acquire));
 }
 
-/// Destination for occupancy updates. Recovery runs inside
-/// AofManager::Scan — which holds the manager's lock shared — so marking a
-/// record dead there would self-deadlock; the recovery path buffers into
-/// `deferred` and the shard applies the batch after the scan returns.
-/// Runtime mutators (not under any AOF lock) mark directly.
+/// Destination for occupancy updates, buffered into `deferred` and applied
+/// by the caller with one AofManager::MarkDeadMany. Recovery must buffer:
+/// it runs inside AofManager::Scan — which holds the manager's lock shared
+/// — so marking a record dead there would self-deadlock. Commits buffer so
+/// a whole group's updates take the manager's lock once.
 struct DeadSink {
-  aof::AofManager* aof = nullptr;
-  std::vector<std::pair<aof::RecordAddress, uint64_t>>* deferred = nullptr;
+  std::vector<std::pair<aof::RecordAddress, uint64_t>>* deferred;
   /// When set, a record marked dead is also evicted from the read cache:
   /// every dead-marking site (supersede, delete, drop) is exactly a site
   /// where cached bytes for the address become unreachable garbage.
@@ -85,11 +89,7 @@ struct DeadSink {
 
   void MarkDead(const aof::RecordAddress& addr, uint64_t extent) const {
     if (cache != nullptr) cache->Erase(addr.Pack());
-    if (deferred != nullptr) {
-      deferred->emplace_back(addr, extent);
-    } else {
-      aof->MarkDead(addr, extent);
-    }
+    deferred->emplace_back(addr, extent);
   }
 };
 
@@ -245,65 +245,6 @@ Status Shard::NoteWriteError(Status s) {
     degraded_.store(true, std::memory_order_release);
   }
   return s;
-}
-
-Status Shard::PutLocked(const Slice& key, uint64_t version,
-                        const Slice& value, bool dedup) {
-  if (key.empty()) return Status::InvalidArgument("empty key");
-  if (registry_.enabled() && registry_.AnyCold()) {
-    // A re-PUT into a cold version must see the existing entry to
-    // supersede it; a dedup put must be able to traceback through every
-    // older version. Materialize before deciding anything.
-    Status s = dedup ? EnsureAllResidentLocked()
-                     : EnsureVersionResidentLocked(version);
-    if (!s.ok()) return s;
-  }
-  const Slice stored_value = dedup ? Slice() : value;
-  const uint8_t flags = dedup ? aof::kFlagDedup : aof::kFlagNone;
-
-  MemIndex* idx = CurrentIndex();
-  const uint32_t segment_before = aof_->active_segment();
-  Result<aof::RecordAddress> addr =
-      aof_->AppendRecord(key, version, flags, stored_value);
-  if (!addr.ok()) return NoteWriteError(addr.status());
-
-  MemEntry* old = idx->FindExact(key, version);
-  if (old != nullptr) {
-    // Re-PUT of the same versioned key supersedes the previous record.
-    if (cache_ != nullptr) {
-      cache_->Erase(old->address.load(std::memory_order_acquire));
-    }
-    aof_->MarkDead(aof::RecordAddress::Unpack(old->address),
-                   EntryExtent(old));
-  }
-  idx->Insert(key, version, addr->Pack(),
-              static_cast<uint32_t>(stored_value.size()), dedup);
-
-  ++stats_->puts;
-  if (dedup) ++stats_->dedup_puts;
-  const uint64_t ingested = key.size() + stored_value.size();
-  stats_->user_bytes_ingested += ingested;
-  ++shard_puts_;
-  shard_bytes_ingested_.fetch_add(ingested, std::memory_order_relaxed);
-
-  if (options_.checkpoint_interval_bytes > 0 &&
-      shard_bytes_ingested_.load(std::memory_order_relaxed) -
-              bytes_at_last_checkpoint_ >=
-          options_.checkpoint_interval_bytes) {
-    Status s = CheckpointLocked();
-    if (!s.ok()) return NoteWriteError(s);
-    bytes_at_last_checkpoint_ =
-        shard_bytes_ingested_.load(std::memory_order_relaxed);
-  }
-
-  if (options_.auto_gc && aof_->active_segment() != segment_before) {
-    // A segment sealed: cheap moment to evaluate the lazy GC policy.
-    Status s = MaybeGcLocked();
-    MaybeUnloadIndexLocked();
-    return s;
-  }
-  MaybeUnloadIndexLocked();
-  return Status::OK();
 }
 
 Result<ScrubReport> Shard::Scrub() {
@@ -545,69 +486,6 @@ Result<std::string> Shard::GetLatest(const Slice& key) {
   }
 }
 
-Status Shard::DelLocked(const Slice& key, uint64_t version) {
-  if (registry_.enabled() && registry_.AnyCold() && registry_.IsCold(version)) {
-    // The entry must be resident to flag it deleted (and once deleted the
-    // version can never unload again, so the load is not churn).
-    if (Status s = EnsureVersionResidentLocked(version); !s.ok()) return s;
-  }
-  MemIndex* idx = CurrentIndex();
-  MemEntry* entry = idx->FindExact(key, version);
-  if (entry == nullptr) return Status::NotFound("no such key/version");
-  if (!entry->deleted.exchange(true, std::memory_order_acq_rel)) {
-    ++stats_->dels;
-    ++shard_dels_;
-    const DeadSink sink{aof_.get(), nullptr, cache_.get()};
-    ApplyDeleteAccounting(*idx, sink, entry);
-    if (options_.aof.log_deletes) {
-      Result<aof::RecordAddress> addr =
-          aof_->AppendRecord(key, version, aof::kFlagTombstone, Slice());
-      if (!addr.ok()) return NoteWriteError(addr.status());
-      // Tombstones are dead on arrival for occupancy purposes.
-      aof_->MarkDead(*addr, aof::RecordExtent(key.size(), 0));
-    }
-  }
-  if (options_.auto_gc) return MaybeGcLocked();
-  return Status::OK();
-}
-
-Result<uint64_t> Shard::DropVersionLocked(uint64_t version) {
-  if (registry_.enabled() && registry_.AnyCold() && registry_.IsCold(version)) {
-    // Dropping a cold version still needs its entries: each pair must be
-    // flagged, logged (when log_deletes) and accounted dead individually.
-    if (Status s = EnsureVersionResidentLocked(version); !s.ok()) return s;
-  }
-  MemIndex* idx = CurrentIndex();
-  uint64_t flagged = 0;
-  std::vector<MemEntry*> hits;
-  for (MemIndex::Iterator it = idx->NewIterator(); it.Valid(); it.Next()) {
-    MemEntry* entry = it.entry();
-    if (entry->version == version && !entry->deleted) hits.push_back(entry);
-  }
-  const DeadSink sink{aof_.get(), nullptr, cache_.get()};
-  for (MemEntry* entry : hits) {
-    entry->deleted = true;
-    ++stats_->dels;
-    ++shard_dels_;
-    ++flagged;
-    ApplyDeleteAccounting(*idx, sink, entry);
-    if (options_.aof.log_deletes) {
-      Result<aof::RecordAddress> addr = aof_->AppendRecord(
-          entry->user_key(), version, aof::kFlagTombstone, Slice());
-      if (!addr.ok()) return NoteWriteError(addr.status());
-      aof_->MarkDead(*addr, aof::RecordExtent(entry->key_size, 0));
-    }
-  }
-  // The version's pairs are all deleted now, so it can never unload again;
-  // drop its registry bookkeeping (access tick) for good.
-  if (registry_.enabled()) registry_.Forget(version);
-  if (options_.auto_gc) {
-    Status s = MaybeGcLocked();
-    if (!s.ok()) return s;
-  }
-  return flagged;
-}
-
 // ---------------------------------------------------------------------------
 // Group commit
 // ---------------------------------------------------------------------------
@@ -620,7 +498,6 @@ Status Shard::Write(WriteBatch& batch) {
     batch.statuses_.assign(batch.ops_.size(), w);
     return w;
   }
-  if (!options_.group_commit) return WriteUngrouped(batch);
   PendingWrite self(&batch);
   EnqueueWrite(&self);
   return CompleteWrite(&self);
@@ -690,10 +567,9 @@ Status Shard::CompleteWrite(PendingWrite* pending) {
       while (!write_queue_.empty()) {
         PendingWrite* candidate = write_queue_.front();
         if (!group.empty() &&
-            (group_ops + candidate->batch->size() >
-                 options_.group_commit_max_ops ||
+            (group_ops + candidate->batch->size() > kGroupMaxOps ||
              group_bytes + candidate->batch->ApproximateBytes() >
-                 options_.group_commit_max_bytes)) {
+                 kGroupMaxBytes)) {
           break;
         }
         group.push_back(candidate);
@@ -717,44 +593,6 @@ Status Shard::CompleteWrite(PendingWrite* pending) {
     // The budget cut the drain before reaching this thread's batch (older
     // batches filled the group): lead another round.
   }
-}
-
-Status Shard::WriteUngrouped(WriteBatch& batch) {
-  MutexLock lock(&write_mutex_);
-  batch.statuses_.clear();
-  batch.dropped_.assign(batch.ops_.size(), 0);
-  batch.statuses_.reserve(batch.ops_.size());
-  for (size_t oi = 0; oi < batch.ops_.size(); ++oi) {
-    const WriteOp& op = batch.ops_[oi];
-    Status s;
-    switch (op.kind) {
-      case WriteOpKind::kPut:
-        s = PutLocked(op.key, op.version, op.value, op.dedup);
-        break;
-      case WriteOpKind::kDel:
-        s = DelLocked(op.key, op.version);
-        break;
-      case WriteOpKind::kDropVersion: {
-        Result<uint64_t> flagged = DropVersionLocked(op.version);
-        if (flagged.ok()) batch.dropped_[oi] = *flagged;
-        s = flagged.status();
-        break;
-      }
-    }
-    batch.statuses_.push_back(s);
-    if (!s.ok() && degraded()) {
-      // A write fault tripped degraded mode mid-batch: the remaining ops
-      // fail the same way a sequence of single-op calls would.
-      for (size_t rest = oi + 1; rest < batch.ops_.size(); ++rest) {
-        batch.statuses_.push_back(CheckWritable());
-      }
-      break;
-    }
-  }
-  for (const Status& s : batch.statuses_) {
-    if (!s.ok()) return s;
-  }
-  return Status::OK();
 }
 
 void Shard::CommitGroupLocked(const std::vector<PendingWrite*>& group) {
@@ -985,7 +823,7 @@ void Shard::CommitGroupLocked(const std::vector<PendingWrite*>& group) {
   uint64_t ingested = 0;
   bool any_applied_delete = false;
   std::vector<std::pair<aof::RecordAddress, uint64_t>> dead;
-  const DeadSink sink{nullptr, &dead, cache_.get()};
+  const DeadSink sink{&dead, cache_.get()};
   for (size_t b = 0; b < group.size(); ++b) {
     WriteBatch& batch = *group[b]->batch;
     for (size_t oi = 0; oi < batch.ops_.size(); ++oi) {
@@ -1241,7 +1079,7 @@ Status Shard::IngestCommit(uint64_t version) {
   uint64_t ingested = 0;
   bool any_applied_delete = false;
   std::vector<std::pair<aof::RecordAddress, uint64_t>> dead;
-  const DeadSink sink{nullptr, &dead, cache_.get()};
+  const DeadSink sink{&dead, cache_.get()};
   for (const IngestSession::Staged& op : sess.staged) {
     const Slice key(op.key);
     if (op.tombstone) {
@@ -1389,8 +1227,7 @@ Status Shard::MaybeGcLocked() {
     return Status::OK();
   }
   if (aof_->GcVictims().empty()) return Status::OK();
-  if (options_.defer_gc_during_reads &&
-      reads_in_flight_->load(std::memory_order_relaxed) > 0) {
+  if (reads_in_flight_->load(std::memory_order_relaxed) > 0) {
     const double usage = static_cast<double>(env_->TotalFileBytes()) /
                          static_cast<double>(env_->CapacityBytes());
     if (usage < options_.gc_space_pressure) {
@@ -1592,7 +1429,7 @@ Status Shard::RecoverFromScan(uint32_t min_segment) {
   // the memtable — nothing during the scan reads occupancy, so the deferral
   // is invisible.
   std::vector<std::pair<aof::RecordAddress, uint64_t>> deferred;
-  const DeadSink sink{nullptr, &deferred};
+  const DeadSink sink{&deferred};
   // A tombstone can precede the record it deletes in scan order: GC
   // relocates kept referents past their tombstones. Such a tombstone is
   // remembered as a deleted placeholder so the relocated copy cannot

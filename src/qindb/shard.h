@@ -101,10 +101,6 @@ class Shard {
   void EnqueueWrite(PendingWrite* pending) EXCLUDES(write_mutex_, batch_mu_);
   Status CompleteWrite(PendingWrite* pending) EXCLUDES(write_mutex_);
 
-  /// Ungrouped sub-batch commit (group_commit off): one lock hold, legacy
-  /// per-record appends.
-  Status WriteUngrouped(WriteBatch& batch) EXCLUDES(write_mutex_);
-
   // --- Bulk ingest (Bifrost over the wire) ------------------------------
   //
   // A session stages pre-encoded record runs for one version: records are
@@ -267,15 +263,6 @@ class Shard {
   /// budget and provably-safe candidates exist. Runs at mutation
   /// boundaries (commit tail, checkpoint tail, materialize tail).
   void MaybeUnloadIndexLocked() REQUIRES(write_mutex_);
-
-  // Legacy single-append mutation bodies (group_commit off). Shared by the
-  // public entry points and the ungrouped WriteBatch path.
-  Status PutLocked(const Slice& key, uint64_t version, const Slice& value,
-                   bool dedup) REQUIRES(write_mutex_);
-  Status DelLocked(const Slice& key, uint64_t version)
-      REQUIRES(write_mutex_);
-  Result<uint64_t> DropVersionLocked(uint64_t version)
-      REQUIRES(write_mutex_);
 
   /// The leader's commit: plans every op in order, appends all records with
   /// one AofManager::AppendMany, applies the memtable mutations in op order,

@@ -164,6 +164,20 @@ Status NodeProcess::Suspend() {
   if (::kill(pid_, SIGSTOP) != 0) {
     return Status::IOError(std::string("SIGSTOP: ") + std::strerror(errno));
   }
+  // kill() returns once the signal is queued, but the kernel hands it to
+  // one thread and the rest of the node keeps serving until that thread
+  // runs and stops the whole group. Wait for the stop to be reported so a
+  // request sent after Suspend() returns can never be answered.
+  int wstatus = 0;
+  while (::waitpid(pid_, &wstatus, WUNTRACED) < 0) {
+    if (errno != EINTR) {
+      return Status::IOError(std::string("waitpid: ") + std::strerror(errno));
+    }
+  }
+  if (!WIFSTOPPED(wstatus)) {
+    pid_ = -1;  // The child exited instead of stopping, and is now reaped.
+    return Status::IOError("node exited instead of stopping");
+  }
   return Status::OK();
 }
 

@@ -41,7 +41,8 @@ class NodeProcess {
   /// SIGTERM + reap: the graceful drain. Fails if the child exited non-zero.
   Status Terminate();
 
-  /// SIGSTOP / SIGCONT: freeze and thaw without losing state.
+  /// SIGSTOP / SIGCONT: freeze and thaw without losing state. Suspend()
+  /// returns only once the whole node has stopped.
   Status Suspend();
   Status Resume();
 

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "common/random.h"
 #include "mint/cluster.h"
@@ -61,13 +64,78 @@ TEST_F(MintTest, PutReplicatesToAllReplicas) {
   }
 }
 
+// With several live replicas the answer comes from the one with the lowest
+// simulated read latency. Only whole pages reach the device; the log tail
+// is served from the writer's buffer. A filler version of the same key (so
+// the same shard log) appended on two replicas pushes all of the value's
+// pages to their devices, so those two read one page more than the third.
+// The third is the highest node id, so a first-in-group-order pick cannot
+// pass by accident.
 TEST_F(MintTest, GetReturnsFastestReplica) {
-  ASSERT_TRUE(cluster_.Put("key", 1, std::string(5000, 'v')).ok());
+  const std::string value(5000, 'v');
+  ASSERT_TRUE(cluster_.Put("key", 1, value).ok());
+  const std::vector<int> replicas = cluster_.ReplicasOf("key");
+  ASSERT_EQ(replicas.size(), 3u);
+  const int fastest = *std::max_element(replicas.begin(), replicas.end());
+  for (int id : replicas) {
+    if (id == fastest) continue;
+    ASSERT_TRUE(cluster_.node(id)
+                    ->db()
+                    ->Put("key", 2, std::string(16 << 10, 'f'))
+                    .ok());
+  }
+
+  std::map<int, double> device_micros;
+  for (int id : replicas) {
+    StorageNode* node = cluster_.node(id);
+    const uint64_t before = node->clock()->NowMicros();
+    ASSERT_TRUE(node->db()->Get("key", 1).ok());
+    device_micros[id] =
+        static_cast<double>(node->clock()->NowMicros() - before);
+  }
+  for (int id : replicas) {
+    if (id != fastest) {
+      ASSERT_LT(device_micros[fastest], device_micros[id]);
+    }
+  }
+
   Result<MintCluster::ReadResult> got = cluster_.Get("key", 1);
-  ASSERT_TRUE(got.ok());
-  EXPECT_EQ(got->value, std::string(5000, 'v'));
-  EXPECT_GT(got->latency_micros, 0.0);
-  EXPECT_GE(got->served_by, 0);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(got->value, value);
+  EXPECT_EQ(got->served_by, fastest);
+  EXPECT_DOUBLE_EQ(got->latency_micros,
+                   device_micros[fastest] + SmallCluster().read_rtt_micros);
+}
+
+// A read the only replica answers correctly must come back, however slow
+// it is next to that replica's history: a 256 KiB value costs far more than
+// 4x the p95 of the small reads before it, and there is no faster replica
+// to serve it instead.
+TEST(MintReadTest, SlowSoleReplicaStillAnswers) {
+  MintOptions options = SmallCluster();
+  options.num_groups = 1;
+  options.nodes_per_group = 1;
+  options.replicas = 1;
+  options.engine.aof.segment_bytes = 1 << 20;
+  MintCluster cluster(options);
+  ASSERT_TRUE(cluster.Start().ok());
+
+  const std::string small(100, 's');
+  const std::string big(256 << 10, 'b');
+  ASSERT_TRUE(cluster.Put("small", 1, small).ok());
+  ASSERT_TRUE(cluster.Put("big", 1, big).ok());
+  double slowest_small = 0;
+  for (int i = 0; i < 64; ++i) {
+    Result<MintCluster::ReadResult> got = cluster.Get("small", 1);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    slowest_small = std::max(slowest_small, got->latency_micros);
+  }
+
+  Result<MintCluster::ReadResult> got = cluster.Get("big", 1);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(got->value, big);
+  EXPECT_EQ(got->served_by, 0);
+  EXPECT_GT(got->latency_micros, 4 * slowest_small);
 }
 
 TEST_F(MintTest, GetLatestAndVersioning) {

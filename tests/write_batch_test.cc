@@ -1,10 +1,10 @@
 // WriteBatch + group commit: ordering and per-op status semantics of
 // QinDb::Write, batch-internal visibility (a Del can target a Put from the
-// same batch), DropVersion inside a batch, the group_commit=false legacy
-// path agreeing with the batched path, and a concurrency property — readers
-// racing multi-op batches never observe a torn version chain (a dedup
-// version resolvable before its base value landed, a Corruption status, or
-// wrong bytes).
+// same batch), DropVersion inside a batch, a single-shard batch mixing a
+// same-batch dedup base with a failing Del, and a concurrency property —
+// readers racing multi-op batches never observe a torn version chain (a
+// dedup version resolvable before its base value landed, a Corruption
+// status, or wrong bytes).
 
 #include <gtest/gtest.h>
 
@@ -124,10 +124,9 @@ TEST(WriteBatchTest, EmptyBatchIsANoOp) {
   EXPECT_TRUE(batch.statuses().empty());
 }
 
-TEST(WriteBatchTest, UngroupedPathMatchesGroupedSemantics) {
+TEST(WriteBatchTest, SameBatchDedupBaseAndMissingDelFailAlone) {
   QinDbOptions options;
   options.num_shards = 1;
-  options.group_commit = false;
   Harness h(options);
   WriteBatch batch;
   batch.Put("k", 1, "v1");
