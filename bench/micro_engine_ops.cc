@@ -90,6 +90,47 @@ void BM_QinDbTracebackGet(benchmark::State& state) {
 }
 BENCHMARK(BM_QinDbTracebackGet)->Iterations(4000);
 
+// GetLatest over the same 64 keys holding 1 / 16 / 256 / 2048 versions
+// each, every read a cache hit. Single-version filler keys hold the index
+// at the same size in every arm, so the arms differ only in how many
+// versions sit below the newest one. The newest-first lookup stops at the
+// first live entry: the 2048 arm should stay within 2x of the 1 arm.
+void BM_QinDbGetLatestVersions(benchmark::State& state) {
+  constexpr uint64_t kEntries = 64 * 2048;
+  const uint64_t versions = static_cast<uint64_t>(state.range(0));
+  std::vector<std::string> keys(64);
+  for (size_t k = 0; k < keys.size(); ++k) {
+    keys[k] = "url:" + std::to_string(k);
+  }
+  SimClock clock;
+  auto env = ssd::NewSsdEnv(ssd::InterfaceMode::kNativeBlock,
+                            MicroConfig().geometry, ssd::LatencyModel(),
+                            &clock);
+  qindb::QinDbOptions options;
+  options.num_shards = 1;
+  options.cache_bytes = 64 << 20;  // Holds every value: reads never miss.
+  auto db = std::move(qindb::QinDb::Open(env.get(), options)).value();
+  const std::string value(64, 'v');
+  for (uint64_t v = 1; v <= versions; ++v) {
+    for (const std::string& key : keys) DL_CHECK_OK(db->Put(key, v, value));
+  }
+  for (uint64_t f = keys.size() * versions; f < kEntries; ++f) {
+    DL_CHECK_OK(db->Put("filler:" + std::to_string(f), 1, value));
+  }
+  for (const std::string& key : keys) DL_CHECK_OK(db->GetLatest(key).status());
+  Random rnd(11);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(db->GetLatest(keys[rnd.Uniform(keys.size())]));
+  }
+}
+BENCHMARK(BM_QinDbGetLatestVersions)
+    ->ArgName("versions")
+    ->Arg(1)
+    ->Arg(16)
+    ->Arg(256)
+    ->Arg(2048)
+    ->Iterations(20000);
+
 // Zipfian GETs with the working set deliberately larger than the cache
 // budget: 4096 keys x 4KB values is ~17 MiB of records against a 4 MiB
 // cache, so only the Zipfian hot set can stay resident and TinyLFU has to

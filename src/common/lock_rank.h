@@ -50,12 +50,15 @@ enum class LockRank : int {
   /// attempt thread takes its own read's lock only, strictly after any
   /// kMintCoord acquisition has been released.
   kMintHedge = 3,
-  /// Lock: `KvServer::queue_mu_` — bounded request queue, in-flight count,
-  /// drain/stop flags.
+  /// Lock: `Connection::read_mu` — a connection's frame decoder and
+  /// ingress throttle, used by the worker that owns its read side.
   ///
-  /// Admission control and drain accounting. Never held across an engine
-  /// call.
-  kServerQueue = 4,
+  /// EPOLLONESHOT already hands the read side to one worker at a time, so
+  /// the lock is never contended; it makes that hand-over visible to the
+  /// race detector. Held only across recv and decode — an error frame may
+  /// be written under it (kServerConnWrite ranks above) — never across an
+  /// engine call.
+  kServerConnRead = 4,
   /// Lock: `RpcClient::mu_` — the client-side socket, frame decoder and
   /// reconnect backoff state.
   ///

@@ -76,8 +76,9 @@ class RateLimiter {
 /// sleeps until then. A rate of zero (or below) disables throttling: every
 /// request is admissible immediately and no debt accumulates.
 ///
-/// Not internally synchronized — confine one instance to one thread (the
-/// server gives each connection its own limiter on its reader thread).
+/// Not internally synchronized — confine one instance to one thread at a
+/// time (the server gives each connection its own limiter, used under the
+/// connection's read lock by whichever worker owns its read side).
 class WallRateLimiter {
  public:
   using Clock = std::chrono::steady_clock;

@@ -118,18 +118,35 @@ MemEntry* MemIndex::TracebackValue(const Slice& key, uint64_t version) const {
   return nullptr;
 }
 
-std::vector<MemEntry*> MemIndex::EntriesForKey(const Slice& key) const {
-  std::vector<MemEntry*> out;
+MemEntry* MemIndex::FindLatestLive(const Slice& key) const {
   MemEntry probe{};
   FillProbe(&probe, key, UINT64_MAX);
   MemEntry* probe_ptr = &probe;
   List::Iterator it(list_.get());
   for (it.Seek(probe_ptr); it.Valid(); it.Next()) {
     MemEntry* entry = it.key();
-    if (entry->user_key() != key) break;
-    if (!entry->purged.load(std::memory_order_acquire)) out.push_back(entry);
+    if (entry->user_key() != key) return nullptr;
+    if (!entry->purged.load(std::memory_order_acquire) &&
+        !entry->deleted.load(std::memory_order_acquire)) {
+      return entry;
+    }
   }
-  return out;
+  return nullptr;
+}
+
+MemEntry* MemIndex::FindNextNewer(const Slice& key, uint64_t version) const {
+  MemEntry probe{};
+  FillProbe(&probe, key, version);
+  MemEntry* probe_ptr = &probe;
+  List::Iterator it(list_.get());
+  // Versions descend within a key, so the newer versions sit just before
+  // the probe: the nearest is the last entry that orders before it.
+  for (it.SeekBefore(probe_ptr); it.Valid(); it.Prev()) {
+    MemEntry* entry = it.key();
+    if (entry->user_key() != key) return nullptr;
+    if (!entry->purged.load(std::memory_order_acquire)) return entry;
+  }
+  return nullptr;
 }
 
 void MemIndex::Purge(MemEntry* entry) {

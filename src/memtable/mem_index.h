@@ -80,10 +80,14 @@ class MemIndex {
   /// Figure 2. Returns nullptr when no value-bearing older version exists.
   MemEntry* TracebackValue(const Slice& key, uint64_t version) const;
 
-  /// All non-purged entries for `key`, newest first. Version counts are
-  /// small (at most four versions persist per the paper), so a vector is
-  /// appropriate.
-  std::vector<MemEntry*> EntriesForKey(const Slice& key) const;
+  /// Newest entry of `key` that is neither purged nor deleted, or nullptr.
+  /// Stops at the first such entry, so older versions cost nothing.
+  MemEntry* FindLatestLive(const Slice& key) const;
+
+  /// Non-purged entry of `key` with the smallest version strictly above
+  /// `version` (the next newer version), or nullptr. One O(log n) search,
+  /// so walking upwards from a version costs only the versions walked.
+  MemEntry* FindNextNewer(const Slice& key, uint64_t version) const;
 
   /// Marks an entry physically removed from the index.
   void Purge(MemEntry* entry);

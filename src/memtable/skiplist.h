@@ -106,6 +106,12 @@ class SkipList {
       node_ = list_->FindGreaterOrEqual(target, nullptr);
     }
 
+    /// Positions at the last entry < target.
+    void SeekBefore(const Key& target) {
+      node_ = list_->FindLessThan(target);
+      if (node_ == list_->head_) node_ = nullptr;
+    }
+
     void SeekToFirst() { node_ = list_->head_->Next(0); }
 
     void SeekToLast() {

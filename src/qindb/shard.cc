@@ -102,18 +102,9 @@ struct DeadSink {
 bool IsReferentIn(const MemIndex& idx, const Slice& key, uint64_t version) {
   // Walk the versions strictly newer than `version`, nearest first. The
   // record stays needed while the contiguous run of deduplicated versions
-  // above it contains at least one live one.
-  std::vector<MemEntry*> entries = idx.EntriesForKey(key);  // Newest first.
-  // Find the first index whose version is <= `version`; walk upwards.
-  size_t at = entries.size();
-  for (size_t i = 0; i < entries.size(); ++i) {
-    if (entries[i]->version <= version) {
-      at = i;
-      break;
-    }
-  }
-  for (size_t i = at; i-- > 0;) {  // Increasing version order.
-    MemEntry* e = entries[i];
+  // above it contains at least one live one; the walk ends with that run.
+  for (MemEntry* e = idx.FindNextNewer(key, version); e != nullptr;
+       e = idx.FindNextNewer(key, e->version)) {
     if (!e->dedup) return false;  // Carries its own value: chain broken.
     if (!e->deleted) return true;
   }
@@ -464,25 +455,21 @@ Result<std::string> Shard::GetLatest(const Slice& key) {
       if (Status s = EnsureAllResident(); !s.ok()) return s;
     }
     const std::shared_ptr<const MemIndex> index = PinIndex();
-    bool retry = false;
-    for (MemEntry* entry : index->EntriesForKey(key)) {
-      if (entry->deleted) continue;
-      if (lazy) registry_.Touch(entry->version);
-      MemEntry* source = entry;
-      if (entry->dedup) {
-        ++stats_->traceback_gets;
-        source = index->TracebackValue(key, entry->version);
-        if (source == nullptr) {
-          return Status::Corruption(
-              "deduplicated pair with no value-bearing older version");
-        }
+    MemEntry* entry = index->FindLatestLive(key);
+    if (entry == nullptr) return Status::NotFound("no live version");
+    if (lazy) registry_.Touch(entry->version);
+    MemEntry* source = entry;
+    if (entry->dedup) {
+      ++stats_->traceback_gets;
+      source = index->TracebackValue(key, entry->version);
+      if (source == nullptr) {
+        return Status::Corruption(
+            "deduplicated pair with no value-bearing older version");
       }
-      Result<std::string> value = ReadEntryValue(source);
-      if (value.ok() || !lazy || attempt > 0) return value;
-      retry = true;  // Raced an unload+GC pair: re-resolve from scratch.
-      break;
     }
-    if (!retry) return Status::NotFound("no live version");
+    Result<std::string> value = ReadEntryValue(source);
+    if (value.ok() || !lazy || attempt > 0) return value;
+    // Raced an unload+GC pair: re-resolve from scratch.
   }
 }
 

@@ -9,9 +9,11 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <iterator>
 
 #include "common/failpoint.h"
 
@@ -149,6 +151,20 @@ Result<size_t> Socket::RecvSome(char* buf, size_t cap, int timeout_ms) {
   }
 }
 
+Result<size_t> Socket::RecvNow(char* buf, size_t cap) {
+  if (fd_ < 0) return Status::Unavailable("socket is closed");
+  DIRECTLOAD_FAILPOINT(fp_rpc_recv);
+  while (true) {
+    const ssize_t n = ::recv(fd_, buf, cap, MSG_DONTWAIT);
+    if (n >= 0) return static_cast<size_t>(n);
+    if (errno == EINTR) continue;
+    if (errno == EAGAIN || errno == EWOULDBLOCK) {
+      return Status::TimedOut("nothing to read yet");
+    }
+    return Errno("recv");
+  }
+}
+
 Result<Socket> ConnectTo(const std::string& host, uint16_t port,
                          int timeout_ms) {
   DIRECTLOAD_FAILPOINT(fp_rpc_connect);
@@ -238,6 +254,31 @@ Result<Socket> AcceptOne(const Socket& listener, int timeout_ms) {
     }
     if (errno == EINTR) continue;
     return Errno("accept");
+  }
+}
+
+Result<Socket> AcceptNow(const Socket& listener) {
+  // Linux passes a new connection's pending network errors up to accept();
+  // they say nothing about the next pending connection.
+  static constexpr int kSkipped[] = {EINTR,       ECONNABORTED, EPROTO,
+                                     EPERM,       ENETDOWN,     ENETUNREACH,
+                                     ENONET,      ENOPROTOOPT,  EHOSTDOWN,
+                                     EHOSTUNREACH, EOPNOTSUPP};
+  while (true) {
+    const int fd = ::accept4(listener.fd(), nullptr, nullptr,
+                             SOCK_NONBLOCK | SOCK_CLOEXEC);
+    if (fd >= 0) {
+      int one = 1;
+      ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+      return Socket(fd);
+    }
+    if (errno == EAGAIN || errno == EWOULDBLOCK) {
+      return Status::TimedOut("no pending connection");
+    }
+    if (std::find(std::begin(kSkipped), std::end(kSkipped), errno) ==
+        std::end(kSkipped)) {
+      return Errno("accept");
+    }
   }
 }
 

@@ -45,6 +45,11 @@ class Socket {
   /// kUnavailable on reset.
   Result<size_t> RecvSome(char* buf, size_t cap, int timeout_ms);
 
+  /// Reads up to `cap` bytes without waiting, for callers told of
+  /// readability by an event loop. Returns 0 on a clean close and
+  /// kTimedOut when nothing is readable yet.
+  Result<size_t> RecvNow(char* buf, size_t cap);
+
  private:
   int fd_ = -1;
 };
@@ -65,6 +70,13 @@ Result<uint16_t> LocalPort(const Socket& socket);
 /// Accepts one connection within `timeout_ms`. Returns kTimedOut when none
 /// arrived — callers poll so they can observe shutdown flags.
 Result<Socket> AcceptOne(const Socket& listener, int timeout_ms);
+
+/// Accepts one pending connection without waiting, for a non-blocking
+/// listener driven by an event loop. The new socket is non-blocking.
+/// Returns kTimedOut when no connection is pending. Errors that concern
+/// only the connection being accepted are skipped over; any other error
+/// (descriptor or memory exhaustion, say) is returned.
+Result<Socket> AcceptNow(const Socket& listener);
 
 }  // namespace directload::rpc
 

@@ -1,7 +1,12 @@
 #include "server/kv_server.h"
 
+#include <fcntl.h>
+#include <sys/epoll.h>
+#include <sys/socket.h>
+
 #include <algorithm>
 #include <chrono>
+#include <climits>
 #include <cstdio>
 
 #include "bifrost/wire/slice_codec.h"
@@ -16,7 +21,7 @@ namespace {
 
 // Server-side failpoints. Both sit before the request is acknowledged in
 // any way, so firing them can never lose an acked write: a dropped accept
-// looks like a dial race, a failed enqueue is answered kBusy and the
+// looks like a dial race, a failed admission is answered kBusy and the
 // client retries.
 DIRECTLOAD_FAILPOINT_DEFINE(fp_server_accept, "server_accept");
 DIRECTLOAD_FAILPOINT_DEFINE(fp_server_enqueue, "server_enqueue");
@@ -28,62 +33,97 @@ DIRECTLOAD_FAILPOINT_DEFINE(fp_server_enqueue, "server_enqueue");
 DIRECTLOAD_FAILPOINT_DEFINE(fp_server_heartbeat, "server_heartbeat");
 DIRECTLOAD_FAILPOINT_DEFINE(fp_server_repair_scan, "server_repair_scan");
 
-using SteadyClock = std::chrono::steady_clock;
-
-/// How often blocked accept/recv/wait calls wake up to check the shutdown
-/// and idle flags. Bounds drain latency without burning CPU.
+/// How long a worker's epoll wait lasts before it re-checks the shutdown
+/// flag. Bounds drain latency without burning CPU; also the period of
+/// housekeeping and the accept back-off.
 constexpr int kPollSliceMs = 50;
 
 /// Deadline for writing one response onto a connection. A peer that stops
-/// reading for this long forfeits the response (the socket send buffer plus
-/// this budget is far more slack than a live client ever needs).
+/// reading for this long forfeits the response and the connection (the
+/// socket send buffer plus this budget is far more slack than a live
+/// client ever needs).
 constexpr int kWriteTimeoutMs = 5000;
+
+int64_t NowMs() {
+  return std::chrono::duration_cast<std::chrono::milliseconds>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
+
+/// A single-op write request a worker may fold into a batched run.
+bool IsWriteOp(const rpc::Frame& frame) {
+  return frame.op == rpc::Opcode::kPut || frame.op == rpc::Opcode::kDel;
+}
 
 }  // namespace
 
-/// Per-connection state. The reader thread owns `decoder` and `limiter`
-/// exclusively; the socket is shared between the reader (recv) and the
-/// workers (send) — opposite directions of one fd, which the kernel allows
-/// concurrently — and `write_mu` serializes the senders so pipelined
-/// responses cannot interleave bytes.
-struct KvServer::Connection {
+/// Per-connection state. EPOLLONESHOT hands the read side to one worker
+/// per wake-up; that worker uses `decoder` and `limiter` under `read_mu`,
+/// which is never contended and makes the hand-over between workers
+/// visible to race detectors. Any worker executing the connection's
+/// requests may send on the socket; `write_mu` serializes the senders so
+/// pipelined responses cannot interleave bytes.
+struct KvServer::Connection : std::enable_shared_from_this<Connection> {
   Connection(rpc::Socket s, const KvServerOptions& options,
              std::atomic<uint64_t>* send_failures)
       : socket(std::move(s)),
         decoder(options.max_frame_bytes),
         limiter(options.conn_bytes_per_sec, options.conn_burst_bytes),
         send_failures(send_failures),
+        idle_deadline_ms(NowMs() + options.idle_timeout_ms),
         frame_limit(options.max_frame_bytes) {}
 
   /// Encodes and writes one frame. A send failure means the peer is gone
-  /// mid-reply; the reader thread will notice the dead socket and tear the
-  /// connection down, so the response is dropped here — counted, not silent.
+  /// or stopped reading: the response is dropped — counted, not silent —
+  /// and the socket shut down, so later responses fail fast and the read
+  /// side's next owner tears the connection down.
   void Write(const rpc::Frame& frame) {
     std::string wire;
     rpc::EncodeFrame(frame, &wire);
     MutexLock lock(&write_mu);
     if (!socket.SendAll(wire, kWriteTimeoutMs).ok()) {
       send_failures->fetch_add(1, std::memory_order_relaxed);
+      ::shutdown(socket.fd(), SHUT_RDWR);
     }
   }
 
   rpc::Socket socket;
-  rpc::FrameDecoder decoder;  // Reader thread only.
-  WallRateLimiter limiter;    // Reader thread only.
+  Mutex read_mu{LockRank::kServerConnRead, "Connection::read_mu"};
+  rpc::FrameDecoder decoder GUARDED_BY(read_mu);
+  WallRateLimiter limiter GUARDED_BY(read_mu);
   Mutex write_mu{LockRank::kServerConnWrite, "Connection::write_mu"};
   std::atomic<uint64_t>* send_failures;  // Server-owned counter.
-  std::atomic<bool> done{false};  // Reader thread exited.
+  /// Steady-clock ms after which housekeeping shuts the connection down
+  /// (INT64_MAX once it has); pushed back by each decoded request.
+  std::atomic<int64_t> idle_deadline_ms;
 
-  /// Decoder frame bound, re-applied by the reader before each decode pass.
-  /// Raised by the kBulkBegin handler *before* its ack goes out, so by the
-  /// time the client can legally send an oversized slice the reader already
-  /// observes the new bound.
+  /// Decoder frame bound, re-applied by the read side before each decode
+  /// pass. Raised by the kBulkBegin handler *before* its ack goes out, so
+  /// by the time the client can legally send an oversized slice the read
+  /// side already observes the new bound.
   std::atomic<size_t> frame_limit;
   /// The connection's bulk-ingest session, if one is open. Workers copy the
-  /// pointer out under bulk_mu and call the session unlocked; reader
-  /// teardown swaps it out and aborts whatever was never committed.
+  /// pointer out under bulk_mu and call the session unlocked.
   Mutex bulk_mu{LockRank::kServerBulk, "Connection::bulk_mu"};
   std::shared_ptr<BulkIngestSession> bulk GUARDED_BY(bulk_mu);
+
+  std::shared_ptr<BulkIngestSession> Bulk() {
+    MutexLock lock(&bulk_mu);
+    return bulk;
+  }
+
+  /// Rolls back whatever the open session staged but never committed — on
+  /// kBulkAbort, and at teardown, so a loader that crashed mid-stream
+  /// leaves no trace. (Abort waits out a commit already executing on a
+  /// worker and then no-ops if it won.)
+  void AbortBulk() {
+    std::shared_ptr<BulkIngestSession> orphan;
+    {
+      MutexLock lock(&bulk_mu);
+      orphan = std::move(bulk);
+    }
+    if (orphan != nullptr) orphan->Abort();
+  }
 };
 
 KvServer::KvServer(mint::MintCluster* cluster, KvServerOptions options)
@@ -100,14 +140,18 @@ Status KvServer::Start() {
   if (!listener.ok()) return listener.status();
   Result<uint16_t> port = rpc::LocalPort(*listener);
   if (!port.ok()) return port.status();
+  epoll_ = rpc::Socket(::epoll_create1(EPOLL_CLOEXEC));
+  if (!epoll_.valid()) return Status::IOError("epoll_create1 failed");
   listener_ = std::move(listener).value();
   port_ = *port;
+  // Non-blocking, so a worker can accept until the backlog is empty.
+  ::fcntl(listener_.fd(), F_SETFL,
+          ::fcntl(listener_.fd(), F_GETFL) | O_NONBLOCK);
+  if (!Arm(EPOLL_CTL_ADD, listener_.fd(), nullptr)) {
+    return Status::IOError("cannot watch the listener");
+  }
 
   draining_.store(false);
-  {
-    MutexLock queue_lock(&queue_mu_);
-    stopping_ = false;
-  }
   int num_workers = options_.num_workers;
   if (num_workers <= 0) {
     num_workers = std::max(2u, std::thread::hardware_concurrency());
@@ -116,7 +160,6 @@ Status KvServer::Start() {
   for (int i = 0; i < num_workers; ++i) {
     workers_.emplace_back(&KvServer::WorkerLoop, this);
   }
-  acceptor_ = std::thread(&KvServer::AcceptorLoop, this);
   running_ = true;
   return Status::OK();
 }
@@ -127,56 +170,57 @@ void KvServer::Shutdown() {
     if (!running_) return;
     running_ = false;
   }
-  // Stop accepting and stop decoding new requests. Frames already queued
-  // (or executing) still complete and flush their acknowledgements —
-  // that is the drain guarantee: every acknowledged write reached the
-  // cluster.
+  // Stop reading. A worker finishes the wake-up it is in — every frame it
+  // decoded is executed and acknowledged — before it sees the flag: that
+  // is the drain guarantee, every acknowledged write reached the cluster.
   draining_.store(true);
-  if (acceptor_.joinable()) acceptor_.join();
-  {
-    MutexLock lock(&queue_mu_);
-    while (!queue_.empty() || executing_ > 0) {
-      drain_cv_.WaitFor(std::chrono::milliseconds(kPollSliceMs));
-    }
-    stopping_ = true;
-    queue_cv_.SignalAll();
-  }
-  for (std::thread& worker : workers_) {
-    if (worker.joinable()) worker.join();
-  }
+  for (std::thread& worker : workers_) worker.join();
   workers_.clear();
 
-  std::vector<std::pair<std::shared_ptr<Connection>, std::thread>> connections;
+  std::unordered_set<std::shared_ptr<Connection>> connections;
   {
     MutexLock lock(&mu_);
     connections.swap(connections_);
   }
-  for (auto& [conn, reader] : connections) {
-    if (reader.joinable()) reader.join();
-  }
+  for (const std::shared_ptr<Connection>& conn : connections) conn->AbortBulk();
   connections.clear();  // Closes the sockets.
+  epoll_.Close();
   listener_.Close();
 }
 
-void KvServer::AcceptorLoop() {
+bool KvServer::Arm(int op, int fd, Connection* tag) {
+  epoll_event event{};
+  event.events = EPOLLIN | EPOLLONESHOT;
+  event.data.ptr = tag;
+  return ::epoll_ctl(epoll_.fd(), op, fd, &event) == 0;
+}
+
+void KvServer::WorkerLoop() {
+  std::vector<rpc::Frame> frames;
   while (!draining_.load()) {
-    Result<rpc::Socket> accepted = rpc::AcceptOne(listener_, kPollSliceMs);
-    if (!accepted.ok()) {
-      if (accepted.status().IsTimedOut()) {
-        // Idle moment: reap finished connections so a long-lived server
-        // does not accumulate dead registry entries.
-        MutexLock lock(&mu_);
-        for (auto it = connections_.begin(); it != connections_.end();) {
-          if (it->first->done.load()) {
-            if (it->second.joinable()) it->second.join();
-            it = connections_.erase(it);
-          } else {
-            ++it;
-          }
-        }
-        continue;
+    // One event per wait, so ready connections spread over the workers.
+    epoll_event event;
+    if (::epoll_wait(epoll_.fd(), &event, 1, kPollSliceMs) == 1) {
+      if (event.data.ptr == nullptr) {
+        AcceptReady();
+      } else {
+        ServeReady(static_cast<Connection*>(event.data.ptr), &frames);
       }
-      return;  // Listener broken; Shutdown will clean up.
+    }
+    Housekeep();
+  }
+}
+
+void KvServer::AcceptReady() {
+  while (true) {
+    Result<rpc::Socket> accepted = rpc::AcceptNow(listener_);
+    if (!accepted.ok()) {
+      if (accepted.status().IsTimedOut()) break;  // Backlog drained.
+      // Out of descriptors or memory (EMFILE, ENFILE, ENOBUFS, ENOMEM):
+      // the connection stays queued and the listener readable, so
+      // re-arming now would spin. Housekeeping re-arms it instead.
+      accept_paused_.store(true);
+      return;
     }
 #if DIRECTLOAD_FAILPOINTS_COMPILED
     if (fp_server_accept->armed() && !fp_server_accept->MaybeFail().ok()) {
@@ -191,37 +235,42 @@ void KvServer::AcceptorLoop() {
         std::move(accepted).value(), options_,
         &counters_.response_send_failures);
     MutexLock lock(&mu_);
-    connections_.emplace_back(conn,
-                              std::thread(&KvServer::ReaderLoop, this, conn));
+    connections_.insert(conn);
+    if (!Arm(EPOLL_CTL_ADD, conn->socket.fd(), conn.get())) {
+      connections_.erase(conn);  // Never watched: close it right away.
+    }
   }
+  Arm(EPOLL_CTL_MOD, listener_.fd(), nullptr);
 }
 
-void KvServer::ReaderLoop(std::shared_ptr<Connection> conn) {
-  const bool throttled = options_.conn_bytes_per_sec > 0;
-  SteadyClock::time_point idle_deadline =
-      SteadyClock::now() + std::chrono::milliseconds(options_.idle_timeout_ms);
-  char buf[32 * 1024];
+void KvServer::ServeReady(Connection* tagged,
+                          std::vector<rpc::Frame>* frames) {
+  // Until this worker re-arms or unregisters it, the connection is ours
+  // and the registry keeps it alive.
+  const std::shared_ptr<Connection> conn = tagged->shared_from_this();
+  frames->clear();
   bool alive = true;
-  while (alive && !draining_.load()) {
-    Result<size_t> n = conn->socket.RecvSome(buf, sizeof(buf), kPollSliceMs);
-    if (!n.ok()) {
-      if (n.status().IsTimedOut()) {
-        if (SteadyClock::now() >= idle_deadline) {
-          counters_.connections_idle_closed.fetch_add(1);
-          break;
-        }
-        continue;
+  {
+    MutexLock lock(&conn->read_mu);
+    // One read per wake-up: a connection with more pending fires again
+    // once re-armed, so its next bytes go to the next free worker.
+    char buf[32 * 1024];
+    Result<size_t> n = conn->socket.RecvNow(buf, sizeof(buf));
+    if (!n.ok() || *n == 0) {
+      // Nothing to read yet (a spurious wake-up), or EOF / reset — also
+      // how a socket shut down by housekeeping or Write ends.
+      alive = !n.ok() && n.status().IsTimedOut();
+    } else {
+      if (options_.conn_bytes_per_sec > 0) {
+        conn->limiter.Throttle(static_cast<double>(*n));
       }
-      break;  // Reset / hard error.
+      // The bulk-begin handler may have negotiated the frame bound up since
+      // the last pass; the decoder applies the new bound from the next
+      // frame.
+      conn->decoder.set_max_body_bytes(
+          conn->frame_limit.load(std::memory_order_acquire));
+      conn->decoder.Append(buf, *n);
     }
-    if (*n == 0) break;  // Clean EOF.
-    if (throttled) conn->limiter.Throttle(static_cast<double>(*n));
-    // The bulk-begin handler may have negotiated the frame bound up since
-    // the last pass; the decoder applies the new bound from the next frame.
-    conn->decoder.set_max_body_bytes(
-        conn->frame_limit.load(std::memory_order_acquire));
-    conn->decoder.Append(buf, *n);
-
     while (alive) {
       rpc::Frame frame;
       Result<bool> got = conn->decoder.Next(&frame);
@@ -237,117 +286,89 @@ void KvServer::ReaderLoop(std::shared_ptr<Connection> conn) {
         error.value = got.status().ToString();
         conn->Write(error);
         alive = false;
-        break;
-      }
-      if (!*got) break;  // Need more bytes.
-      idle_deadline = SteadyClock::now() +
-                      std::chrono::milliseconds(options_.idle_timeout_ms);
-      if (frame.response) {
+      } else if (!*got) {
+        break;  // Need more bytes.
+      } else if (frame.response) {
         counters_.stream_errors.fetch_add(1);
         conn->Write(rpc::MakeResponse(
             frame, Status::Protocol("client sent a response frame")));
         alive = false;
-        break;
-      }
-      if (draining_.load()) {
-        // Not yet queued, so not acknowledged — the client will retry
-        // against whatever replaces this server.
-        alive = false;
-        break;
-      }
-      rpc::Frame stub;  // Scalar fields survive for the rejection path.
-      stub.op = frame.op;
-      stub.request_id = frame.request_id;
-      stub.version = frame.version;
-      if (!Enqueue(Request{conn, std::move(frame)})) {
-        counters_.requests_rejected_busy.fetch_add(1);
-        conn->Write(
-            rpc::MakeResponse(stub, Status::Busy("request queue is full")));
-      }
-    }
-  }
-  // Connection teardown: an open bulk session dies with its connection —
-  // whatever was staged but never committed is rolled back, so a loader
-  // that crashed mid-stream leaves no trace. (Abort waits out a commit
-  // already executing on a worker and then no-ops if it won.)
-  std::shared_ptr<BulkIngestSession> orphan;
-  {
-    MutexLock lock(&conn->bulk_mu);
-    orphan = std::move(conn->bulk);
-  }
-  if (orphan != nullptr) orphan->Abort();
-  conn->done.store(true);
-}
-
-bool KvServer::Enqueue(Request request) {
+      } else {
 #if DIRECTLOAD_FAILPOINTS_COMPILED
-  if (fp_server_enqueue->armed() && !fp_server_enqueue->MaybeFail().ok()) {
-    return false;  // Reported as kBusy; the request was never acked.
-  }
-#endif
-  MutexLock lock(&queue_mu_);
-  if (queue_.size() >= options_.max_queued_requests) return false;
-  queue_.push_back(std::move(request));
-  queue_cv_.Signal();
-  return true;
-}
-
-namespace {
-
-/// A single-op write request a worker may fold into a batched run.
-bool IsWriteOp(const rpc::Frame& frame) {
-  return frame.op == rpc::Opcode::kPut || frame.op == rpc::Opcode::kDel;
-}
-
-}  // namespace
-
-void KvServer::WorkerLoop() {
-  const size_t max_batch = std::max<size_t>(1, options_.max_write_batch);
-  std::vector<Request> run;
-  while (true) {
-    run.clear();
-    {
-      MutexLock lock(&queue_mu_);
-      while (queue_.empty() && !stopping_) {
-        queue_cv_.WaitFor(std::chrono::milliseconds(kPollSliceMs));
-      }
-      if (queue_.empty()) return;  // stopping_ && drained.
-      run.push_back(std::move(queue_.front()));
-      queue_.pop_front();
-      // Opportunistic group commit: when the head of the queue continues a
-      // run of single-op writes, drain them in the same pass and execute
-      // the run as one cluster batch. Only the contiguous front is taken,
-      // so requests are still served strictly in arrival order.
-      if (max_batch > 1 && IsWriteOp(run.front().frame)) {
-        while (run.size() < max_batch && !queue_.empty() &&
-               IsWriteOp(queue_.front().frame)) {
-          run.push_back(std::move(queue_.front()));
-          queue_.pop_front();
+        if (fp_server_enqueue->armed() &&
+            !fp_server_enqueue->MaybeFail().ok()) {
+          // Rejected before execution, so never applied: the client retries.
+          counters_.requests_rejected_busy.fetch_add(1);
+          conn->Write(rpc::MakeResponse(
+              frame, Status::Busy("request rejected at admission")));
+          continue;
         }
+#endif
+        frames->push_back(std::move(frame));
       }
-      executing_ += static_cast<int>(run.size());
     }
-    if (run.size() == 1) {
-      rpc::Frame response = Execute(run.front());
-      run.front().conn->Write(response);
+  }
+  if (!frames->empty()) {
+    conn->idle_deadline_ms.store(NowMs() + options_.idle_timeout_ms);
+  }
+  // Re-arm before executing, so the connection's next pipelined frames
+  // (a bulk loader's slices, say) execute on other workers meanwhile.
+  if (alive) Arm(EPOLL_CTL_MOD, conn->socket.fd(), conn.get());
+
+  // Group commit at the front end: each run of consecutive single-op
+  // writes executes as one cluster batch, in arrival order.
+  const size_t max_batch = std::max<size_t>(1, options_.max_write_batch);
+  for (size_t i = 0, end; i < frames->size(); i = end) {
+    end = i + 1;
+    while (end < frames->size() && end - i < max_batch &&
+           IsWriteOp((*frames)[i]) && IsWriteOp((*frames)[end])) {
+      ++end;
+    }
+    if (end - i == 1) {
+      conn->Write(Execute(*conn, (*frames)[i]));
       counters_.requests_served.fetch_add(1);
     } else {
-      ExecuteWriteRun(run);
+      ExecuteWriteRun(*conn, std::span(frames->data() + i, end - i));
     }
+  }
+  if (!alive) {
+    // This worker owns the read side and did not re-arm it, so no event
+    // can name the connection again. The socket closes once no worker
+    // still executes one of its requests.
     {
-      MutexLock lock(&queue_mu_);
-      executing_ -= static_cast<int>(run.size());
-      if (queue_.empty() && executing_ == 0) drain_cv_.SignalAll();
+      MutexLock lock(&mu_);
+      connections_.erase(conn);
     }
-    run.clear();  // Drops the connection references.
+    conn->AbortBulk();
   }
 }
 
-void KvServer::ExecuteWriteRun(std::vector<Request>& run) {
+void KvServer::Housekeep() {
+  const int64_t now = NowMs();
+  int64_t due = next_housekeeping_ms_.load();
+  if (now < due ||
+      !next_housekeeping_ms_.compare_exchange_strong(due,
+                                                     now + kPollSliceMs)) {
+    return;  // Not due, or another worker took this pass.
+  }
+  if (accept_paused_.exchange(false)) {
+    Arm(EPOLL_CTL_MOD, listener_.fd(), nullptr);
+  }
+  MutexLock lock(&mu_);
+  for (const std::shared_ptr<Connection>& conn : connections_) {
+    int64_t deadline = conn->idle_deadline_ms.load();
+    if (now >= deadline &&
+        conn->idle_deadline_ms.compare_exchange_strong(deadline, INT64_MAX)) {
+      counters_.connections_idle_closed.fetch_add(1);
+      ::shutdown(conn->socket.fd(), SHUT_RDWR);
+    }
+  }
+}
+
+void KvServer::ExecuteWriteRun(Connection& conn, std::span<rpc::Frame> run) {
   std::vector<mint::MintCluster::BatchOp> ops;
   ops.reserve(run.size());
-  for (Request& request : run) {
-    rpc::Frame& frame = request.frame;
+  for (rpc::Frame& frame : run) {
     mint::MintCluster::BatchOp op;
     op.is_del = frame.op == rpc::Opcode::kDel;
     op.version = frame.version;
@@ -362,14 +383,13 @@ void KvServer::ExecuteWriteRun(std::vector<Request>& run) {
                     "carries its own op's status",
                     cluster_->WriteMany(ops, &statuses));
   for (size_t i = 0; i < run.size(); ++i) {
-    run[i].conn->Write(rpc::MakeResponse(run[i].frame, statuses[i]));
+    conn.Write(rpc::MakeResponse(run[i], statuses[i]));
   }
   counters_.requests_served.fetch_add(run.size());
   counters_.writes_batched.fetch_add(run.size());
 }
 
-rpc::Frame KvServer::Execute(const Request& full_request) {
-  const rpc::Frame& request = full_request.frame;
+rpc::Frame KvServer::Execute(Connection& conn, const rpc::Frame& request) {
   switch (request.op) {
     case rpc::Opcode::kGet: {
       Result<mint::MintCluster::ReadResult> read =
@@ -431,35 +451,31 @@ rpc::Frame KvServer::Execute(const Request& full_request) {
       auto session =
           std::make_shared<BulkIngestSession>(cluster_, request.version);
       {
-        MutexLock lock(&full_request.conn->bulk_mu);
-        if (full_request.conn->bulk != nullptr) {
+        MutexLock lock(&conn.bulk_mu);
+        if (conn.bulk != nullptr) {
           return rpc::MakeResponse(
               request,
               Status::Busy("a bulk session is already open on this "
                            "connection"));
         }
-        full_request.conn->bulk = session;
+        conn.bulk = session;
       }
       if (Status s = cluster_->BulkBegin(request.version); !s.ok()) {
-        MutexLock lock(&full_request.conn->bulk_mu);
-        full_request.conn->bulk.reset();
+        MutexLock lock(&conn.bulk_mu);
+        conn.bulk.reset();
         return rpc::MakeResponse(request, s);
       }
       // Negotiate the frame bound up before the ack is on the wire: once
       // the client sees OK it may send slices up to the bulk bound, and by
-      // then the reader observes the raised limit.
-      full_request.conn->frame_limit.store(
+      // then the read side observes the raised limit.
+      conn.frame_limit.store(
           std::max(options_.max_frame_bytes, options_.max_bulk_frame_bytes),
           std::memory_order_release);
       counters_.bulk_sessions_opened.fetch_add(1);
       return rpc::MakeResponse(request, Status::OK());
     }
     case rpc::Opcode::kBulkSlice: {
-      std::shared_ptr<BulkIngestSession> session;
-      {
-        MutexLock lock(&full_request.conn->bulk_mu);
-        session = full_request.conn->bulk;
-      }
+      std::shared_ptr<BulkIngestSession> session = conn.Bulk();
       if (session == nullptr) {
         return rpc::MakeResponse(
             request,
@@ -474,11 +490,7 @@ rpc::Frame KvServer::Execute(const Request& full_request) {
       return rpc::MakeResponse(request, s);
     }
     case rpc::Opcode::kBulkCommit: {
-      std::shared_ptr<BulkIngestSession> session;
-      {
-        MutexLock lock(&full_request.conn->bulk_mu);
-        session = full_request.conn->bulk;
-      }
+      std::shared_ptr<BulkIngestSession> session = conn.Bulk();
       if (session == nullptr) {
         return rpc::MakeResponse(
             request,
@@ -500,8 +512,8 @@ rpc::Frame KvServer::Execute(const Request& full_request) {
         return response;
       }
       if (s.ok()) {
-        MutexLock lock(&full_request.conn->bulk_mu);
-        full_request.conn->bulk.reset();
+        MutexLock lock(&conn.bulk_mu);
+        conn.bulk.reset();
       }
       return rpc::MakeResponse(request, s);
     }
@@ -607,15 +619,9 @@ rpc::Frame KvServer::Execute(const Request& full_request) {
       rpc::EncodeRepairPage(page, &payload);
       return rpc::MakeResponse(request, Status::OK(), std::move(payload));
     }
-    case rpc::Opcode::kBulkAbort: {
-      std::shared_ptr<BulkIngestSession> session;
-      {
-        MutexLock lock(&full_request.conn->bulk_mu);
-        session = std::move(full_request.conn->bulk);
-      }
-      if (session != nullptr) session->Abort();
+    case rpc::Opcode::kBulkAbort:
+      conn.AbortBulk();
       return rpc::MakeResponse(request, Status::OK());  // Idempotent.
-    }
   }
   return rpc::MakeResponse(request, Status::Protocol("unknown opcode"));
 }

@@ -3,11 +3,11 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <memory>
+#include <span>
 #include <string>
 #include <thread>
-#include <utility>
+#include <unordered_set>
 #include <vector>
 
 #include "common/status.h"
@@ -25,19 +25,14 @@ struct KvServerOptions {
   std::string host = "127.0.0.1";
   /// 0 = kernel-assigned ephemeral port; read it back via port().
   uint16_t port = 0;
-  /// Worker threads executing requests against the cluster. <= 0 sizes the
+  /// Worker threads; each executes the requests it reads. <= 0 sizes the
   /// pool to the hardware concurrency (minimum 2).
   int num_workers = 0;
-  /// Admission bound: requests decoded but not yet picked up by a worker.
-  /// A full queue rejects the request with kBusy instead of queueing
-  /// unboundedly — the client sees back-pressure, the server keeps a
-  /// bounded memory footprint.
-  size_t max_queued_requests = 1024;
-  /// Workers opportunistically drain up to this many consecutive single-op
-  /// write requests (PUT/DEL) from the queue front and execute them as one
-  /// cluster write batch — the serving-layer half of group commit: one
-  /// engine Write per involved node instead of one per request, each
-  /// request still answered individually. <= 1 disables the drain.
+  /// A worker executes up to this many consecutive single-op write
+  /// requests (PUT/DEL) decoded from one read as one cluster write batch —
+  /// the serving-layer half of group commit: one engine Write per involved
+  /// node instead of one per request, each request still answered
+  /// individually. <= 1 disables the batching.
   size_t max_write_batch = 32;
   /// Connections with no complete request for this long are closed.
   int idle_timeout_ms = 60'000;
@@ -60,26 +55,23 @@ struct KvServerOptions {
 /// writes arrive over the same wire protocol (src/rpc/protocol.h) while the
 /// engines behind it keep their own concurrency story.
 ///
-/// Threading model (see docs/serving.md):
-///   * one acceptor thread polls the listening socket and spawns
-///   * one reader thread per connection, which decodes pipelined request
-///     frames and enqueues them onto
-///   * a bounded request queue drained by a worker pool sized to the
-///     hardware, whose threads execute against the cluster and write the
-///     response onto the originating connection (a per-connection write
-///     lock keeps pipelined responses from interleaving bytes).
+/// Threading model (see docs/serving.md): a pool of workers shares one
+/// epoll set. Connections are registered EPOLLONESHOT, so one worker at a
+/// time owns a connection's read side: it reads once, decodes, re-arms,
+/// then executes the frames itself and writes the responses under the
+/// connection's write lock. There is no request queue; TCP flow control
+/// pushes back on clients while every worker is busy.
 ///
 /// Responses may complete out of order; the request id ties them back.
-/// Admission control: a full queue answers kBusy immediately. Shutdown()
-/// drains gracefully — stop accepting, stop reading, finish every queued
-/// and executing request, flush its acknowledgement, then close. An
-/// acknowledged write is therefore always applied to the cluster, which
-/// the smoke test checks across a server restart.
+/// Shutdown() drains gracefully — the workers stop reading, but each first
+/// executes and acknowledges every frame it has decoded; then the sockets
+/// close. An acknowledged write is therefore always applied to the
+/// cluster, which the smoke test checks across a server restart.
 ///
 /// Locks (all ranked above the engine ranks — a worker may take engine
 /// locks while holding nothing of the server's):
 ///   kServerState      mu_        lifecycle + connection registry
-///   kServerQueue      queue_mu_  request queue, drain accounting
+///   kServerConnRead   read_mu    per-connection decoder and throttle
 ///   kServerConnWrite  write_mu   per-connection response serialization
 class KvServer {
  public:
@@ -90,7 +82,7 @@ class KvServer {
   KvServer(const KvServer&) = delete;
   KvServer& operator=(const KvServer&) = delete;
 
-  /// Binds, listens, and spawns the acceptor and worker threads.
+  /// Binds, listens, and spawns the worker threads.
   Status Start() EXCLUDES(mu_);
 
   /// Graceful drain; idempotent. Blocks until every in-flight request is
@@ -105,14 +97,15 @@ class KvServer {
     std::atomic<uint64_t> connections_accepted{0};
     std::atomic<uint64_t> connections_idle_closed{0};
     std::atomic<uint64_t> requests_served{0};
+    /// Answered kBusy at admission (only the `server_enqueue` failpoint).
     std::atomic<uint64_t> requests_rejected_busy{0};
     /// Single-op write requests that rode a multi-request batched run.
     std::atomic<uint64_t> writes_batched{0};
     /// Connections torn down for kProtocol / kCorruption streams.
     std::atomic<uint64_t> stream_errors{0};
-    /// Response frames that failed to send (peer gone mid-reply). The
-    /// response is dropped — the reader side notices the dead socket — but
-    /// the drop is counted, never silent.
+    /// Response frames that failed to send (peer gone, or not reading for
+    /// the write deadline). The response is dropped and the connection
+    /// shut down, but the drop is counted, never silent.
     std::atomic<uint64_t> response_send_failures{0};
     /// Bulk-ingest sessions opened (kBulkBegin acked).
     std::atomic<uint64_t> bulk_sessions_opened{0};
@@ -126,55 +119,54 @@ class KvServer {
 
  private:
   struct Connection;
-  struct Request {
-    std::shared_ptr<Connection> conn;
-    rpc::Frame frame;
-  };
 
-  void AcceptorLoop();
-  void ReaderLoop(std::shared_ptr<Connection> conn);
   void WorkerLoop();
+  /// Accepts every pending connection, then re-arms the listener.
+  void AcceptReady() EXCLUDES(mu_);
+  /// One wake-up on a connection: read, decode, re-arm, execute.
+  void ServeReady(Connection* tagged, std::vector<rpc::Frame>* frames)
+      EXCLUDES(mu_);
+  /// At most once per poll slice: shuts idle connections down (their next
+  /// owner tears them down) and re-arms a paused listener.
+  void Housekeep() EXCLUDES(mu_);
+  /// EPOLL_CTL_ADD/MOD of `fd` for one event (false if epoll refuses);
+  /// `tag` nullptr = the listener.
+  bool Arm(int op, int fd, Connection* tag);
 
   /// Executes one request against the cluster and returns its response.
-  /// Takes the whole Request because bulk-ingest opcodes read and mutate
-  /// the originating connection's session state.
-  rpc::Frame Execute(const Request& request);
+  /// Takes the connection because bulk-ingest opcodes read and mutate its
+  /// session state.
+  rpc::Frame Execute(Connection& conn, const rpc::Frame& request);
 
-  /// Executes a drained run of single-op write requests as one cluster
-  /// write batch and answers each request with its own status.
-  void ExecuteWriteRun(std::vector<Request>& run);
+  /// Executes a run of single-op write requests as one cluster write batch
+  /// and answers each request with its own status.
+  void ExecuteWriteRun(Connection& conn, std::span<rpc::Frame> run);
 
   std::string StatsText();
-
-  /// False when the queue is full (caller answers kBusy).
-  bool Enqueue(Request request) EXCLUDES(queue_mu_);
 
   mint::MintCluster* const cluster_;
   const KvServerOptions options_;
   uint16_t port_ = 0;
   Counters counters_;
 
-  /// Accept/read stop signal; set by Shutdown before the drain wait.
+  /// Worker stop signal; set by Shutdown before it joins the workers.
   std::atomic<bool> draining_{false};
+  /// Steady-clock ms of the next housekeeping pass.
+  std::atomic<int64_t> next_housekeeping_ms_{0};
+  /// A failed accept left the listener disarmed for housekeeping to re-arm.
+  std::atomic<bool> accept_paused_{false};
 
   Mutex mu_{LockRank::kServerState, "KvServer::mu_"};
   bool running_ GUARDED_BY(mu_) = false;
-  std::vector<std::pair<std::shared_ptr<Connection>, std::thread>>
-      connections_ GUARDED_BY(mu_);
+  std::unordered_set<std::shared_ptr<Connection>> connections_
+      GUARDED_BY(mu_);
 
   // Lifecycle members, written by Start()/Shutdown() only (which external
-  // callers serialize) and stable for the whole time the threads run, so
-  // the acceptor reads listener_ without a lock.
+  // callers serialize) and stable for the whole time the workers run, so
+  // they read them without a lock.
   rpc::Socket listener_;
-  std::thread acceptor_;
+  rpc::Socket epoll_;  // The workers' shared epoll set (an owned fd).
   std::vector<std::thread> workers_;
-
-  Mutex queue_mu_{LockRank::kServerQueue, "KvServer::queue_mu_"};
-  CondVar queue_cv_{&queue_mu_};  // Signaled on push and on stop.
-  CondVar drain_cv_{&queue_mu_};  // Signaled when the queue runs dry.
-  std::deque<Request> queue_ GUARDED_BY(queue_mu_);
-  int executing_ GUARDED_BY(queue_mu_) = 0;
-  bool stopping_ GUARDED_BY(queue_mu_) = false;  // Workers exit.
 };
 
 }  // namespace directload::server

@@ -175,17 +175,33 @@ TEST(MemIndexTest, TracebackDoesNotCrossKeys) {
   EXPECT_EQ(index.TracebackValue("b", 2), nullptr);
 }
 
-TEST(MemIndexTest, EntriesForKeyNewestFirst) {
+TEST(MemIndexTest, NewestFirstLookupsStopAtTheNearestVersion) {
   MemIndex index;
   index.Insert("k", 2, 0, 0, false);
   index.Insert("k", 9, 0, 0, false);
   index.Insert("k", 5, 0, 0, false);
+  index.Insert("j", 1, 0, 0, false);
   index.Insert("other", 1, 0, 0, false);
-  std::vector<MemEntry*> entries = index.EntriesForKey("k");
-  ASSERT_EQ(entries.size(), 3u);
-  EXPECT_EQ(entries[0]->version, 9u);
-  EXPECT_EQ(entries[1]->version, 5u);
-  EXPECT_EQ(entries[2]->version, 2u);
+  ASSERT_NE(index.FindLatestLive("k"), nullptr);
+  EXPECT_EQ(index.FindLatestLive("k")->version, 9u);
+  // Walking upwards visits every newer version in order, then stops at the
+  // key's end instead of running into the previous key.
+  std::vector<uint64_t> upwards;
+  for (MemEntry* e = index.FindNextNewer("k", 0); e != nullptr;
+       e = index.FindNextNewer("k", e->version)) {
+    upwards.push_back(e->version);
+  }
+  EXPECT_EQ(upwards, (std::vector<uint64_t>{2, 5, 9}));
+  EXPECT_EQ(index.FindNextNewer("k", 5)->version, 9u);
+  EXPECT_EQ(index.FindNextNewer("k", 9), nullptr);
+  EXPECT_EQ(index.FindNextNewer("missing", 0), nullptr);
+  EXPECT_EQ(index.FindLatestLive("missing"), nullptr);
+
+  // A deleted newest version is skipped by the live lookup, not by the
+  // walk (traceback accounting still needs to see it).
+  index.FindExact("k", 9)->deleted.store(true);
+  EXPECT_EQ(index.FindLatestLive("k")->version, 5u);
+  EXPECT_EQ(index.FindNextNewer("k", 5)->version, 9u);
 }
 
 TEST(MemIndexTest, PurgeHidesEntry) {
@@ -198,7 +214,7 @@ TEST(MemIndexTest, PurgeHidesEntry) {
   MemEntry* latest = index.FindLatest("k");
   ASSERT_NE(latest, nullptr);
   EXPECT_EQ(latest->version, 1u);
-  EXPECT_EQ(index.EntriesForKey("k").size(), 1u);
+  EXPECT_EQ(index.FindNextNewer("k", 1), nullptr);
 }
 
 TEST(MemIndexTest, InsertRevivesPurgedEntry) {

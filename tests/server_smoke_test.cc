@@ -1,14 +1,22 @@
 // End-to-end serving tests over real localhost sockets: a KvServer hosting
 // a small mint::MintCluster, driven by RpcClients on real threads. Covers
-// the full request surface, pipelining, concurrent clients, a client dying
-// mid-frame, admission control, the protocol-corruption matrix at the
-// socket level, idle timeouts, and the graceful-drain guarantee: every
-// acknowledged PUT is readable after the server is restarted on the same
-// cluster.
+// the full request surface, pipelining (deep, and from a client that never
+// reads), concurrent clients, a client dying mid-frame, admission
+// rejections, accepting again after descriptor exhaustion, the
+// protocol-corruption matrix at the socket level, idle timeouts, and the
+// graceful-drain guarantee: every acknowledged PUT is readable after the
+// server is restarted on the same cluster.
 
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/resource.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
+#include <cstring>
 #include <map>
 #include <memory>
 #include <string>
@@ -16,6 +24,7 @@
 #include <vector>
 
 #include "common/coding.h"
+#include "common/failpoint.h"
 #include "rpc/client.h"
 #include "rpc/protocol.h"
 #include "rpc/socket.h"
@@ -151,8 +160,8 @@ TEST_F(ServerSmokeTest, WriteBatchRoundTripWithPerOpStatuses) {
 
 TEST_F(ServerSmokeTest, SingleOpWritesAreBatchedOpportunistically) {
   StartCluster();
-  // One worker: pipelined single-op PUTs pile up in the queue behind
-  // whatever it is executing, and its drain path groups them.
+  // One worker: pipelined single-op PUTs that arrive in one read execute
+  // as one batched run.
   KvServerOptions options;
   options.num_workers = 1;
   options.max_write_batch = 16;
@@ -160,9 +169,9 @@ TEST_F(ServerSmokeTest, SingleOpWritesAreBatchedOpportunistically) {
   rpc::RpcClient client = MakeClient();
   ASSERT_TRUE(client.Connect().ok());
 
-  // Each burst usually lands while the worker is mid-op, but the scheduler
-  // could in principle let it race every enqueue — so repeat bursts until
-  // the counter proves a drain actually grouped (converges immediately in
+  // A burst usually reaches the server in one read, but the kernel could
+  // in principle hand it over a frame at a time — so repeat bursts until
+  // the counter proves a run actually grouped (converges immediately in
   // practice).
   constexpr int kDepth = 16;
   int sent = 0;
@@ -265,45 +274,189 @@ TEST_F(ServerSmokeTest, PipelinedRequestsMatchByRequestId) {
   }
 }
 
-TEST_F(ServerSmokeTest, AdmissionControlAnswersBusyNotQueueGrowth) {
-  StartCluster();
-  KvServerOptions options;
-  options.num_workers = 1;
-  options.max_queued_requests = 2;  // Tiny bound to force rejections.
-  StartServer(options);
-  rpc::RpcClient client = MakeClient();
-  ASSERT_TRUE(client.Connect().ok());
-
-  constexpr int kBurst = 64;
-  for (int i = 0; i < kBurst; ++i) {
+/// Encodes `count` pipelined single-op PUTs of `prefix`<i> -> "v"<i>.
+std::string EncodePuts(const std::string& prefix, int count) {
+  std::string wire;
+  for (int i = 0; i < count; ++i) {
     rpc::Frame request;
     request.op = rpc::Opcode::kPut;
-    request.request_id = client.NextRequestId();
+    request.request_id = static_cast<uint64_t>(i) + 1;
     request.version = 1;
-    request.key = "busy:k" + std::to_string(i);
-    request.value = "bv" + std::to_string(i);
-    ASSERT_TRUE(client.Send(request).ok());
+    request.key = prefix + std::to_string(i);
+    request.value = "v" + std::to_string(i);
+    rpc::EncodeFrame(request, &wire);
   }
-  int ok = 0, busy = 0;
-  std::vector<std::string> acked_keys;
-  for (int i = 0; i < kBurst; ++i) {
-    Result<rpc::Frame> response = client.Receive();
-    ASSERT_TRUE(response.ok()) << response.status().ToString();
-    if (response->status == StatusCode::kOk) {
-      ++ok;
-    } else {
-      // The only legal rejection is kBusy — admission control, not drops.
-      ASSERT_EQ(response->status, StatusCode::kBusy);
-      ++busy;
+  return wire;
+}
+
+TEST_F(ServerSmokeTest, DeepPipelineOnOneWorkerIsFullyApplied) {
+  StartCluster();
+  // One worker and no request queue: the burst waits in the socket
+  // buffers (TCP flow control) instead of being rejected, and each read
+  // executes its run of decoded PUTs as one batch.
+  KvServerOptions options;
+  options.num_workers = 1;
+  StartServer(options);
+  Result<rpc::Socket> raw = rpc::ConnectTo("127.0.0.1", server_->port(), 1000);
+  ASSERT_TRUE(raw.ok());
+
+  constexpr int kBurst = 4096;
+  const std::string wire = EncodePuts("deep:k", kBurst);
+  // Send from another thread: the responses flow back while the burst is
+  // still going out, and neither direction may wait on the other.
+  std::thread sender([&] { EXPECT_TRUE(raw->SendAll(wire, 10'000).ok()); });
+  rpc::FrameDecoder decoder;
+  std::vector<bool> answered(kBurst + 1, false);
+  int ok = 0;
+  char buf[16 * 1024];
+  for (int received = 0; received < kBurst;) {
+    Result<size_t> n = raw->RecvSome(buf, sizeof(buf), 10'000);
+    ASSERT_TRUE(n.ok()) << n.status().ToString();
+    ASSERT_GT(*n, 0u) << "server closed the connection mid-burst";
+    decoder.Append(buf, *n);
+    rpc::Frame response;
+    for (Result<bool> got = decoder.Next(&response); got.ok() && *got;
+         got = decoder.Next(&response), ++received) {
+      ASSERT_GE(response.request_id, 1u);
+      ASSERT_LE(response.request_id, static_cast<uint64_t>(kBurst));
+      EXPECT_FALSE(answered[response.request_id]) << "answered twice";
+      answered[response.request_id] = true;
+      if (response.status == StatusCode::kOk) ++ok;
     }
   }
-  EXPECT_EQ(ok + busy, kBurst);
-  EXPECT_GT(ok, 0);
-  // Every acknowledged put must be readable; every busy-rejected one must
-  // not have been applied half-way — a clean accept/reject split.
-  server_->Shutdown();
-  EXPECT_EQ(server_->counters().requests_rejected_busy.load(),
-            static_cast<uint64_t>(busy));
+  sender.join();
+  EXPECT_EQ(ok, kBurst);
+  EXPECT_GT(server_->counters().writes_batched.load(), 0u);
+  EXPECT_EQ(server_->counters().requests_rejected_busy.load(), 0u);
+
+  rpc::RpcClient client = MakeClient();
+  for (int i = 0; i < kBurst; ++i) {
+    Result<std::string> got = client.Get("deep:k" + std::to_string(i), 1);
+    ASSERT_TRUE(got.ok()) << "deep:k" << i << ": " << got.status().ToString();
+    EXPECT_EQ(*got, "v" + std::to_string(i));
+  }
+}
+
+TEST_F(ServerSmokeTest, PipelinerThatNeverReadsDoesNotStallOthers) {
+  StartCluster();
+  KvServerOptions options;
+  options.num_workers = 2;
+  StartServer(options);
+  rpc::RpcClient::Options client_options;
+  // Well inside the server's write deadline: a worker stuck behind the
+  // pipeliner's unread responses would show up as a timeout here.
+  client_options.request_timeout_ms = 2000;
+  rpc::RpcClient reader("127.0.0.1", server_->port(), client_options);
+  ASSERT_TRUE(reader.Put("steady", 1, "answer").ok());
+
+  Result<rpc::Socket> flood = rpc::ConnectTo("127.0.0.1", server_->port(),
+                                             1000);
+  ASSERT_TRUE(flood.ok());
+  const std::string wire = EncodePuts("flood:k", 4096);
+  std::thread sender([&] { EXPECT_TRUE(flood->SendAll(wire, 10'000).ok()); });
+  for (int i = 0; i < 50; ++i) {
+    Result<std::string> got = reader.Get("steady", 1);
+    ASSERT_TRUE(got.ok()) << "read " << i << ": " << got.status().ToString();
+    EXPECT_EQ(*got, "answer");
+  }
+  sender.join();
+  // The flood was applied, although its client never read an answer.
+  Result<std::string> last = reader.Get("flood:k4095", 1);
+  for (int spins = 0; spins < 200 && !last.ok(); ++spins) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    last = reader.Get("flood:k4095", 1);
+  }
+  ASSERT_TRUE(last.ok()) << last.status().ToString();
+  EXPECT_EQ(server_->counters().response_send_failures.load(), 0u);
+  flood->Close();
+}
+
+TEST_F(ServerSmokeTest, AdmissionFailpointAnswersBusyAndAppliesNothing) {
+  if (!failpoint::kCompiledIn) {
+    GTEST_SKIP() << "failpoint sites compiled out";
+  }
+  StartCluster();
+  StartServer();
+  rpc::RpcClient client = MakeClient();
+  ASSERT_TRUE(client.Connect().ok());
+  auto& registry = failpoint::Registry::Instance();
+  ASSERT_TRUE(registry.Activate("server_enqueue", "return(busy)").ok());
+  rpc::Frame request;
+  request.op = rpc::Opcode::kPut;
+  request.request_id = client.NextRequestId();
+  request.version = 1;
+  request.key = "rejected";
+  request.value = "never-applied";
+  ASSERT_TRUE(client.Send(request).ok());
+  Result<rpc::Frame> response = client.Receive();
+  registry.Deactivate("server_enqueue");
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  EXPECT_EQ(response->request_id, request.request_id);
+  EXPECT_EQ(response->status, StatusCode::kBusy);
+  EXPECT_EQ(server_->counters().requests_rejected_busy.load(), 1u);
+  EXPECT_TRUE(client.Get("rejected", 1).status().IsNotFound());
+  Result<std::string> stats = client.Stats();
+  ASSERT_TRUE(stats.ok());
+  EXPECT_NE(stats->find("busy_rejected=1 "), std::string::npos) << *stats;
+}
+
+TEST_F(ServerSmokeTest, AcceptSurvivesDescriptorExhaustion) {
+  StartCluster();
+  StartServer();
+  // Created before the limit drops; connect() allocates no descriptor.
+  rpc::Socket starved(::socket(AF_INET, SOCK_STREAM, 0));
+  ASSERT_TRUE(starved.valid());
+  rlimit saved{};
+  ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &saved), 0);
+  // With the soft limit at the lowest free descriptor number, no new
+  // descriptor can be allocated: the server's accept fails with EMFILE.
+  const int lowest_free = ::open("/dev/null", O_RDONLY);
+  ASSERT_GE(lowest_free, 0);
+  ::close(lowest_free);
+  rlimit lowered = saved;
+  lowered.rlim_cur = static_cast<rlim_t>(lowest_free);
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &lowered), 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(server_->port());
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  const int connected =
+      ::connect(starved.fd(), reinterpret_cast<sockaddr*>(&addr),
+                sizeof(addr));
+  const int connect_errno = errno;
+  rpc::Frame ping;
+  ping.op = rpc::Opcode::kPing;
+  ping.request_id = 1;
+  ping.value = "starved";
+  std::string wire;
+  rpc::EncodeFrame(ping, &wire);
+  const Status sent = starved.SendAll(wire, 1000);
+  // The kernel completed the handshake, but nothing can accept it.
+  char buf[256];
+  Result<size_t> early = starved.RecvSome(buf, sizeof(buf), 300);
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &saved), 0);
+  ASSERT_EQ(connected, 0) << std::strerror(connect_errno);
+  ASSERT_TRUE(sent.ok()) << sent.ToString();
+  EXPECT_TRUE(early.status().IsTimedOut())
+      << "answered while no descriptor was available";
+
+  // Descriptors are back: the server accepts again — the waiting
+  // connection first, then new clients.
+  rpc::FrameDecoder decoder;
+  rpc::Frame response;
+  bool answered = false;
+  while (!answered) {
+    Result<size_t> n = starved.RecvSome(buf, sizeof(buf), 5000);
+    ASSERT_TRUE(n.ok()) << n.status().ToString();
+    ASSERT_GT(*n, 0u);
+    decoder.Append(buf, *n);
+    Result<bool> got = decoder.Next(&response);
+    ASSERT_TRUE(got.ok());
+    answered = *got;
+  }
+  EXPECT_EQ(response.value, "starved");
+  rpc::RpcClient client = MakeClient();
+  EXPECT_TRUE(client.Ping().ok());
 }
 
 TEST_F(ServerSmokeTest, SurvivesClientsDyingMidFrame) {
