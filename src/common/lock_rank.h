@@ -43,13 +43,6 @@ enum class LockRank : int {
   /// than every engine rank: a worker may take an engine lock while the
   /// server is mid-drain, never the reverse.
   kServerState = 2,
-  /// Lock: `HedgeState::mu` — one hedged read's completion state (winner
-  /// value, attempt counts), shared by the issuing thread and its attempt
-  /// threads.
-  /// Sibling instances: one per in-flight hedged read, all leaves; an
-  /// attempt thread takes its own read's lock only, strictly after any
-  /// kMintCoord acquisition has been released.
-  kMintHedge = 3,
   /// Lock: `Connection::read_mu` — a connection's frame decoder and
   /// ingress throttle, used by the worker that owns its read side.
   ///

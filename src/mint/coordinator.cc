@@ -33,6 +33,37 @@ bool IsTransportError(const Status& s) {
   return s.IsUnavailable() || s.IsIOError() || s.IsTimedOut();
 }
 
+/// A broken connection, worth a re-dial and resend as RpcClient::Call
+/// would; distinct from an expired deadline or a broken byte stream.
+bool IsReconnectable(const Status& s) {
+  return s.IsUnavailable() || s.IsIOError();
+}
+
+/// A failed read's status, folded over its attempts the way Del folds its
+/// replicas: an answered error first, then NotFound, and a transport
+/// failure only when no replica answered at all.
+class ReadFailure {
+ public:
+  void Add(const Status& s) {
+    Status& first = IsTransportError(s) ? transport_
+                    : s.IsNotFound()    ? not_found_
+                                        : answered_;
+    if (first.ok()) first = s;
+  }
+
+  Status status() const {
+    if (!answered_.ok()) return answered_;
+    if (!not_found_.ok()) return not_found_;
+    if (!transport_.ok()) return transport_;
+    return Status::Unavailable("no read attempt made");
+  }
+
+ private:
+  Status answered_;
+  Status not_found_;
+  Status transport_;
+};
+
 double ElapsedMs(SteadyClock::time_point since) {
   return std::chrono::duration<double, std::milli>(SteadyClock::now() - since)
       .count();
@@ -46,22 +77,92 @@ std::string InventoryToken(const Slice& key, uint64_t version) {
 
 }  // namespace
 
-/// Completion state shared between a hedged read's issuing thread and its
-/// detached attempt threads. First successful attempt wins; the issuing
-/// thread extracts the result, and losers just bump `finished` on the way
-/// out. The lock is a leaf (rank kMintHedge) taken by attempt threads only
-/// after every kMintCoord acquisition has been released.
-struct MintCoordinator::HedgeState {
-  Mutex mu{LockRank::kMintHedge, "HedgeState::mu"};
-  CondVar cv{&mu};
-  bool done GUARDED_BY(mu) = false;
-  int launched GUARDED_BY(mu) = 0;
-  int finished GUARDED_BY(mu) = 0;
-  std::string value GUARDED_BY(mu);
-  int served_by GUARDED_BY(mu) = -1;
-  int winner_slot GUARDED_BY(mu) = -1;
-  Status last_error GUARDED_BY(mu) =
-      Status::Unavailable("no read attempt made");
+/// One request to one node over a client popped from the node's pool,
+/// driven by the calling thread: sent by Begin, advanced by Poll, finished
+/// with the node's answer or a transport failure.
+struct MintCoordinator::Exchange {
+  int node = -1;
+  int slot = -1;  // The caller's index: read ladder rung or write target.
+  std::unique_ptr<rpc::RpcClient> client;
+  rpc::Frame request;
+  int timeout_ms = 0;  // Per send, as RpcClient::Call's request timeout.
+  /// Re-dials and resends left after a broken connection, as
+  /// RpcClient::Call allows (`max_reconnects`).
+  int resends_left = 0;
+  SteadyClock::time_point start;
+  SteadyClock::time_point deadline;  // Of the latest send.
+  bool done = false;
+  Status status;      // The node's answer, or the transport failure.
+  std::string value;  // The answer's value when `status` is OK.
+
+  /// Sends the request with a fresh deadline.
+  void Transmit() {
+    deadline = SteadyClock::now() + std::chrono::milliseconds(timeout_ms);
+    const Status s = client->Send(request);
+    if (!s.ok()) Fail(s);
+  }
+
+  /// Ends the exchange with `s`, unless `s` is a broken connection and a
+  /// resend is left. That is most often a pooled connection the node has
+  /// since closed: dial again and resend, so staleness costs neither a
+  /// failed attempt nor a detector miss.
+  void Fail(const Status& s) {
+    if (IsReconnectable(s) && resends_left > 0) {
+      --resends_left;
+      client->Close();
+      Transmit();
+      return;
+    }
+    done = true;
+    status = s;
+  }
+
+  /// Takes what the connection has already received.
+  void Poll() {
+    while (!done) {
+      Result<rpc::Frame> response = client->Receive(/*timeout_ms=*/0);
+      if (!response.ok()) {
+        // kTimedOut: nothing whole has arrived yet; the stream is intact.
+        if (!response.status().IsTimedOut()) Fail(response.status());
+        return;
+      }
+      // Match the id, as Call does: only our own answer ends the exchange.
+      if (response->request_id != request.request_id) continue;
+      done = true;
+      status = rpc::StatusFromWire(response->status, response->value);
+      if (status.ok()) value = std::move(response->value);
+    }
+  }
+
+  /// Waits until `until`, or until one of the unfinished `exchanges` can
+  /// make progress; polls those and times out those past their deadline.
+  static void WaitAndPoll(std::vector<Exchange>* exchanges,
+                          SteadyClock::time_point until) {
+    std::vector<Exchange*> open;
+    std::vector<rpc::RpcClient*> clients;
+    for (Exchange& x : *exchanges) {
+      if (x.done) continue;
+      open.push_back(&x);
+      clients.push_back(x.client.get());
+      until = std::min(until, x.deadline);
+    }
+    if (open.empty()) return;
+    // Rounded up, so a wait that times out has reached `until`.
+    const int64_t wait_ms = std::chrono::ceil<std::chrono::milliseconds>(
+                                until - SteadyClock::now())
+                                .count();
+    for (size_t i : rpc::RpcClient::WaitReadable(
+             clients, static_cast<int>(std::max<int64_t>(0, wait_ms)))) {
+      open[i]->Poll();
+    }
+    const SteadyClock::time_point now = SteadyClock::now();
+    for (Exchange* x : open) {
+      if (!x->done && now >= x->deadline) {
+        x->done = true;
+        x->status = Status::TimedOut("request deadline expired");
+      }
+    }
+  }
 };
 
 MintCoordinator::MintCoordinator(std::vector<std::vector<NodeEndpoint>> groups,
@@ -106,10 +207,6 @@ void MintCoordinator::Stop() {
     cv_.SignalAll();
   }
   if (detector_.joinable()) detector_.join();
-  // Wait out detached read attempts: they hold `this` and must not outlive
-  // the coordinator.
-  MutexLock lock(&mu_);
-  while (active_attempts_ > 0) cv_.Wait();
 }
 
 int MintCoordinator::GroupOf(const Slice& key) const {
@@ -168,7 +265,8 @@ void MintCoordinator::ReleaseClient(int node_id,
                                     std::unique_ptr<rpc::RpcClient> client,
                                     bool reusable) {
   // A client whose transport failed is dropped, not pooled: its stream may
-  // hold half a frame, and reconnecting is the next caller's job anyway.
+  // hold half a frame or an answer still on its way, and reconnecting is
+  // the next caller's job anyway.
   static constexpr size_t kMaxPooledPerNode = 8;
   if (!reusable) return;  // unique_ptr dtor closes the socket.
   MutexLock lock(&mu_);
@@ -241,8 +339,86 @@ int MintCoordinator::JitteredBackoffMs(int attempt) {
 }
 
 // ---------------------------------------------------------------------------
+// Exchanges with the pool and the detector
+// ---------------------------------------------------------------------------
+
+MintCoordinator::Exchange MintCoordinator::Begin(int node_id,
+                                                 const rpc::Frame& request,
+                                                 int slot) {
+  Exchange x;
+  x.node = node_id;
+  x.slot = slot;
+  x.client = AcquireClient(node_id);
+  x.request = request;
+  x.request.request_id = x.client->NextRequestId();
+  x.timeout_ms = options_.rpc.request_timeout_ms;
+  x.resends_left = options_.rpc.max_reconnects;
+  x.start = SteadyClock::now();
+  x.Transmit();
+  return x;
+}
+
+void MintCoordinator::Finish(Exchange* x) {
+  const bool answered = !IsTransportError(x->status);
+  ReleaseClient(x->node, std::move(x->client), answered);
+  ReportNodeOutcome(x->node, answered);
+}
+
+// ---------------------------------------------------------------------------
 // Writes
 // ---------------------------------------------------------------------------
+
+std::vector<Status> MintCoordinator::FanOut(const std::vector<int>& targets,
+                                            const rpc::Frame& request,
+                                            int* sends) {
+  std::vector<Status> statuses(targets.size());
+  std::vector<int> round;  // Target indices to send to this round.
+  for (size_t i = 0; i < targets.size(); ++i) {
+    if (health(targets[i]) == NodeHealth::kDown) {
+      // Routed around; RepairNode re-replicates what it missed.
+      statuses[i] = Status::Unavailable("replica " +
+                                        std::to_string(targets[i]) +
+                                        " is down (routed around)");
+      continue;
+    }
+#if DIRECTLOAD_FAILPOINTS_COMPILED
+    if (fp_coord_replica_write->armed()) {
+      statuses[i] = fp_coord_replica_write->MaybeFail();
+      if (!statuses[i].ok()) continue;
+    }
+#endif
+    round.push_back(static_cast<int>(i));
+  }
+
+  const int max_attempts = std::max(1, options_.write_attempts);
+  for (int attempt = 1; !round.empty(); ++attempt) {
+    if (attempt > 1) {
+      std::this_thread::sleep_for(
+          std::chrono::milliseconds(JitteredBackoffMs(attempt - 1)));
+    }
+    std::vector<Exchange> exchanges;
+    exchanges.reserve(round.size());
+    for (int i : round) exchanges.push_back(Begin(targets[i], request, i));
+    if (sends != nullptr) *sends += static_cast<int>(round.size());
+    while (std::any_of(exchanges.begin(), exchanges.end(),
+                       [](const Exchange& x) { return !x.done; })) {
+      Exchange::WaitAndPoll(&exchanges, SteadyClock::time_point::max());
+    }
+    round.clear();
+    for (Exchange& x : exchanges) {
+      Finish(&x);
+      statuses[x.slot] = x.status;
+      // Retry what waiting can fix: admission-control pushback and
+      // transport failures. A definitive server answer is final.
+      const bool retryable = x.status.IsBusy() || IsTransportError(x.status);
+      if (retryable && attempt < max_attempts &&
+          health(x.node) != NodeHealth::kDown) {
+        round.push_back(x.slot);
+      }
+    }
+  }
+  return statuses;
+}
 
 Status MintCoordinator::Put(const Slice& key, uint64_t version,
                             const Slice& value, bool dedup,
@@ -257,58 +433,29 @@ Status MintCoordinator::Put(const Slice& key, uint64_t version,
                           static_cast<int>(targets.size()))
           : static_cast<int>(targets.size()) / 2 + 1;
 
+  rpc::Frame request;
+  request.op = rpc::Opcode::kPut;
+  request.dedup = dedup;
+  request.version = version;
+  request.key = key.ToString();
+  request.value = value.ToString();
+  int sends = 0;
   int acks = 0;
-  int attempts_total = 0;
   Status first_error;
-  for (int id : targets) {
-    if (health(id) == NodeHealth::kDown) {
-      // Routed around; RepairNode re-replicates what it missed.
-      ++replica_write_failures_;
-      if (first_error.ok()) {
-        first_error = Status::Unavailable("replica " + std::to_string(id) +
-                                          " is down (routed around)");
-      }
-      continue;
-    }
-    Status s;
-#if DIRECTLOAD_FAILPOINTS_COMPILED
-    if (fp_coord_replica_write->armed()) {
-      s = fp_coord_replica_write->MaybeFail();
-    }
-#endif
-    if (s.ok()) {
-      const int max_attempts = std::max(1, options_.write_attempts);
-      for (int attempt = 1; attempt <= max_attempts; ++attempt) {
-        if (attempt > 1) {
-          std::this_thread::sleep_for(
-              std::chrono::milliseconds(JitteredBackoffMs(attempt - 1)));
-        }
-        std::unique_ptr<rpc::RpcClient> client = AcquireClient(id);
-        s = client->Put(key, version, value, dedup);
-        const bool transport_ok = !IsTransportError(s);
-        ReleaseClient(id, std::move(client), transport_ok);
-        ReportNodeOutcome(id, transport_ok);
-        ++attempts_total;
-        if (s.ok()) break;
-        // Retry what waiting can fix: admission-control pushback and
-        // transport failures. A definitive server answer is final.
-        if (!s.IsBusy() && transport_ok) break;
-        if (health(id) == NodeHealth::kDown) break;
-      }
-    }
+  for (const Status& s : FanOut(targets, request, &sends)) {
     if (s.ok()) {
       ++acks;
-    } else {
-      ++replica_write_failures_;
-      if (first_error.ok()) first_error = s;
+      continue;
     }
+    ++replica_write_failures_;
+    if (first_error.ok()) first_error = s;
   }
 
   if (report != nullptr) {
     report->acks = acks;
     report->targets = static_cast<int>(targets.size());
     report->quorum = quorum;
-    report->attempts = attempts_total;
+    report->attempts = sends;
   }
   if (acks >= quorum) {
     ++writes_acked_;
@@ -326,16 +473,15 @@ Status MintCoordinator::Put(const Slice& key, uint64_t version,
 
 Status MintCoordinator::Del(const Slice& key, uint64_t version) {
   const int group = GroupOf(key);
+  rpc::Frame request;
+  request.op = rpc::Opcode::kDel;
+  request.version = version;
+  request.key = key.ToString();
   bool any = false;
   bool any_live = false;
   Status first_error;
-  for (int id : groups_[group]) {
-    if (health(id) == NodeHealth::kDown) continue;
-    std::unique_ptr<rpc::RpcClient> client = AcquireClient(id);
-    Status s = client->Del(key, version);
+  for (const Status& s : FanOut(groups_[group], request, nullptr)) {
     const bool transport_ok = !IsTransportError(s);
-    ReleaseClient(id, std::move(client), transport_ok);
-    ReportNodeOutcome(id, transport_ok);
     if (transport_ok) any_live = true;
     if (s.ok()) {
       any = true;
@@ -356,78 +502,6 @@ Status MintCoordinator::Del(const Slice& key, uint64_t version) {
 // Hedged reads
 // ---------------------------------------------------------------------------
 
-void MintCoordinator::LaunchAttempt(int node_id, std::string key,
-                                    uint64_t version, bool latest,
-                                    std::shared_ptr<HedgeState> state,
-                                    int slot) {
-  bool stopping;
-  {
-    MutexLock lock(&mu_);
-    stopping = stopping_;
-    if (!stopping) ++active_attempts_;
-  }
-  if (stopping) {
-    MutexLock slock(&state->mu);
-    ++state->launched;
-    ++state->finished;
-    state->last_error = Status::Unavailable("coordinator is stopping");
-    state->cv.SignalAll();
-    return;
-  }
-  {
-    MutexLock slock(&state->mu);
-    ++state->launched;
-  }
-  std::thread([this, node_id, key = std::move(key), version, latest,
-               state = std::move(state), slot] {
-    const SteadyClock::time_point start = SteadyClock::now();
-    bool ok = false;
-    std::string value;
-    Status error;
-#if DIRECTLOAD_FAILPOINTS_COMPILED
-    if (fp_coord_read_attempt->armed()) {
-      error = fp_coord_read_attempt->MaybeFail();
-    }
-#endif
-    if (error.ok()) {
-      std::unique_ptr<rpc::RpcClient> client = AcquireClient(node_id);
-      Result<std::string> got = latest ? client->GetLatest(key)
-                                       : client->Get(key, version);
-      const Status& status = got.ok() ? Status::OK() : got.status();
-      const bool transport_ok = !IsTransportError(status);
-      ReleaseClient(node_id, std::move(client), transport_ok);
-      ReportNodeOutcome(node_id, transport_ok);
-      if (got.ok()) {
-        ok = true;
-        value = std::move(got).value();
-        nodes_[node_id]->latency_ms.Record(ElapsedMs(start));
-      } else {
-        error = got.status();
-      }
-    } else {
-      // Injected attempt failure: feed the detector exactly as a real
-      // transport failure would.
-      if (IsTransportError(error)) ReportNodeOutcome(node_id, false);
-    }
-    {
-      MutexLock slock(&state->mu);
-      ++state->finished;
-      if (ok && !state->done) {
-        state->done = true;
-        state->value = std::move(value);
-        state->served_by = node_id;
-        state->winner_slot = slot;
-      } else if (!ok) {
-        state->last_error = error;
-      }
-      state->cv.SignalAll();
-    }
-    MutexLock lock(&mu_);
-    --active_attempts_;
-    cv_.SignalAll();
-  }).detach();
-}
-
 Result<MintCoordinator::ReadResult> MintCoordinator::ReadInternal(
     const Slice& key, uint64_t version, bool latest) {
   const SteadyClock::time_point start = SteadyClock::now();
@@ -437,67 +511,84 @@ Result<MintCoordinator::ReadResult> MintCoordinator::ReadInternal(
     return Status::Unavailable("group " + std::to_string(group) +
                                " has no nodes");
   }
-  {
-    MutexLock lock(&mu_);
-    if (stopping_) return Status::Unavailable("coordinator is stopping");
-  }
+  rpc::Frame request;
+  request.op = rpc::Opcode::kGet;
+  request.latest = latest;
+  request.version = version;
+  request.key = key.ToString();
 
-  auto state = std::make_shared<HedgeState>();
-  const double hedge_ms = HedgeDelayMsFor(order[0]);
-  size_t next = 0;
-  LaunchAttempt(order[next], key.ToString(), version, latest, state,
-                static_cast<int>(next));
-  ++next;
+  const auto hedge_delay =
+      std::chrono::duration_cast<SteadyClock::duration>(
+          std::chrono::duration<double, std::milli>(
+              HedgeDelayMsFor(order[0])));
+  std::vector<Exchange> in_flight;
+  ReadFailure failure;
+  size_t next = 0;      // The next rung of the ladder.
+  int hedge_slot = -1;  // The rung the hedge timer launched, if it fired.
+  SteadyClock::time_point hedge_at;
+  auto launch = [&] {
+    const int slot = static_cast<int>(next);
+    const int node = order[next++];
+    hedge_at = SteadyClock::now() + hedge_delay;
+#if DIRECTLOAD_FAILPOINTS_COMPILED
+    if (fp_coord_read_attempt->armed()) {
+      const Status injected = fp_coord_read_attempt->MaybeFail();
+      if (!injected.ok()) {
+        // Feed the detector exactly as a real transport failure would.
+        if (IsTransportError(injected)) ReportNodeOutcome(node, false);
+        failure.Add(injected);
+        return;
+      }
+    }
+#endif
+    in_flight.push_back(Begin(node, request, slot));
+  };
 
-  bool hedged = false;
+  launch();
   while (true) {
-    bool launch_hedge = false;
-    bool exhausted = false;
-    Status failure;
-    {
-      MutexLock slock(&state->mu);
-      while (!state->done && state->finished < state->launched) {
-        if (options_.hedged_reads && !hedged && next < order.size()) {
-          if (!state->cv.WaitFor(std::chrono::duration_cast<
-                                 std::chrono::nanoseconds>(
-                  std::chrono::duration<double, std::milli>(hedge_ms)))) {
-            // The primary went silent past its p95-derived budget: fire
-            // the backup and race them.
-            launch_hedge = true;
-            break;
-          }
-        } else {
-          state->cv.Wait();
-        }
+    // The first OK answer wins; a failed attempt is noted and dropped.
+    for (size_t i = 0; i < in_flight.size();) {
+      Exchange& x = in_flight[i];
+      if (!x.done) {
+        ++i;
+        continue;
       }
-      if (state->done) {
+      if (x.status.ok()) {
+        nodes_[x.node]->latency_ms.Record(ElapsedMs(x.start));
+      }
+      Finish(&x);
+      if (x.status.ok()) {
+        if (x.slot == hedge_slot) ++hedge_wins_;
         ReadResult result;
-        result.value = std::move(state->value);
-        result.served_by = state->served_by;
-        result.hedged = hedged;
+        result.value = std::move(x.value);
+        result.served_by = x.node;
+        result.hedged = hedge_slot >= 0;
         result.latency_ms = ElapsedMs(start);
-        if (state->winner_slot > 0) ++hedge_wins_;
-        return result;
+        return result;  // A loser still in flight closes with `in_flight`.
       }
-      if (!launch_hedge) {
-        // Every launched attempt failed; fail over to the next candidate
-        // immediately, or give up when the ladder is exhausted.
-        if (next >= order.size()) {
-          exhausted = true;
-          failure = state->last_error;
-        }
-      }
+      failure.Add(x.status);
+      in_flight.erase(in_flight.begin() + static_cast<ptrdiff_t>(i));
     }
-    if (exhausted) return failure;
-    if (launch_hedge) {
-      hedged = true;
-      ++hedged_reads_;
-    } else {
+    if (in_flight.empty()) {
+      // Every launched attempt failed: fail over to the next candidate, or
+      // give up when the ladder is exhausted.
+      if (next >= order.size()) return failure.status();
       ++read_failovers_;
+      launch();
+      continue;
     }
-    LaunchAttempt(order[next], key.ToString(), version, latest, state,
-                  static_cast<int>(next));
-    ++next;
+    const bool can_hedge =
+        options_.hedged_reads && hedge_slot < 0 && next < order.size();
+    if (can_hedge && SteadyClock::now() >= hedge_at) {
+      // The attempt went silent past the primary's p95-derived budget: send
+      // the backup and race them.
+      ++hedged_reads_;
+      hedge_slot = static_cast<int>(next);
+      launch();
+      continue;
+    }
+    Exchange::WaitAndPoll(
+        &in_flight, can_hedge ? hedge_at : SteadyClock::time_point::max());
   }
 }
 

@@ -49,11 +49,11 @@ struct CoordinatorOptions {
 
   // -- Hedged reads ("Tail-Tolerant Distributed Search") -------------------
   /// Send the read to the preferred replica; if it has not answered within
-  /// the hedge delay, fire a backup attempt at the next candidate and take
-  /// whichever answers first. The loser is abandoned (its thread drains on
-  /// its own deadline) — the DLP1 protocol has no cancel, and the pooled
-  /// client is only reused after its call fully completes, so an abandoned
-  /// response can never bleed into a later request.
+  /// the hedge delay, send a backup attempt to the next candidate and take
+  /// whichever answers first. The caller's thread waits on both sockets.
+  /// The loser's connection is closed, not pooled — the DLP1 protocol has
+  /// no cancel, so a pooled client never has a request outstanding and an
+  /// abandoned response can never bleed into a later request.
   bool hedged_reads = true;
   /// Hedge after hedge_multiplier × the primary's rolling
   /// hedge_quantile latency (the p95-derived delay), never below the
@@ -101,11 +101,10 @@ struct CoordinatorOptions {
 /// MintCluster via mint/routing.h, so a coordinator and a cluster given the
 /// same topology agree on where every pair lives.
 ///
-/// Thread-safe. Lock order: mu_ (rank kMintCoord) guards the node table
-/// (health, miss counters, client pools) and is only ever taken standalone;
-/// each hedged read owns a HedgeState lock (rank kMintHedge), also a leaf.
-/// Attempt threads are detached — Stop() gates on the active-attempt count,
-/// so no thread outlives the coordinator.
+/// Thread-safe. Every read and write runs on the calling thread: it sends
+/// to its nodes over pooled clients, then waits on their sockets together.
+/// The only lock is mu_ (rank kMintCoord), which guards the node table
+/// (health, miss counters, client pools) and is only ever taken standalone.
 class MintCoordinator {
  public:
   /// `groups[g]` lists group g's node endpoints; node ids are assigned
@@ -121,7 +120,7 @@ class MintCoordinator {
   /// reachable yet — unreachable nodes simply accumulate misses.
   Status Start();
 
-  /// Stops the detector and waits out in-flight read attempts. Idempotent.
+  /// Stops the detector. Idempotent.
   void Stop();
 
   int num_nodes() const { return static_cast<int>(nodes_.size()); }
@@ -141,9 +140,10 @@ class MintCoordinator {
   };
 
   /// Replicates the put to the key's rendezvous replicas, one ack per
-  /// replica, and succeeds once `write_quorum` acks are in. Down nodes are
-  /// skipped (routed around); replicas that miss the write are healed by
-  /// RepairNode.
+  /// replica, and succeeds once `write_quorum` acks are in. The replicas
+  /// are written in parallel and all of them are waited for. Down nodes
+  /// are skipped (routed around); replicas that miss the write are healed
+  /// by RepairNode.
   Status Put(const Slice& key, uint64_t version, const Slice& value,
              bool dedup = false, WriteReport* report = nullptr);
 
@@ -180,7 +180,7 @@ class MintCoordinator {
     uint64_t write_quorum_failures = 0;
     uint64_t replica_write_failures = 0;
     uint64_t hedged_reads = 0;   // Backup attempts launched by the timer.
-    uint64_t hedge_wins = 0;     // Reads won by a non-primary attempt.
+    uint64_t hedge_wins = 0;     // Reads won by the hedge attempt.
     uint64_t read_failovers = 0; // Attempts launched by a failed attempt.
     uint64_t heartbeat_misses = 0;
     uint64_t repair_pairs_copied = 0;
@@ -206,14 +206,25 @@ class MintCoordinator {
     LatencyEstimator latency_ms;
   };
 
-  struct HedgeState;
+  struct Exchange;
 
   Result<ReadResult> ReadInternal(const Slice& key, uint64_t version,
                                   bool latest);
-  /// Spawns one detached read attempt against `node_id`.
-  void LaunchAttempt(int node_id, std::string key, uint64_t version,
-                     bool latest, std::shared_ptr<HedgeState> state, int slot)
-      EXCLUDES(mu_);
+
+  /// Sends `request` to every node in `targets` at once, then collects the
+  /// answers, so a write costs its slowest replica rather than the sum.
+  /// Per target: a down node is routed around, `coord_replica_write` fires,
+  /// and kBusy and transport failures are resent up to `write_attempts`
+  /// times after a jittered backoff. Returns one status per target; `sends`
+  /// counts every send, retries included.
+  std::vector<Status> FanOut(const std::vector<int>& targets,
+                             const rpc::Frame& request, int* sends);
+
+  /// Pops a pooled client for `node_id` and sends `request` on it.
+  Exchange Begin(int node_id, const rpc::Frame& request, int slot);
+  /// Pools a finished exchange's client if it got an answer and feeds the
+  /// failure detector.
+  void Finish(Exchange* x);
 
   std::unique_ptr<rpc::RpcClient> AcquireClient(int node_id) EXCLUDES(mu_);
   void ReleaseClient(int node_id, std::unique_ptr<rpc::RpcClient> client,
@@ -244,9 +255,8 @@ class MintCoordinator {
   std::vector<std::vector<int>> groups_;      // Immutable after ctor.
 
   mutable Mutex mu_{LockRank::kMintCoord, "MintCoordinator::mu_"};
-  CondVar cv_{&mu_};  // Detector sleep + Stop()'s attempt drain.
+  CondVar cv_{&mu_};  // Detector sleep.
   bool stopping_ GUARDED_BY(mu_) = false;
-  int active_attempts_ GUARDED_BY(mu_) = 0;
   Random backoff_rng_ GUARDED_BY(mu_);
   std::thread detector_;
   bool started_ = false;

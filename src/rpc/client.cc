@@ -82,10 +82,11 @@ Result<Frame> RpcClient::ReceiveLocked(int timeout_ms) {
       }
       return frame;
     }
-    const int left = RemainingMs(deadline);
-    if (left == 0) return Status::TimedOut("request deadline expired");
+    // An expired deadline still polls once, without waiting, so a zero
+    // timeout takes whatever has already arrived.
     char buf[16 * 1024];
-    Result<size_t> n = socket_.RecvSome(buf, sizeof(buf), left);
+    Result<size_t> n =
+        socket_.RecvSome(buf, sizeof(buf), RemainingMs(deadline));
     if (!n.ok()) return n.status();
     if (*n == 0) {
       CloseLocked();
@@ -103,9 +104,29 @@ Status RpcClient::Send(const Frame& request) {
 }
 
 Result<Frame> RpcClient::Receive() {
+  return Receive(options_.request_timeout_ms);
+}
+
+Result<Frame> RpcClient::Receive(int timeout_ms) {
   MutexLock lock(&mu_);
   if (!socket_.valid()) return Status::Unavailable("not connected");
-  return ReceiveLocked(options_.request_timeout_ms);
+  return ReceiveLocked(timeout_ms);
+}
+
+std::vector<size_t> RpcClient::WaitReadable(
+    const std::vector<RpcClient*>& clients, int timeout_ms) {
+  std::vector<size_t> ready;
+  std::vector<int> fds;
+  for (size_t i = 0; i < clients.size(); ++i) {
+    RpcClient* client = clients[i];
+    MutexLock lock(&client->mu_);
+    if (!client->socket_.valid() || client->decoder_.frame_ready()) {
+      ready.push_back(i);
+    }
+    fds.push_back(client->socket_.fd());
+  }
+  if (!ready.empty()) return ready;
+  return PollReadable(fds, timeout_ms);
 }
 
 int RpcClient::BackoffDelayMs(int attempt) {

@@ -110,6 +110,19 @@ class RpcClient {
   /// responses may complete out of order; the caller matches ids).
   Result<Frame> Receive() EXCLUDES(mu_);
 
+  /// Receive with an explicit deadline; 0 takes only what has already
+  /// arrived. kTimedOut leaves the stream intact: a partly received frame
+  /// stays buffered, and a later Receive returns it whole.
+  Result<Frame> Receive(int timeout_ms) EXCLUDES(mu_);
+
+  /// Waits until at least one of `clients` has a Receive that will not
+  /// block — bytes arrived, the connection broke or closed, or a whole
+  /// frame is already buffered — or `timeout_ms` passes (<0 = forever).
+  /// Returns the indices of those clients in order; none on timeout. The
+  /// caller must own the clients: no other thread may use them meanwhile.
+  static std::vector<size_t> WaitReadable(
+      const std::vector<RpcClient*>& clients, int timeout_ms);
+
  private:
   /// One request/response exchange with reconnect-and-resend.
   Result<Frame> Call(Frame request) EXCLUDES(mu_);

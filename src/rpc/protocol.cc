@@ -365,6 +365,17 @@ Status FrameDecoder::DecodeBody(const char* body, size_t n, Frame* out) const {
   return Status::OK();
 }
 
+bool FrameDecoder::frame_ready() const {
+  if (!error_.ok()) return true;
+  const char* base = buffer_.data() + consumed_;
+  const size_t avail = buffer_.size() - consumed_;
+  if (avail < kHeaderBytes) return false;
+  if (DecodeFixed32(base) != kFrameMagic) return true;
+  const uint32_t body_len = DecodeFixed32(base + 4);
+  return body_len > max_body_bytes_ ||
+         avail >= kHeaderBytes + body_len + kTrailerBytes;
+}
+
 Result<bool> FrameDecoder::Next(Frame* out) {
   if (!error_.ok()) return error_;
   // Drop consumed bytes lazily, once they dominate the buffer, so a burst of

@@ -313,6 +313,10 @@ class FrameDecoder {
   /// kProtocol / kCorruption status when the stream is broken.
   Result<bool> Next(Frame* out);
 
+  /// True when Next would answer without more bytes: a whole frame, or a
+  /// broken stream, is buffered.
+  bool frame_ready() const;
+
   /// Bytes buffered but not yet consumed by a decoded frame.
   size_t buffered_bytes() const { return buffer_.size() - consumed_; }
 

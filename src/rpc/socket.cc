@@ -165,6 +165,26 @@ Result<size_t> Socket::RecvNow(char* buf, size_t cap) {
   }
 }
 
+std::vector<size_t> PollReadable(const std::vector<int>& fds, int timeout_ms) {
+  std::vector<struct pollfd> pfds(fds.size());
+  for (size_t i = 0; i < fds.size(); ++i) {
+    pfds[i].fd = fds[i];
+    pfds[i].events = POLLIN;
+    pfds[i].revents = 0;
+  }
+  const Deadline deadline(timeout_ms);
+  std::vector<size_t> ready;
+  while (true) {
+    const int r = ::poll(pfds.data(), pfds.size(), deadline.remaining_ms());
+    if (r == 0) return ready;
+    if (r < 0 && errno == EINTR) continue;
+    for (size_t i = 0; i < pfds.size(); ++i) {
+      if (r < 0 || pfds[i].revents != 0) ready.push_back(i);
+    }
+    return ready;
+  }
+}
+
 Result<Socket> ConnectTo(const std::string& host, uint16_t port,
                          int timeout_ms) {
   DIRECTLOAD_FAILPOINT(fp_rpc_connect);

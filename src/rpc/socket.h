@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "common/result.h"
 #include "common/slice.h"
@@ -53,6 +54,12 @@ class Socket {
  private:
   int fd_ = -1;
 };
+
+/// Waits until at least one of `fds` is readable — data, end of stream or
+/// an error to report — or `timeout_ms` passes (<0 = forever). Returns the
+/// indices of the readable fds in order; none on timeout. If poll itself
+/// fails, every index is returned, so each reader meets the error itself.
+std::vector<size_t> PollReadable(const std::vector<int>& fds, int timeout_ms);
 
 /// Connects to host:port within `timeout_ms`. Numeric IPv4 or names
 /// resolvable by getaddrinfo.

@@ -3,8 +3,10 @@
 // DLP1 to the fleet. Covers replicated writes with per-replica verification,
 // the quorum path across a SIGKILLed replica, the full crash → restart →
 // RepairNode → VerifyNodeComplete healing loop (paged over a deliberately
-// tiny repair page), timer-fired hedged reads against a SIGSTOPped primary,
-// and the heartbeat failure detector's down/up transitions.
+// tiny repair page), timer-fired hedged reads against a SIGSTOPped primary
+// (and the late answer of the abandoned attempt), hedge and failover
+// accounting, a failed read's status, stale pooled connections, and the
+// heartbeat failure detector's down/up transitions.
 
 #include <gtest/gtest.h>
 
@@ -250,6 +252,96 @@ TEST_F(DmintTest, HedgedReadFiresWhenPrimaryStalls) {
   const MintCoordinator::Counters counters = coordinator_->counters();
   EXPECT_GE(counters.hedged_reads, 1u);
   EXPECT_GE(counters.hedge_wins, 1u);
+}
+
+TEST_F(DmintTest, HedgeLoserNeverAnswersALaterCall) {
+  CoordinatorOptions options;
+  options.hedge_default_delay_ms = 25;
+  options.hedge_min_samples = 1'000'000;
+  options.suspect_after_misses = 1'000'000;
+  options.down_after_misses = 1'000'001;
+  StartFleet(3, options);
+  ASSERT_TRUE(coordinator_->Put("loser:k", 1, "loser-value").ok());
+
+  // Node 0 leads the read order. Frozen, it lets the hedge win; thawed, it
+  // answers the abandoned attempt onto a connection that must not be
+  // handed to any later call.
+  ASSERT_TRUE(nodes_[0].Suspend().ok());
+  Result<MintCoordinator::ReadResult> read = coordinator_->Get("loser:k", 1);
+  ASSERT_TRUE(nodes_[0].Resume().ok());
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_EQ(read->value, "loser-value");
+  EXPECT_NE(read->served_by, 0);
+
+  for (int i = 0; i < 200; ++i) {
+    const std::string key = "late:k" + std::to_string(i);
+    ASSERT_TRUE(coordinator_->Put(key, 1, ValueOf(key, 1)).ok()) << key;
+    Result<MintCoordinator::ReadResult> got = coordinator_->Get(key, 1);
+    ASSERT_TRUE(got.ok()) << key << ": " << got.status().ToString();
+    EXPECT_EQ(got->value, ValueOf(key, 1));
+  }
+  const MintCoordinator::Counters counters = coordinator_->counters();
+  EXPECT_GE(counters.hedge_wins, 1u);
+  EXPECT_LE(counters.hedge_wins, counters.hedged_reads);
+}
+
+TEST_F(DmintTest, FailoverWinIsNotAHedgeWin) {
+  CoordinatorOptions options;
+  options.hedge_default_delay_ms = 10'000;  // The hedge timer never fires.
+  options.hedge_min_samples = 1'000'000;
+  StartFleet(3, options);
+
+  // Only node 2 — last in the sample-less read order — holds the pair, so
+  // the coordinator reaches it through two NotFound failovers.
+  rpc::RpcClient direct = DirectClient(2);
+  ASSERT_TRUE(direct.Put("only:k", 1, "only-value").ok());
+
+  Result<MintCoordinator::ReadResult> read = coordinator_->Get("only:k", 1);
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_EQ(read->value, "only-value");
+  EXPECT_EQ(read->served_by, 2);
+  EXPECT_FALSE(read->hedged);
+  const MintCoordinator::Counters counters = coordinator_->counters();
+  EXPECT_GE(counters.read_failovers, 1u);
+  EXPECT_EQ(counters.hedged_reads, 0u);
+  EXPECT_EQ(counters.hedge_wins, 0u);
+}
+
+TEST_F(DmintTest, AbsentKeyIsNotFoundWithAReplicaDown) {
+  StartFleet(3);
+  ASSERT_TRUE(coordinator_->Put("present:k", 1, "v").ok());
+  nodes_[1].Kill();
+  ASSERT_TRUE(WaitFor(5000, [&] {
+    return coordinator_->health(1) == NodeHealth::kDown;
+  })) << "detector never marked the killed node down";
+
+  // The down node is tried last and refuses the connection; the two live
+  // replicas answered NotFound, and that answer is the read's.
+  Result<MintCoordinator::ReadResult> read = coordinator_->GetLatest("absent");
+  ASSERT_FALSE(read.ok());
+  EXPECT_TRUE(read.status().IsNotFound()) << read.status().ToString();
+}
+
+TEST_F(DmintTest, StalePooledConnectionIsResentNotFailed) {
+  CoordinatorOptions options;
+  options.suspect_after_misses = 1'000'000;
+  options.down_after_misses = 1'000'001;
+  StartFleet(3, options);
+  ASSERT_TRUE(coordinator_->Put("stale:a", 1, "a").ok());  // Pools clients.
+
+  // The restarted node listens on the same port; the pooled connection to
+  // its predecessor is dead.
+  nodes_[0].Kill();
+  ASSERT_TRUE(nodes_[0].Restart().ok());
+
+  MintCoordinator::WriteReport report;
+  ASSERT_TRUE(coordinator_->Put("stale:b", 1, "b", false, &report).ok());
+  EXPECT_EQ(report.acks, 3);
+  EXPECT_EQ(report.attempts, 3);  // Re-dialled within the send, not retried.
+  EXPECT_EQ(coordinator_->counters().replica_write_failures, 0u);
+  Result<std::string> landed = DirectClient(0).Get("stale:b", 1);
+  ASSERT_TRUE(landed.ok()) << landed.status().ToString();
+  EXPECT_EQ(*landed, "b");
 }
 
 TEST_F(DmintTest, DetectorTracksCrashAndRecovery) {

@@ -2,7 +2,9 @@
 // its jitter bounds (pinned via BackoffDelayMsForTest, no sleeping), the
 // seeded determinism chaos schedules rely on, the wall-clock retry budget
 // against a connection-refused target, and reconnect-and-resend across a
-// server restart on the same port.
+// server restart on the same port. Also the pipelined receive with its own
+// deadline and the wait on several clients, against a raw socket peer that
+// writes response bytes when the test says so.
 
 #include <gtest/gtest.h>
 
@@ -153,6 +155,94 @@ TEST(RpcClientReconnectTest, ReconnectsAcrossServerRestartOnSamePort) {
   EXPECT_EQ(*read, "v1");
   EXPECT_TRUE(client.Put("k", 2, "v2").ok());
   server->Shutdown();
+}
+
+/// A client connected to a raw socket peer the test writes through.
+struct RawPeer {
+  Socket listener;
+  Socket server;
+  std::unique_ptr<RpcClient> client;
+};
+
+RawPeer ConnectRaw() {
+  RawPeer peer;
+  Result<Socket> listener = Listen("127.0.0.1", 0, 4);
+  EXPECT_TRUE(listener.ok());
+  Result<uint16_t> port = LocalPort(*listener);
+  EXPECT_TRUE(port.ok());
+  peer.listener = std::move(listener).value();
+  peer.client = std::make_unique<RpcClient>("127.0.0.1", *port);
+  EXPECT_TRUE(peer.client->Connect().ok());
+  Result<Socket> server = AcceptOne(peer.listener, 2000);
+  EXPECT_TRUE(server.ok());
+  peer.server = std::move(server).value();
+  return peer;
+}
+
+std::string PongFrame(uint64_t request_id) {
+  Frame response;
+  response.op = Opcode::kPing;
+  response.response = true;
+  response.request_id = request_id;
+  response.value = "pong" + std::to_string(request_id);
+  std::string wire;
+  EncodeFrame(response, &wire);
+  return wire;
+}
+
+TEST(RpcClientPipelineTest, FrameSplitAcrossATimeoutArrivesWhole) {
+  RawPeer peer = ConnectRaw();
+  RpcClient& client = *peer.client;
+  const std::vector<RpcClient*> clients = {&client};
+
+  // Nothing sent yet: the wait and a zero-timeout receive both time out.
+  EXPECT_TRUE(RpcClient::WaitReadable(clients, 0).empty());
+  EXPECT_TRUE(client.Receive(0).status().IsTimedOut());
+
+  const std::string wire = PongFrame(7);
+  const size_t half = wire.size() / 2;
+  ASSERT_TRUE(peer.server.SendAll(Slice(wire.data(), half), 1000).ok());
+  EXPECT_EQ(RpcClient::WaitReadable(clients, 1000),
+            std::vector<size_t>{0});
+  Result<Frame> early = client.Receive(50);
+  ASSERT_FALSE(early.ok());
+  EXPECT_TRUE(early.status().IsTimedOut()) << early.status().ToString();
+  // Half a frame buffered is nothing to wake for.
+  EXPECT_TRUE(RpcClient::WaitReadable(clients, 20).empty());
+
+  ASSERT_TRUE(peer.server
+                  .SendAll(Slice(wire.data() + half, wire.size() - half),
+                           1000)
+                  .ok());
+  Result<Frame> whole = client.Receive(1000);
+  ASSERT_TRUE(whole.ok()) << whole.status().ToString();
+  EXPECT_EQ(whole->request_id, 7u);
+  EXPECT_EQ(whole->value, "pong7");
+}
+
+TEST(RpcClientPipelineTest, WaitReadableSeesBufferedFramesAndClosedPeers) {
+  RawPeer a = ConnectRaw();
+  RawPeer b = ConnectRaw();
+  const std::vector<RpcClient*> clients = {a.client.get(), b.client.get()};
+
+  // Two answers in one write: the first receive buffers both.
+  ASSERT_TRUE(a.server.SendAll(PongFrame(1) + PongFrame(2), 1000).ok());
+  Result<Frame> first = a.client->Receive(1000);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  EXPECT_EQ(first->request_id, 1u);
+  // No new bytes, but a whole frame is waiting.
+  EXPECT_EQ(RpcClient::WaitReadable(clients, 0), std::vector<size_t>{0});
+  Result<Frame> second = a.client->Receive(0);
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  EXPECT_EQ(second->request_id, 2u);
+  EXPECT_TRUE(RpcClient::WaitReadable(clients, 0).empty());
+
+  // A peer that hangs up wakes the waiter, and the receive reports it.
+  b.server.Close();
+  EXPECT_EQ(RpcClient::WaitReadable(clients, 1000), std::vector<size_t>{1});
+  Result<Frame> closed = b.client->Receive(0);
+  ASSERT_FALSE(closed.ok());
+  EXPECT_TRUE(closed.status().IsUnavailable()) << closed.status().ToString();
 }
 
 }  // namespace
