@@ -58,9 +58,6 @@ struct LoadgenConfig {
   /// many PUTs into one kWriteBatch frame — the client half of group
   /// commit, amortizing the round trip over the batch.
   int batch = 1;
-  /// KvServerOptions::max_write_batch for the in-process server; <= 0
-  /// keeps the server default.
-  int server_max_write_batch = 0;
   /// Engine shards per node for the in-process cluster; 0 keeps the engine
   /// default (hardware_concurrency). Ignored with --connect.
   int shards = 0;
@@ -794,8 +791,6 @@ bool ParseArgs(int argc, char** argv, LoadgenConfig* config) {
       if (!next_int(&config->key_space)) return false;
     } else if (arg == "--batch") {
       if (!next_int(&config->batch)) return false;
-    } else if (arg == "--server-max-write-batch") {
-      if (!next_int(&config->server_max_write_batch)) return false;
     } else if (arg == "--shards") {
       if (!next_int(&config->shards)) return false;
     } else if (arg == "--read-pct") {
@@ -868,8 +863,8 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "usage: server_loadgen [--threads N] [--ops-per-thread M]\n"
                  "         [--write-pct P] [--pipeline D] [--value-bytes B]\n"
-                 "         [--keys K] [--batch W] [--server-max-write-batch S]\n"
-                 "         [--shards N] [--json=PATH] [--connect host:port]\n"
+                 "         [--keys K] [--batch W] [--shards N] [--json=PATH]\n"
+                 "         [--connect host:port]\n"
                  "         [--read-pct P] [--zipf-theta T] [--cache-mb C]\n"
                  "         [--preload]\n"
                  "         [--rollover] [--rollover-slice-kb KB]\n"
@@ -906,13 +901,8 @@ int main(int argc, char** argv) {
                    s.ToString().c_str());
       return 1;
     }
-    server::KvServerOptions server_options;
-    if (config.server_max_write_batch > 0) {
-      server_options.max_write_batch =
-          static_cast<size_t>(config.server_max_write_batch);
-    }
-    kv_server = std::make_unique<server::KvServer>(cluster.get(),
-                                                   server_options);
+    kv_server = std::make_unique<server::KvServer>(
+        cluster.get(), server::KvServerOptions());
     s = kv_server->Start();
     if (!s.ok()) {
       std::fprintf(stderr, "server start failed: %s\n", s.ToString().c_str());

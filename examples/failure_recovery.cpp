@@ -75,7 +75,7 @@ int main() {
   }
   std::printf("  %d/%d keys readable after membership change\n", ok, kKeys);
   std::printf("  new node holds %zu pairs (no redistribution, by design)\n",
-              cluster.node(*added)->db()->memtable().live_count());
+              cluster.node(*added)->db()->memtable()->live_count());
 
   // New writes start landing on the larger group.
   for (int i = 0; i < 200; ++i) {
@@ -83,6 +83,6 @@ int main() {
                             rnd.NextString(1024)));
   }
   std::printf("  after 200 new writes it holds %zu pairs\n",
-              cluster.node(*added)->db()->memtable().live_count());
+              cluster.node(*added)->db()->memtable()->live_count());
   return 0;
 }

@@ -61,19 +61,17 @@ void PrintStats(qindb::QinDb* db, ssd::SsdEnv* env, SimClock* clock) {
               (unsigned long long)db->gc_stats().segments_reclaimed,
               (unsigned long long)db->gc_stats().bytes_rewritten);
   std::printf("index:  %zu live entries, ~%zu KiB memtable\n",
-              db->memtable().live_count(),
-              db->memtable().ApproximateMemoryUsage() / 1024);
+              db->memtable()->live_count(),
+              db->memtable()->ApproximateMemoryUsage() / 1024);
   std::printf("device: %.1f KiB on disk, WA=%.2fx, %.2f ms simulated\n",
               (double)db->DiskBytes() / 1024.0,
               env->stats().write_amplification(),
               (double)clock->NowMicros() / 1000.0);
   const qindb::EngineCacheTotals c = db->CacheTotals();
-  std::printf("cache:  hits=%llu misses=%llu charged=%llu KiB "
-              "(cold versions=%llu)\n",
+  std::printf("cache:  hits=%llu misses=%llu charged=%llu KiB\n",
               (unsigned long long)c.cache_hits,
               (unsigned long long)c.cache_misses,
-              (unsigned long long)(c.cache_charged_bytes / 1024),
-              (unsigned long long)c.cold_versions);
+              (unsigned long long)(c.cache_charged_bytes / 1024));
 }
 
 // Hosts a small mint cluster behind a KvServer so remote shells and the

@@ -83,7 +83,7 @@ int main() {
               (unsigned long long)stats->versions_dropped);
   std::printf("engine after replay: %zu live index entries, %.1f KiB on "
               "disk, %.1f ms simulated device time\n",
-              db->memtable().live_count(), db->DiskBytes() / 1024.0,
+              db->memtable()->live_count(), db->DiskBytes() / 1024.0,
               clock.NowMicros() / 1000.0);
 
   // 3. Integrity scrub of the replayed store.

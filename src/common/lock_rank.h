@@ -120,14 +120,6 @@ enum class LockRank : int {
   /// Sibling instances: one per env, named `ssd-env(ftl)` /
   /// `ssd-env(native)`.
   kSsdEnv = 40,
-  /// Lock: `VersionIndexRegistry::mu_` — the shard's cold-version map,
-  /// per-version access ticks and scan-pin count.
-  /// Sibling instances: one per shard, named `qindb-registry/sNN`.
-  ///
-  /// Taken briefly from read paths (cold check, access touch) and from
-  /// mutators under kQinDbWrite/kAofManager; nothing is ever acquired
-  /// while holding it.
-  kQinDbVersionRegistry = 42,
   /// Lock: per-stripe `BlockCache` mutex — one stripe's LRU lists, hash
   /// map, admission sketch and byte accounting.
   /// Sibling instances: one per cache stripe per shard, named

@@ -166,7 +166,7 @@ Status MintCluster::Del(const Slice& key, uint64_t version) {
   return Status::NotFound("no replica held the pair");
 }
 
-Status MintCluster::WriteMany(const std::vector<BatchOp>& ops,
+Status MintCluster::WriteMany(const std::vector<rpc::BatchOp>& ops,
                               std::vector<Status>* statuses) {
   ReaderLock cluster_guard(&cluster_mu_);
   statuses->assign(ops.size(), Status::OK());
@@ -181,7 +181,7 @@ Status MintCluster::WriteMany(const std::vector<BatchOp>& ops,
   };
   std::map<int, NodePlan> plans;
   for (size_t i = 0; i < ops.size(); ++i) {
-    const BatchOp& op = ops[i];
+    const rpc::BatchOp& op = ops[i];
     const std::vector<int> targets = op.is_del
                                          ? GroupNodesLocked(GroupOfLocked(op.key))
                                          : ReplicasOfLocked(op.key);
@@ -521,9 +521,10 @@ Result<uint64_t> MintCluster::RepairNode(int node_id) {
       // Engine keys are hash-partitioned across shards; repair must see all
       // of them, so walk every shard's index in turn.
       for (uint32_t shard = 0; shard < peer->db()->num_shards(); ++shard) {
-        for (MemIndex::Iterator it =
-                 peer->db()->memtable(shard).NewIterator();
-             it.Valid(); it.Next()) {
+        const std::shared_ptr<const MemIndex> index =
+            peer->db()->memtable(shard);
+        for (MemIndex::Iterator it = index->NewIterator(); it.Valid();
+             it.Next()) {
           const MemEntry* entry = it.entry();
           if (entry->deleted) continue;
           const Slice key = entry->user_key();

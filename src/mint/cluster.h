@@ -14,6 +14,7 @@
 #include "common/status.h"
 #include "common/thread_annotations.h"
 #include "qindb/qindb.h"
+#include "rpc/protocol.h"
 #include "ssd/env.h"
 
 namespace directload::mint {
@@ -119,15 +120,6 @@ class MintCluster {
              bool dedup = false);
   Status Del(const Slice& key, uint64_t version);
 
-  /// One op of a cluster-level write batch (a Put or a Del).
-  struct BatchOp {
-    bool is_del = false;
-    std::string key;
-    uint64_t version = 0;
-    std::string value;  // Put only.
-    bool dedup = false;
-  };
-
   /// Executes `ops` in order with one engine Write per involved node: ops
   /// are bucketed by replica target into per-node qindb::WriteBatch objects
   /// and each node commits its share in a single group-commit pass (one AOF
@@ -135,7 +127,7 @@ class MintCluster {
   /// per op with the same replica-aggregation semantics as Put/Del — ops to
   /// the same key always target the same node set, so per-key ordering is
   /// preserved. Returns the first non-OK per-op status.
-  Status WriteMany(const std::vector<BatchOp>& ops,
+  Status WriteMany(const std::vector<rpc::BatchOp>& ops,
                    std::vector<Status>* statuses);
   /// Flags `version` deleted on every node (the oldest-version pruning).
   Status DropVersion(uint64_t version);

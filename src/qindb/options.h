@@ -48,14 +48,6 @@ struct QinDbOptions {
   /// out the hot set. Zero (the default) disables the cache entirely — the
   /// read path then has no cache branches beyond one null check.
   uint64_t cache_bytes = 0;
-
-  /// Byte budget for resident memtable index memory, split evenly across
-  /// shards. When a shard's index arena exceeds its slice, cold versions
-  /// (least recently read, and only when provably safe — no deleted
-  /// entries, no dedup chains through them) unload to version metadata and
-  /// re-materialize on first access by replaying their AOF records. Zero
-  /// (the default) keeps every version resident forever.
-  uint64_t index_memory_bytes = 0;
 };
 
 /// Operation counters. All fields are atomics so that reader threads and the
@@ -107,12 +99,6 @@ struct ShardStatsSnapshot {
   uint64_t cache_admission_rejects = 0;
   uint64_t cache_evicted_bytes = 0;
   uint64_t cache_charged_bytes = 0;
-
-  // Version-index registry (all zero when lazy indexes are disabled).
-  uint64_t index_loads = 0;
-  uint64_t index_unloads = 0;
-  uint64_t resident_versions = 0;
-  uint64_t cold_versions = 0;
 };
 
 /// Facade-level sum of the per-shard snapshots (see QinDb::TotalStats).
@@ -123,10 +109,6 @@ struct EngineCacheTotals {
   uint64_t cache_admission_rejects = 0;
   uint64_t cache_evicted_bytes = 0;
   uint64_t cache_charged_bytes = 0;
-  uint64_t index_loads = 0;
-  uint64_t index_unloads = 0;
-  uint64_t resident_versions = 0;
-  uint64_t cold_versions = 0;
 };
 
 }  // namespace directload::qindb

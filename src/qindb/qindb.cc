@@ -176,10 +176,8 @@ Result<std::unique_ptr<QinDb>> QinDb::Open(ssd::SsdEnv* env,
     shard_options.aof.file_prefix =
         num_shards == 1 ? "" : ShardFilePrefix(shard_id);
     shard_options.aof.shared_gc_stats = &db->gc_stats_;
-    // The memory budgets are engine-wide; each shard governs its slice.
+    // The cache budget is engine-wide; each shard governs its slice.
     shard_options.cache_bytes = db->options_.cache_bytes / num_shards;
-    shard_options.index_memory_bytes =
-        db->options_.index_memory_bytes / num_shards;
     Result<std::unique_ptr<Shard>> shard = Shard::Open(
         env, shard_options, shard_id, &db->stats_, &db->reads_in_flight_);
     if (shard.ok()) {
@@ -230,10 +228,6 @@ EngineCacheTotals QinDb::CacheTotals() const {
     out.cache_admission_rejects += s.cache_admission_rejects;
     out.cache_evicted_bytes += s.cache_evicted_bytes;
     out.cache_charged_bytes += s.cache_charged_bytes;
-    out.index_loads += s.index_loads;
-    out.index_unloads += s.index_unloads;
-    out.resident_versions += s.resident_versions;
-    out.cold_versions += s.cold_versions;
   }
   return out;
 }
@@ -532,12 +526,13 @@ void QinDb::Scanner::FindMin() {
 
 uint64_t QinDb::LiveEntryCount() const {
   uint64_t total = 0;
-  for (const auto& shard : shards_) total += shard->memtable().live_count();
+  for (const auto& shard : shards_) total += shard->PinIndex()->live_count();
   return total;
 }
 
 bool QinDb::HasEntry(const Slice& key, uint64_t version) const {
-  return shards_[ShardOf(key)]->memtable().FindExact(key, version) != nullptr;
+  return shards_[ShardOf(key)]->PinIndex()->FindExact(key, version) !=
+         nullptr;
 }
 
 uint64_t QinDb::LiveBytes() const {
@@ -549,7 +544,7 @@ uint64_t QinDb::LiveBytes() const {
 uint64_t QinDb::ApproximateMemtableBytes() const {
   uint64_t total = 0;
   for (const auto& shard : shards_) {
-    total += shard->memtable().ApproximateMemoryUsage();
+    total += shard->PinIndex()->ApproximateMemoryUsage();
   }
   return total;
 }

@@ -255,18 +255,18 @@ class QinDb {
     return shards_[shard]->StatsSnapshot();
   }
 
-  /// Engine-wide cache and registry counters: the per-shard snapshots
-  /// summed (the stats endpoint's one-line view of the read path).
+  /// Engine-wide cache counters: the per-shard snapshots summed (the stats
+  /// endpoint's one-line view of the read path).
   EngineCacheTotals CacheTotals() const;
 
   const QinDbStats& stats() const { return stats_; }
   const aof::GcStats& gc_stats() const { return gc_stats_; }
 
-  /// One shard's current memtable index (default: shard 0 — THE memtable at
-  /// num_shards=1). Quiescent inspection only; the reference can outlive
-  /// the index across a concurrent GC rebuild.
-  const MemIndex& memtable(size_t shard = 0) const {
-    return shards_[shard]->memtable();
+  /// Pins one shard's current memtable index (default: shard 0 — THE
+  /// memtable at num_shards=1). The pin keeps the index and its entries
+  /// alive across a concurrent GC rebuild, so live engines may walk it.
+  std::shared_ptr<const MemIndex> memtable(size_t shard = 0) const {
+    return shards_[shard]->PinIndex();
   }
   /// One shard's AOF manager (default: shard 0).
   aof::AofManager& aof(size_t shard = 0) { return shards_[shard]->aof(); }

@@ -31,11 +31,9 @@ DIRECTLOAD_FAILPOINT_DEFINE(fp_qindb_ingest_append, "qindb_ingest_append");
 // consulted (a failure fails the read like a device error would);
 // `cache_insert` fires after a successful device read and suppresses only
 // the cache fill — the read itself still succeeds, modelling a cache too
-// contended or too broken to accept the entry. `index_load` fires at the
-// top of a cold-version materialize, before the AOF replay.
+// contended or too broken to accept the entry.
 DIRECTLOAD_FAILPOINT_DEFINE(fp_cache_lookup, "cache_lookup");
 DIRECTLOAD_FAILPOINT_DEFINE(fp_cache_insert, "cache_insert");
-DIRECTLOAD_FAILPOINT_DEFINE(fp_index_load, "index_load");
 
 constexpr char kCheckpointName[] = "checkpoint.dat";
 constexpr char kCheckpointTemp[] = "checkpoint.tmp";
@@ -158,7 +156,6 @@ Shard::Shard(ssd::SsdEnv* env, const QinDbOptions& options, uint32_t shard_id,
       cache_(options.cache_bytes > 0
                  ? std::make_unique<BlockCache>(options.cache_bytes, shard_id)
                  : nullptr),
-      registry_(options.index_memory_bytes, shard_id),
       stats_(stats),
       reads_in_flight_(reads_in_flight) {}
 
@@ -203,10 +200,6 @@ Result<std::unique_ptr<Shard>> Shard::Open(ssd::SsdEnv* env,
     Status s = shard->RecoverFromScan(0);
     if (!s.ok()) return s;
   }
-  // Recovery materializes everything (the registry starts empty); shed
-  // cold versions right away if the recovered index already exceeds the
-  // lazy-index budget.
-  shard->MaybeUnloadIndexLocked();
   return shard;
 }
 
@@ -241,14 +234,6 @@ Status Shard::NoteWriteError(Status s) {
 Result<ScrubReport> Shard::Scrub() {
   ScrubReport report;
   FlightGuard guard(reads_in_flight_);  // Scrubbing is an ongoing read.
-  // A scrub walks every entry, so every version must be resident, and the
-  // pin keeps unloads from hiding entries mid-walk.
-  std::shared_ptr<void> scan_pin;
-  if (registry_.enabled()) {
-    MutexLock lock(&write_mutex_);
-    if (Status s = EnsureAllResidentLocked(); !s.ok()) return s;
-    scan_pin = registry_.AcquireScanPin();
-  }
   const std::shared_ptr<const MemIndex> index = PinIndex();
   for (MemIndex::Iterator it = index->NewIterator(); it.Valid(); it.Next()) {
     MemEntry* entry = it.entry();
@@ -282,21 +267,7 @@ Shard::Scanner::Scanner(Shard* shard, uint64_t version)
       it_(index_->NewIterator()) {}
 
 Shard::Scanner Shard::NewScanner(uint64_t version) {
-  if (!registry_.enabled()) return Scanner(this, version);
-  // Pin acquisition and the index snapshot must be atomic against unloads,
-  // which run under write_mutex_: a pin taken after an unload's cold-check
-  // but before its purge would still watch rows vanish mid-scan.
-  MutexLock lock(&write_mutex_);
-  if (registry_.AnyCold()) {
-    DL_DISCARD_STATUS(
-        "scanner construction has no status channel; a failed materialize "
-        "surfaces as the still-cold version's rows missing from this scan "
-        "(and a write fault sticks as degraded mode)",
-        EnsureAllResidentLocked());
-  }
-  Scanner scanner(this, version);
-  scanner.scan_pin_ = registry_.AcquireScanPin();
-  return scanner;
+  return Scanner(this, version);
 }
 
 void Shard::Scanner::Seek(const Slice& start) {
@@ -404,73 +375,41 @@ Result<std::string> Shard::ReadEntryValue(const MemEntry* entry) {
 Result<std::string> Shard::Get(const Slice& key, uint64_t version) {
   ++stats_->gets;
   FlightGuard guard(reads_in_flight_);
-  const bool lazy = registry_.enabled();
-  // Up to two passes when lazy indexes are on: the second runs after a
-  // materialize, or after a read failure that may have raced an unload+GC
-  // pair (the entry purged mid-read, its record relocated with nothing
-  // left to patch the pinned entry's address).
-  std::shared_ptr<void> pin;
-  for (int attempt = 0;; ++attempt) {
-    const std::shared_ptr<const MemIndex> index = PinIndex();
-    MemEntry* entry = index->FindExact(key, version);
-    if (entry == nullptr || entry->deleted) {
-      if (lazy && attempt < 2 && registry_.AnyCold() &&
-          registry_.IsCold(version)) {
-        // Pin BEFORE materializing: without it a commit-tail unload could
-        // purge the version again between the load and the retry's pin.
-        if (pin == nullptr) pin = registry_.AcquireScanPin();
-        if (Status s = EnsureVersionResident(version); !s.ok()) return s;
-        continue;  // Retry against the materialized index.
-      }
-      return Status::NotFound("no such key/version");
-    }
-    if (lazy) registry_.Touch(version);
-    MemEntry* source = entry;
-    if (entry->dedup) {
-      // The value field was removed by Bifrost: traceback to the newest
-      // older version that still carries one (Figure 2, bottom right).
-      ++stats_->traceback_gets;
-      source = index->TracebackValue(key, entry->version);
-      if (source == nullptr) {
-        return Status::Corruption(
-            "deduplicated pair with no value-bearing older version");
-      }
-    }
-    Result<std::string> value = ReadEntryValue(source);
-    if (value.ok() || !lazy || attempt > 0) return value;
+  const std::shared_ptr<const MemIndex> index = PinIndex();
+  MemEntry* entry = index->FindExact(key, version);
+  if (entry == nullptr || entry->deleted) {
+    return Status::NotFound("no such key/version");
   }
+  MemEntry* source = entry;
+  if (entry->dedup) {
+    // The value field was removed by Bifrost: traceback to the newest
+    // older version that still carries one (Figure 2, bottom right).
+    ++stats_->traceback_gets;
+    source = index->TracebackValue(key, entry->version);
+    if (source == nullptr) {
+      return Status::Corruption(
+          "deduplicated pair with no value-bearing older version");
+    }
+  }
+  return ReadEntryValue(source);
 }
 
 Result<std::string> Shard::GetLatest(const Slice& key) {
   ++stats_->gets;
   FlightGuard guard(reads_in_flight_);
-  const bool lazy = registry_.enabled();
-  std::shared_ptr<void> pin;
-  for (int attempt = 0;; ++attempt) {
-    // "Latest" spans every version, so everything must be resident.
-    if (lazy && registry_.AnyCold()) {
-      // Pin first so no unload can re-purge a version between the
-      // materialize below and the index pin that reads it.
-      if (pin == nullptr) pin = registry_.AcquireScanPin();
-      if (Status s = EnsureAllResident(); !s.ok()) return s;
+  const std::shared_ptr<const MemIndex> index = PinIndex();
+  MemEntry* entry = index->FindLatestLive(key);
+  if (entry == nullptr) return Status::NotFound("no live version");
+  MemEntry* source = entry;
+  if (entry->dedup) {
+    ++stats_->traceback_gets;
+    source = index->TracebackValue(key, entry->version);
+    if (source == nullptr) {
+      return Status::Corruption(
+          "deduplicated pair with no value-bearing older version");
     }
-    const std::shared_ptr<const MemIndex> index = PinIndex();
-    MemEntry* entry = index->FindLatestLive(key);
-    if (entry == nullptr) return Status::NotFound("no live version");
-    if (lazy) registry_.Touch(entry->version);
-    MemEntry* source = entry;
-    if (entry->dedup) {
-      ++stats_->traceback_gets;
-      source = index->TracebackValue(key, entry->version);
-      if (source == nullptr) {
-        return Status::Corruption(
-            "deduplicated pair with no value-bearing older version");
-      }
-    }
-    Result<std::string> value = ReadEntryValue(source);
-    if (value.ok() || !lazy || attempt > 0) return value;
-    // Raced an unload+GC pair: re-resolve from scratch.
   }
+  return ReadEntryValue(source);
 }
 
 // ---------------------------------------------------------------------------
@@ -591,42 +530,6 @@ void Shard::CommitGroupLocked(const std::vector<PendingWrite*>& group) {
       member->overall = w;
     }
     return;
-  }
-
-  if (registry_.enabled() && registry_.AnyCold()) {
-    // Plan-time decisions (supersede, Del existence, DropVersion hits,
-    // dedup traceback targets) need the touched versions resident. Puts
-    // name their versions up front; any Del/Drop/dedup op spans versions
-    // unpredictably, so those groups materialize everything.
-    bool all = false;
-    std::set<uint64_t> versions;
-    for (const PendingWrite* member : group) {
-      for (const WriteOp& op : member->batch->ops_) {
-        if (op.kind != WriteOpKind::kPut || op.dedup) {
-          all = true;
-          break;
-        }
-        versions.insert(op.version);
-      }
-      if (all) break;
-    }
-    Status resident;
-    if (all) {
-      resident = EnsureAllResidentLocked();
-    } else {
-      for (uint64_t v : versions) {
-        resident = EnsureVersionResidentLocked(v);
-        if (!resident.ok()) break;
-      }
-    }
-    if (!resident.ok()) {
-      // Fail the group whole, like a failed append: nothing was applied.
-      for (PendingWrite* member : group) {
-        member->batch->statuses_.assign(member->batch->ops_.size(), resident);
-        member->overall = resident;
-      }
-      return;
-    }
   }
 
   MemIndex* idx = CurrentIndex();
@@ -913,7 +816,6 @@ void Shard::CommitGroupLocked(const std::vector<PendingWrite*>& group) {
   if (!maintenance.ok()) {
     for (PendingWrite* member : group) member->overall = maintenance;
   }
-  MaybeUnloadIndexLocked();
 }
 
 // ---------------------------------------------------------------------------
@@ -1041,12 +943,6 @@ Status Shard::IngestCommit(uint64_t version) {
     return Status::InvalidArgument("no bulk-ingest session for this version");
   }
 
-  if (registry_.enabled() && registry_.AnyCold()) {
-    // Staged puts supersede and staged tombstones (the d-flag) may target
-    // any version; a bulk commit is rare enough to just materialize all.
-    if (Status s = EnsureAllResidentLocked(); !s.ok()) return s;
-  }
-
   const uint32_t segment_before = aof_->active_segment();
   // The marker IS the commit point: once durable, recovery indexes every
   // pending record of this version; before it, the version leaves no
@@ -1111,13 +1007,11 @@ Status Shard::IngestCommit(uint64_t version) {
     bytes_at_last_checkpoint_ =
         shard_bytes_ingested_.load(std::memory_order_relaxed);
   }
-  Status tail;
   if (options_.auto_gc &&
       (any_applied_delete || aof_->active_segment() != segment_before)) {
-    tail = MaybeGcLocked();
+    return MaybeGcLocked();
   }
-  MaybeUnloadIndexLocked();
-  return tail;
+  return Status::OK();
 }
 
 Status Shard::IngestAbort(uint64_t version) {
@@ -1152,13 +1046,6 @@ std::map<uint64_t, uint64_t> Shard::VersionCounts() const {
     const MemEntry* entry = it.entry();
     if (!entry->deleted) ++counts[entry->version];
   }
-  // Cold versions have no index entries; their counts live in the registry
-  // metadata (every cold pair is live — deletions block unloading).
-  if (registry_.enabled()) {
-    for (const auto& [version, meta] : registry_.ColdSnapshot()) {
-      counts[version] += meta.entry_count;
-    }
-  }
   return counts;
 }
 
@@ -1169,8 +1056,7 @@ ShardStatsSnapshot Shard::StatsSnapshot() const {
   snap.dels = shard_dels_.load(std::memory_order_relaxed);
   snap.user_bytes_ingested =
       shard_bytes_ingested_.load(std::memory_order_relaxed);
-  const std::shared_ptr<const MemIndex> index = PinIndex();
-  snap.live_entries = index->live_count();
+  snap.live_entries = PinIndex()->live_count();
   snap.segments = aof_->segment_count();
   snap.degraded = degraded();
   if (cache_ != nullptr) {
@@ -1181,20 +1067,6 @@ ShardStatsSnapshot Shard::StatsSnapshot() const {
     snap.cache_admission_rejects = cs.admission_rejects;
     snap.cache_evicted_bytes = cs.evicted_bytes;
     snap.cache_charged_bytes = cs.charged_bytes;
-  }
-  const VersionIndexRegistry::Stats rs = registry_.stats();
-  snap.index_loads = rs.loads;
-  snap.index_unloads = rs.unloads;
-  snap.cold_versions = rs.cold_versions;
-  if (registry_.enabled()) {
-    // Distinct versions with at least one resident entry: one index walk,
-    // acceptable for a stats endpoint.
-    std::set<uint64_t> resident;
-    for (MemIndex::Iterator it = index->NewIterator(); it.Valid();
-         it.Next()) {
-      resident.insert(it.entry()->version);
-    }
-    snap.resident_versions = resident.size();
   }
   return snap;
 }
@@ -1260,10 +1132,6 @@ Status Shard::CollectVictimsLocked() {
   // because only this function retires indices, under write_mutex_.
   MemIndex* live = CurrentIndex();
   BlockCache* cache = cache_.get();
-  // The registry's lock ranks above the AOF manager's precisely so the
-  // classify/relocate callbacks may consult it with the manager's lock
-  // held.
-  VersionIndexRegistry* registry = registry_.enabled() ? &registry_ : nullptr;
 
   // Snapshot the retired indices still pinned by readers: relocations must
   // patch their entries too, or a pinned snapshot would keep chasing
@@ -1286,8 +1154,7 @@ Status Shard::CollectVictimsLocked() {
     Status s = aof_->CollectSegment(
         id,
         /*classify=*/
-        [live, registry](const aof::RecordAddress& addr,
-                         const aof::RecordView& rec) {
+        [live](const aof::RecordAddress& addr, const aof::RecordView& rec) {
           if (rec.is_ingest_commit()) {
             // Commit markers are kept forever: a relocated pending record
             // can land after its marker in segment order, and the marker
@@ -1304,15 +1171,6 @@ Status Shard::CollectVictimsLocked() {
             MemEntry* entry = live->FindExact(rec.key, rec.header.version);
             return entry != nullptr && entry->deleted;
           }
-          if (registry != nullptr &&
-              registry->IsColdLive(rec.header.version, addr.Pack())) {
-            // A cold pair's winning record is its only representation —
-            // the index entry is purged — and the materialize replay
-            // needs it. Superseded duplicates of cold pairs fall through
-            // to the normal rules and drop (FindExact misses on purged
-            // entries), exactly as their accounting says.
-            return true;
-          }
           MemEntry* entry = live->FindExact(rec.key, rec.header.version);
           if (entry == nullptr ||
               aof::RecordAddress::Unpack(entry->address) != addr) {
@@ -1324,9 +1182,9 @@ Status Shard::CollectVictimsLocked() {
           return IsReferentIn(*live, rec.key, rec.header.version);
         },
         /*relocate=*/
-        [live, &retired, cache, registry](const aof::RecordAddress& old_addr,
-                                          const aof::RecordAddress& new_addr,
-                                          const aof::RecordView& rec) {
+        [live, &retired, cache](const aof::RecordAddress& old_addr,
+                                const aof::RecordAddress& new_addr,
+                                const aof::RecordView& rec) {
           if (rec.is_tombstone()) return;  // No memtable item to patch.
           if (rec.is_ingest_commit()) return;  // Markers are never indexed.
           const uint64_t old_packed = old_addr.Pack();
@@ -1336,11 +1194,6 @@ Status Shard::CollectVictimsLocked() {
             // copy instead of losing it (stale-address entries would miss
             // forever — addresses are never reused).
             cache->Rekey(old_packed, new_packed);
-          }
-          if (registry != nullptr) {
-            // A cold pair's winner moved: the registry's address set is
-            // the index for cold versions and must follow.
-            registry->RekeyCold(rec.header.version, old_packed, new_packed);
           }
           MemEntry* entry = live->FindExact(rec.key, rec.header.version);
           if (entry != nullptr) {
@@ -1555,14 +1408,6 @@ Status Shard::CheckpointLocked() {
     // sessions resolve covers everything.
     return Status::OK();
   }
-  if (registry_.enabled() && registry_.AnyCold()) {
-    // The checkpoint serializes index entries, and recovery only scans
-    // segments past it — a checkpoint taken with versions cold would lose
-    // them at the next reopen (their records live in pre-checkpoint
-    // segments). Materialize everything first; unloads after this
-    // checkpoint are fine, since the entries are already inside it.
-    if (Status s = EnsureAllResidentLocked(); !s.ok()) return s;
-  }
   DIRECTLOAD_FAILPOINT(fp_qindb_checkpoint);
   Status s = aof_->SealActive();
   if (!s.ok()) return s;
@@ -1593,8 +1438,7 @@ Status Shard::CheckpointLocked() {
   // Committed bulk-load versions, appended after the entries (absent in
   // older checkpoints; ApplyCheckpointEntries treats it as optional).
   // Persisting the set keeps IngestCommit idempotency across a reopen
-  // whose recovery scan no longer covers the markers' segments, and lets a
-  // cold-version materialize vouch for pending records in the same case.
+  // whose recovery scan no longer covers the markers' segments.
   PutVarint64(&blob, ingest_committed_.size());
   for (uint64_t v : ingest_committed_) PutVarint64(&blob, v);
   PutFixed32(&blob, crc32c::Mask(crc32c::Value(blob.data(), blob.size())));
@@ -1707,168 +1551,6 @@ Status Shard::ApplyCheckpointEntries() {
   }
   pending_checkpoint_.clear();
   return Status::OK();
-}
-
-// ---------------------------------------------------------------------------
-// Lazy version indexes: unload cold versions to registry metadata, replay
-// them back from the AOF on first access.
-// ---------------------------------------------------------------------------
-
-Status Shard::EnsureVersionResident(uint64_t version) {
-  MutexLock lock(&write_mutex_);
-  return EnsureVersionResidentLocked(version);
-}
-
-Status Shard::EnsureAllResident() {
-  MutexLock lock(&write_mutex_);
-  return EnsureAllResidentLocked();
-}
-
-Status Shard::EnsureAllResidentLocked() {
-  if (!registry_.enabled()) return Status::OK();
-  for (const auto& [version, meta] : registry_.ColdSnapshot()) {
-    if (Status s = EnsureVersionResidentLocked(version); !s.ok()) return s;
-  }
-  return Status::OK();
-}
-
-Status Shard::EnsureVersionResidentLocked(uint64_t version) {
-  VersionIndexRegistry::ColdVersion meta;
-  if (!registry_.PeekCold(version, &meta)) return Status::OK();
-  DIRECTLOAD_FAILPOINT(fp_index_load);
-  if (Status s = MaterializeVersionLocked(version, meta); !s.ok()) {
-    // The version stays cold: MemIndex::Insert is idempotent, so a partial
-    // replay simply re-runs on the next access.
-    return s;
-  }
-  registry_.MarkResident(version);
-  registry_.Touch(version);
-  return Status::OK();
-}
-
-Status Shard::MaterializeVersionLocked(
-    uint64_t version, const VersionIndexRegistry::ColdVersion& meta) {
-  MemIndex* idx = CurrentIndex();
-  uint64_t applied = 0;
-  // The callback only touches the index — Scan holds the manager's lock
-  // shared, so re-entering the manager here would deadlock.
-  Status s = aof_->Scan(
-      [idx, version, &meta, &applied](const aof::RecordAddress& addr,
-                                      const aof::RecordView& rec) {
-        if (rec.header.version != version) return true;
-        const uint64_t packed = addr.Pack();
-        if (meta.live_addresses.count(packed) == 0) {
-          // Tombstones, commit markers, and superseded or relocated-away
-          // copies: not part of the version's live image.
-          return true;
-        }
-        idx->Insert(rec.key, version, packed, rec.header.value_len,
-                    rec.is_dedup());
-        ++applied;
-        return true;
-      },
-      meta.min_segment);
-  if (!s.ok()) return s;
-  if (applied != meta.entry_count) {
-    // GC classify keeps every cold live record, so each address in the set
-    // must still resolve to exactly one record. A shortfall means the
-    // registry and the log disagree — refuse to serve a partial version.
-    return Status::Corruption("cold version replay missed live records");
-  }
-  return Status::OK();
-}
-
-void Shard::MaybeUnloadIndexLocked() {
-  if (!registry_.enabled()) return;
-  if (registry_.ScanPinned()) return;
-  if (!ingest_sessions_.empty()) return;
-  MemIndex* idx = CurrentIndex();
-  const uint64_t budget = registry_.budget_bytes();
-  if (idx->ApproximateMemoryUsage() <= budget) return;
-
-  // One walk tallies, per version, everything the unload decision needs.
-  struct Tally {
-    uint64_t live = 0;
-    uint64_t deleted = 0;
-    uint64_t dedup = 0;
-    uint64_t bytes = 0;  // Arena footprint estimate for the version.
-    uint32_t min_segment = UINT32_MAX;
-  };
-  std::map<uint64_t, Tally> tallies;
-  for (MemIndex::Iterator it = idx->NewIterator(); it.Valid(); it.Next()) {
-    const MemEntry* e = it.entry();
-    Tally& t = tallies[e->version];
-    if (e->deleted.load(std::memory_order_relaxed)) {
-      ++t.deleted;
-    } else {
-      ++t.live;
-    }
-    if (e->dedup.load(std::memory_order_relaxed)) ++t.dedup;
-    // Entry struct + skip-list node + key bytes; the value lives on disk.
-    t.bytes += sizeof(MemEntry) + 64 + e->key_size;
-    t.min_segment = std::min(
-        t.min_segment,
-        aof::RecordAddress::Unpack(e->address.load(std::memory_order_relaxed))
-            .segment_id);
-  }
-
-  // No version at or below the highest dedup-carrying one may unload: a
-  // traceback from such a version walks down through all of them.
-  uint64_t max_dedup = 0;
-  bool any_dedup = false;
-  for (const auto& [version, t] : tallies) {
-    if (t.dedup > 0) {
-      any_dedup = true;
-      max_dedup = version;  // Ordered map: ends at the highest such version.
-    }
-  }
-
-  // Unload candidates, coldest first (tick 0 = never read).
-  std::vector<std::pair<uint64_t, uint64_t>> candidates;  // (tick, version)
-  for (const auto& [version, t] : tallies) {
-    if (t.live == 0 || t.deleted != 0 || t.dedup != 0) continue;
-    if (any_dedup && version <= max_dedup) continue;
-    candidates.emplace_back(registry_.TickOf(version), version);
-  }
-  if (candidates.empty()) return;
-  std::sort(candidates.begin(), candidates.end());
-
-  uint64_t estimated = idx->ApproximateMemoryUsage();
-  std::set<uint64_t> unload;
-  for (const auto& [tick, version] : candidates) {
-    if (estimated <= budget) break;
-    unload.insert(version);
-    estimated -= std::min(estimated, tallies[version].bytes);
-  }
-  if (unload.empty()) return;
-
-  // Second walk collects each unloading version's live-address set.
-  std::map<uint64_t, VersionIndexRegistry::ColdVersion> metas;
-  std::vector<MemEntry*> purge;
-  for (MemIndex::Iterator it = idx->NewIterator(); it.Valid(); it.Next()) {
-    MemEntry* e = it.entry();
-    if (unload.count(e->version) == 0) continue;
-    VersionIndexRegistry::ColdVersion& meta = metas[e->version];
-    ++meta.entry_count;
-    meta.live_addresses.insert(e->address.load(std::memory_order_relaxed));
-    purge.push_back(e);
-  }
-  for (auto& [version, meta] : metas) {
-    meta.min_segment = tallies[version].min_segment;
-    // Mark cold BEFORE purging: a concurrent reader that misses a purged
-    // entry must already see the version as cold, or it would report
-    // NotFound for a pair that exists.
-    registry_.MarkCold(version, meta);
-  }
-  for (MemEntry* e : purge) idx->Purge(e);
-
-  // Purging only hides entries; rebuild dense so the arena actually
-  // shrinks. Retired snapshots stay patchable by GC until unpinned.
-  auto fresh = std::make_shared<MemIndex>();
-  idx->CompactInto(fresh.get());
-  MutexLock pin_lock(&pin_mu_);
-  retired_.push_back(mem_);
-  mem_ = std::move(fresh);
 }
 
 }  // namespace directload::qindb

@@ -18,7 +18,6 @@
 #include "memtable/mem_index.h"
 #include "qindb/block_cache.h"
 #include "qindb/options.h"
-#include "qindb/version_registry.h"
 #include "qindb/write_batch.h"
 #include "ssd/env.h"
 
@@ -179,9 +178,6 @@ class Shard {
     Shard* shard_;
     uint64_t version_;
     std::shared_ptr<const MemIndex> index_;  // Keeps entries alive across GC.
-    /// Blocks version unloads for the scanner's lifetime: its iterator
-    /// walks the live index, and a purge mid-scan would hide rows.
-    std::shared_ptr<void> scan_pin_;
     MemIndex::Iterator it_;
     MemEntry* current_ = nullptr;
     bool valid_ = false;
@@ -194,12 +190,6 @@ class Shard {
   /// degraded mode (see QinDb::degraded()).
   bool degraded() const { return degraded_.load(std::memory_order_acquire); }
 
-  /// The shard's current memtable index. Quiescent inspection only; see
-  /// QinDb::memtable().
-  const MemIndex& memtable() const EXCLUDES(pin_mu_) {
-    MutexLock lock(&pin_mu_);
-    return *mem_;
-  }
   aof::AofManager& aof() { return *aof_; }
   uint32_t shard_id() const { return shard_id_; }
 
@@ -242,27 +232,6 @@ class Shard {
   Status MaybeGcLocked() REQUIRES(write_mutex_);
   Status CollectVictimsLocked() REQUIRES(write_mutex_);
   Status CheckpointLocked() REQUIRES(write_mutex_);
-
-  // --- Lazy version indexes (registry_; no-ops when disabled) -----------
-
-  /// Re-materializes `version` if it is cold: replays its records from the
-  /// AOF back into the live index, then marks it resident. Idempotent.
-  Status EnsureVersionResidentLocked(uint64_t version)
-      REQUIRES(write_mutex_);
-  Status EnsureVersionResident(uint64_t version) EXCLUDES(write_mutex_);
-  /// Materializes every cold version (GetLatest, scans, scrub, checkpoint
-  /// — anything whose answer spans versions).
-  Status EnsureAllResidentLocked() REQUIRES(write_mutex_);
-  Status EnsureAllResident() EXCLUDES(write_mutex_);
-  /// The replay itself (no registry bookkeeping): scans segments >=
-  /// meta.min_segment and applies `version`'s records in log order.
-  Status MaterializeVersionLocked(uint64_t version,
-                                  const VersionIndexRegistry::ColdVersion&
-                                      meta) REQUIRES(write_mutex_);
-  /// Unloads cold versions while the index arena exceeds the registry
-  /// budget and provably-safe candidates exist. Runs at mutation
-  /// boundaries (commit tail, checkpoint tail, materialize tail).
-  void MaybeUnloadIndexLocked() REQUIRES(write_mutex_);
 
   /// The leader's commit: plans every op in order, appends all records with
   /// one AofManager::AppendMany, applies the memtable mutations in op order,
@@ -327,10 +296,6 @@ class Shard {
   /// read path and from invalidation sites under write_mutex_ / the AOF
   /// lock alike.
   std::unique_ptr<BlockCache> cache_;  // dl-lint: ignore(guarded-by-coverage)
-
-  /// Lazy-index bookkeeping (disabled when Options::index_memory_bytes is
-  /// 0). Internally synchronized (LockRank::kQinDbVersionRegistry).
-  VersionIndexRegistry registry_;  // dl-lint: ignore(guarded-by-coverage)
 
   /// Facade-owned aggregates shared by all shards.
   QinDbStats* const stats_;

@@ -44,6 +44,12 @@ constexpr int kPollSliceMs = 50;
 /// client ever needs).
 constexpr int kWriteTimeoutMs = 5000;
 
+/// A worker executes up to this many consecutive single-op write requests
+/// (PUT/DEL) decoded from one read as one cluster write batch — the
+/// serving-layer half of group commit: one engine Write per involved node
+/// instead of one per request, each request still answered individually.
+constexpr size_t kMaxWriteBatch = 32;
+
 int64_t NowMs() {
   return std::chrono::duration_cast<std::chrono::milliseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -317,10 +323,9 @@ void KvServer::ServeReady(Connection* tagged,
 
   // Group commit at the front end: each run of consecutive single-op
   // writes executes as one cluster batch, in arrival order.
-  const size_t max_batch = std::max<size_t>(1, options_.max_write_batch);
   for (size_t i = 0, end; i < frames->size(); i = end) {
     end = i + 1;
-    while (end < frames->size() && end - i < max_batch &&
+    while (end < frames->size() && end - i < kMaxWriteBatch &&
            IsWriteOp((*frames)[i]) && IsWriteOp((*frames)[end])) {
       ++end;
     }
@@ -366,10 +371,10 @@ void KvServer::Housekeep() {
 }
 
 void KvServer::ExecuteWriteRun(Connection& conn, std::span<rpc::Frame> run) {
-  std::vector<mint::MintCluster::BatchOp> ops;
+  std::vector<rpc::BatchOp> ops;
   ops.reserve(run.size());
   for (rpc::Frame& frame : run) {
-    mint::MintCluster::BatchOp op;
+    rpc::BatchOp op;
     op.is_del = frame.op == rpc::Opcode::kDel;
     op.version = frame.version;
     op.dedup = frame.dedup;
@@ -411,20 +416,9 @@ rpc::Frame KvServer::Execute(Connection& conn, const rpc::Frame& request) {
     case rpc::Opcode::kPing:
       return rpc::MakeResponse(request, Status::OK(), request.value);
     case rpc::Opcode::kWriteBatch: {
-      std::vector<rpc::BatchOp> wire_ops;
-      Status decoded = rpc::DecodeBatchOps(request.value, &wire_ops);
+      std::vector<rpc::BatchOp> ops;
+      Status decoded = rpc::DecodeBatchOps(request.value, &ops);
       if (!decoded.ok()) return rpc::MakeResponse(request, decoded);
-      std::vector<mint::MintCluster::BatchOp> ops;
-      ops.reserve(wire_ops.size());
-      for (rpc::BatchOp& op : wire_ops) {
-        mint::MintCluster::BatchOp out;
-        out.is_del = op.is_del;
-        out.version = op.version;
-        out.dedup = op.dedup;
-        out.key = std::move(op.key);
-        out.value = std::move(op.value);
-        ops.push_back(std::move(out));
-      }
       std::vector<Status> statuses;
       Status overall = cluster_->WriteMany(ops, &statuses);
       // The response value always carries the per-op statuses; the frame
@@ -574,7 +568,9 @@ rpc::Frame KvServer::Execute(Connection& conn, const rpc::Frame& request) {
       const uint32_t start_shard = scan.cursor.resume ? scan.cursor.shard : 0;
       for (uint32_t shard = start_shard; shard < db->num_shards() && !full;
            ++shard) {
-        MemIndex::Iterator it(&db->memtable(shard));
+        // The pin keeps the index alive if GC swaps in a rebuild mid-page.
+        const std::shared_ptr<const MemIndex> index = db->memtable(shard);
+        MemIndex::Iterator it(index.get());
         if (scan.cursor.resume && shard == scan.cursor.shard) {
           // The cursor names the last pair already returned; skip past it.
           // The index orders versions descending within a key, so "past"
@@ -649,9 +645,15 @@ std::string KvServer::StatsText() {
   out += line;
   // Every node opens its engine with the same options, so node 0's resolved
   // shard count speaks for the cluster (0 = no node has an open engine).
+  // Engines are read under each node's lifecycle lock, as the heartbeat
+  // does: FailNode frees a node's engine under the exclusive hold.
   unsigned engine_shards = 0;
-  if (cluster_->num_nodes() > 0 && cluster_->node(0)->db() != nullptr) {
-    engine_shards = cluster_->node(0)->db()->num_shards();
+  if (cluster_->num_nodes() > 0) {
+    mint::StorageNode* node = cluster_->node(0);
+    ReaderLock engine_guard(node->lifecycle_mu());
+    if (node->up() && node->db() != nullptr) {
+      engine_shards = node->db()->num_shards();
+    }
   }
   std::snprintf(line, sizeof(line),
                 "cluster: nodes=%d engine_shards=%u user_bytes=%llu "
@@ -660,37 +662,30 @@ std::string KvServer::StatsText() {
                 (unsigned long long)cluster_->TotalUserBytesIngested(),
                 (unsigned long long)cluster_->TotalDiskBytes());
   out += line;
-  // Read-path memory governors, summed across every local node's engine.
+  // Block-cache counters, summed across every local node's engine.
   qindb::EngineCacheTotals cache;
   for (int n = 0; n < cluster_->num_nodes(); ++n) {
-    if (cluster_->node(n)->db() == nullptr) continue;
-    const qindb::EngineCacheTotals t = cluster_->node(n)->db()->CacheTotals();
+    mint::StorageNode* node = cluster_->node(n);
+    ReaderLock engine_guard(node->lifecycle_mu());
+    if (!node->up() || node->db() == nullptr) continue;
+    const qindb::EngineCacheTotals t = node->db()->CacheTotals();
     cache.cache_hits += t.cache_hits;
     cache.cache_misses += t.cache_misses;
     cache.cache_inserts += t.cache_inserts;
     cache.cache_admission_rejects += t.cache_admission_rejects;
     cache.cache_evicted_bytes += t.cache_evicted_bytes;
     cache.cache_charged_bytes += t.cache_charged_bytes;
-    cache.index_loads += t.index_loads;
-    cache.index_unloads += t.index_unloads;
-    cache.resident_versions += t.resident_versions;
-    cache.cold_versions += t.cold_versions;
   }
   std::snprintf(line, sizeof(line),
                 "cache: hits=%llu misses=%llu inserts=%llu "
                 "admission_rejects=%llu evicted_bytes=%llu "
-                "charged_bytes=%llu index_loads=%llu index_unloads=%llu "
-                "resident_versions=%llu cold_versions=%llu\n",
+                "charged_bytes=%llu\n",
                 (unsigned long long)cache.cache_hits,
                 (unsigned long long)cache.cache_misses,
                 (unsigned long long)cache.cache_inserts,
                 (unsigned long long)cache.cache_admission_rejects,
                 (unsigned long long)cache.cache_evicted_bytes,
-                (unsigned long long)cache.cache_charged_bytes,
-                (unsigned long long)cache.index_loads,
-                (unsigned long long)cache.index_unloads,
-                (unsigned long long)cache.resident_versions,
-                (unsigned long long)cache.cold_versions);
+                (unsigned long long)cache.cache_charged_bytes);
   out += line;
   return out;
 }

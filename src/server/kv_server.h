@@ -28,12 +28,6 @@ struct KvServerOptions {
   /// Worker threads; each executes the requests it reads. <= 0 sizes the
   /// pool to the hardware concurrency (minimum 2).
   int num_workers = 0;
-  /// A worker executes up to this many consecutive single-op write
-  /// requests (PUT/DEL) decoded from one read as one cluster write batch —
-  /// the serving-layer half of group commit: one engine Write per involved
-  /// node instead of one per request, each request still answered
-  /// individually. <= 1 disables the batching.
-  size_t max_write_batch = 32;
   /// Connections with no complete request for this long are closed.
   int idle_timeout_ms = 60'000;
   size_t max_frame_bytes = rpc::kMaxBodyBytes;

@@ -1,16 +1,14 @@
-// Read-path memory governors: the AOF block cache (striped segmented-LRU
-// with TinyLFU admission) and the lazy version-index registry. Unit tests
-// drive BlockCache directly; the engine battery proves the staleness
-// story — every path that kills or moves a record must evict or re-key its
-// cached bytes, and a cold version must materialize back byte-for-byte —
-// plus budget enforcement and survival across GC, checkpoint, and reopen.
+// The read path's memory governor: the AOF block cache (striped
+// segmented-LRU with TinyLFU admission). Unit tests drive BlockCache
+// directly; the engine battery proves the staleness story — every path
+// that kills or moves a record must evict or re-key its cached bytes —
+// plus budget enforcement and survival across GC, version drops, and
+// reopen.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -281,166 +279,13 @@ TEST_F(CacheEngineTest, IngestAbortLeavesNoCachedTrace) {
   }
 }
 
-// ---------------------------------------------------------------------------
-// Lazy version indexes
-// ---------------------------------------------------------------------------
-
-class LazyIndexTest : public CacheEngineTest {
- protected:
-  // Tight index budget: a handful of versions with a few hundred pairs
-  // overflow it, forcing unloads at write boundaries.
-  static QinDbOptions TightOptions() {
-    QinDbOptions options;
-    options.index_memory_bytes = 24 << 10;
-    return options;
-  }
-
-  static void FillVersions(QinDb* db, int versions, int keys) {
-    for (int v = 1; v <= versions; ++v) {
-      for (int i = 0; i < keys; ++i) {
-        ASSERT_TRUE(
-            db->Put(KeyOf(i), static_cast<uint64_t>(v),
-                    "v" + std::to_string(v) + "-" + KeyOf(i))
-                .ok());
-      }
-    }
-  }
-};
-
-TEST_F(LazyIndexTest, ColdVersionsUnloadAndMaterializeOnAccess) {
-  auto db = OpenDb(TightOptions());
-  FillVersions(db.get(), 6, 100);
-  EngineCacheTotals totals = db->CacheTotals();
-  ASSERT_GT(totals.index_unloads, 0u) << "budget overflow never unloaded";
-  ASSERT_GT(totals.cold_versions, 0u);
-  // Every pair of every version — cold included — must read back exactly.
-  for (int v = 1; v <= 6; ++v) {
-    for (int i = 0; i < 100; ++i) {
-      Result<std::string> got = db->Get(KeyOf(i), v);
-      ASSERT_TRUE(got.ok()) << "v" << v << " " << got.status().ToString();
-      EXPECT_EQ(*got, "v" + std::to_string(v) + "-" + KeyOf(i));
-    }
-  }
-  totals = db->CacheTotals();
-  EXPECT_GT(totals.index_loads, 0u) << "reads never materialized";
-}
-
-TEST_F(LazyIndexTest, VersionCountsSeeColdVersions) {
-  auto db = OpenDb(TightOptions());
-  FillVersions(db.get(), 6, 100);
-  ASSERT_GT(db->CacheTotals().cold_versions, 0u);
-  const std::map<uint64_t, uint64_t> counts = db->VersionCounts();
-  for (int v = 1; v <= 6; ++v) {
-    auto it = counts.find(static_cast<uint64_t>(v));
-    ASSERT_NE(it, counts.end()) << "version " << v << " missing";
-    EXPECT_EQ(it->second, 100u) << "version " << v;
-  }
-}
-
-TEST_F(LazyIndexTest, GetLatestSpansColdVersions) {
-  auto db = OpenDb(TightOptions());
-  FillVersions(db.get(), 6, 100);
-  ASSERT_GT(db->CacheTotals().cold_versions, 0u);
-  for (int i = 0; i < 100; ++i) {
-    Result<std::string> got = db->GetLatest(KeyOf(i));
-    ASSERT_TRUE(got.ok()) << got.status().ToString();
-    EXPECT_EQ(*got, "v6-" + KeyOf(i));
-  }
-}
-
-TEST_F(LazyIndexTest, ScannerSeesEveryVersion) {
-  auto db = OpenDb(TightOptions());
-  FillVersions(db.get(), 6, 100);
-  ASSERT_GT(db->CacheTotals().cold_versions, 0u);
-  int rows = 0;
-  QinDb::Scanner scanner = db->NewScanner(3);
-  for (scanner.SeekToFirst(); scanner.Valid(); scanner.Next()) {
-    Result<std::string> value = scanner.value();
-    ASSERT_TRUE(value.ok()) << value.status().ToString();
-    EXPECT_EQ(*value, "v3-" + scanner.key().ToString());
-    ++rows;
-  }
-  EXPECT_EQ(rows, 100);
-}
-
-TEST_F(LazyIndexTest, ColdVersionSurvivesGcRelocation) {
-  QinDbOptions options = TightOptions();
-  options.auto_gc = false;
-  auto db = OpenDb(options);
-  FillVersions(db.get(), 6, 100);
-  // Garbage in a throwaway version pushes GC into relocating survivors —
-  // including cold versions' records, which classify must keep and
-  // relocate must re-key in the registry.
-  for (int i = 0; i < 60; ++i) {
-    ASSERT_TRUE(db->Put("junk-" + KeyOf(i), 99, std::string(400, 'j')).ok());
-  }
-  ASSERT_TRUE(db->DropVersion(99).ok());
-  ASSERT_GT(db->CacheTotals().cold_versions, 0u);
-  ASSERT_TRUE(db->ForceGc().ok());
-  for (int v = 1; v <= 6; ++v) {
-    for (int i = 0; i < 100; ++i) {
-      Result<std::string> got = db->Get(KeyOf(i), v);
-      ASSERT_TRUE(got.ok())
-          << "v" << v << " " << KeyOf(i) << ": " << got.status().ToString();
-      EXPECT_EQ(*got, "v" + std::to_string(v) + "-" + KeyOf(i));
-    }
-  }
-}
-
-TEST_F(LazyIndexTest, ReopenRecoversColdVersions) {
-  auto db = OpenDb(TightOptions());
-  FillVersions(db.get(), 6, 100);
-  ASSERT_GT(db->CacheTotals().cold_versions, 0u);
-  db.reset();
-  // Recovery replays the whole log; unloaded state must leave no holes.
-  auto db2 = OpenDb(TightOptions());
-  for (int v = 1; v <= 6; ++v) {
-    for (int i = 0; i < 100; ++i) {
-      Result<std::string> got = db2->Get(KeyOf(i), v);
-      ASSERT_TRUE(got.ok()) << "v" << v << ": " << got.status().ToString();
-      EXPECT_EQ(*got, "v" + std::to_string(v) + "-" + KeyOf(i));
-    }
-  }
-}
-
-TEST_F(LazyIndexTest, CheckpointMaterializesColdVersionsFirst) {
-  auto db = OpenDb(TightOptions());
-  FillVersions(db.get(), 6, 100);
-  ASSERT_GT(db->CacheTotals().cold_versions, 0u);
-  // A checkpoint only covers what is in the index; cold versions must be
-  // pulled back in before the snapshot or the reopen loses them.
-  ASSERT_TRUE(db->Checkpoint().ok());
-  db.reset();
-  auto db2 = OpenDb(TightOptions());
-  for (int v = 1; v <= 6; ++v) {
-    for (int i = 0; i < 100; ++i) {
-      Result<std::string> got = db2->Get(KeyOf(i), v);
-      ASSERT_TRUE(got.ok()) << "v" << v << ": " << got.status().ToString();
-      EXPECT_EQ(*got, "v" + std::to_string(v) + "-" + KeyOf(i));
-    }
-  }
-}
-
-TEST_F(LazyIndexTest, DeletePullsVersionResidentAndPinsIt) {
-  auto db = OpenDb(TightOptions());
-  FillVersions(db.get(), 6, 100);
-  ASSERT_GT(db->CacheTotals().cold_versions, 0u);
-  // Deleting inside a (possibly cold) version materializes it, and a
-  // version holding deleted pairs may never unload again.
-  ASSERT_TRUE(db->Del(KeyOf(7), 2).ok());
-  EXPECT_TRUE(db->Get(KeyOf(7), 2).status().IsNotFound());
-  Result<std::string> neighbor = db->Get(KeyOf(8), 2);
-  ASSERT_TRUE(neighbor.ok()) << neighbor.status().ToString();
-  EXPECT_EQ(*neighbor, "v2-" + KeyOf(8));
-}
-
 // Version churn under concurrent readers: writers add versions and drop
 // old ones while readers hammer point and latest lookups. Run under TSan
-// this is the race battery for unload/materialize vs the lock-free read
-// path; under any build it asserts no stale or phantom value is ever
-// served.
-TEST_F(LazyIndexTest, VersionChurnUnderConcurrentReaders) {
-  QinDbOptions options = TightOptions();
+// this is the race battery for cache invalidation on DropVersion vs the
+// lock-free read path; under any build it asserts no stale or phantom
+// value is ever served.
+TEST_F(CacheEngineTest, VersionChurnUnderConcurrentReaders) {
+  QinDbOptions options;
   options.cache_bytes = 256 << 10;
   auto db = OpenDb(options);
   constexpr int kKeys = 40;
@@ -457,7 +302,7 @@ TEST_F(LazyIndexTest, VersionChurnUnderConcurrentReaders) {
       }
       published.store(v, std::memory_order_release);
       if (v > 4) {
-        // Drop the oldest surviving version (possibly cold).
+        // Drop the oldest surviving version.
         ASSERT_TRUE(db->DropVersion(v - 4).ok());
       }
     }

@@ -225,7 +225,7 @@ TEST_F(MintTest, AddNodeWithoutRedistribution) {
   ASSERT_TRUE(new_node.ok());
   EXPECT_EQ(cluster_.num_nodes(), 7);
   // Nothing moved: the new node holds no data.
-  EXPECT_EQ(cluster_.node(*new_node)->db()->memtable().live_count(), 0u);
+  EXPECT_EQ(cluster_.node(*new_node)->db()->memtable()->live_count(), 0u);
   // All previously stored pairs remain readable (reads query the group).
   for (int i = 0; i < 30; ++i) {
     ASSERT_TRUE(cluster_.Get("key" + std::to_string(i), 1).ok()) << i;

@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <map>
 #include <memory>
 #include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/random.h"
@@ -245,13 +247,13 @@ TEST_F(QinDbTest, GcDropsUnreferencedDeletedRecords) {
   for (int i = 0; i < 30; ++i) {
     ASSERT_TRUE(db->Del("filler" + std::to_string(i), 1).ok());
   }
-  const size_t live_entries_before = db->memtable().live_count();
+  const size_t live_entries_before = db->memtable()->live_count();
   ASSERT_TRUE(db->ForceGc().ok());
   EXPECT_GT(db->gc_stats().segments_reclaimed, 0u);
   // The (a,1) item was physically purged from the skip list (its segment was
   // sealed and collected), and live data survived relocation.
-  EXPECT_EQ(db->memtable().FindExact("a", 1), nullptr);
-  EXPECT_LT(db->memtable().live_count(), live_entries_before);
+  EXPECT_EQ(db->memtable()->FindExact("a", 1), nullptr);
+  EXPECT_LT(db->memtable()->live_count(), live_entries_before);
   EXPECT_TRUE(db->Get("a", 1).status().IsNotFound());
   EXPECT_EQ(*db->Get("a", 2), std::string(3000, 'b'));
 }
@@ -276,6 +278,45 @@ TEST_F(QinDbTest, GcDeferredWhileReadsInFlight) {
   // Guard released: the next write boundary may collect.
   ASSERT_TRUE(db->MaybeGc().ok());
   EXPECT_GT(db->gc_stats().segments_reclaimed, 0u);
+}
+
+// LiveEntryCount and HasEntry serve live engines (the heartbeat, node
+// repair), so they must pin the index they read: a GC rebuild frees the
+// old index as soon as no reader holds it.
+TEST_F(QinDbTest, InspectionSurvivesConcurrentIndexRebuilds) {
+  QinDbOptions options;
+  options.num_shards = 1;
+  options.aof.segment_bytes = 64 << 10;
+  options.auto_gc = false;
+  auto db = OpenDb(options);
+  const std::shared_ptr<const MemIndex> first = db->memtable();
+
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> inspections{0};
+  std::thread reader([&] {
+    uint64_t i = 0;
+    do {
+      // The answers race the writer; only the index walks matter here.
+      db->LiveEntryCount();
+      db->HasEntry("k" + std::to_string(i++ % 5000), 1);
+      inspections.fetch_add(1, std::memory_order_relaxed);
+    } while (!stop.load(std::memory_order_acquire));
+  });
+  Status failed;
+  for (uint64_t v = 1; v <= 6 && failed.ok(); ++v) {
+    for (int i = 0; i < 5000 && failed.ok(); ++i) {
+      failed = db->Put("k" + std::to_string(i), v, "value");
+    }
+    if (failed.ok()) failed = db->DropVersion(v).status();
+    if (failed.ok()) failed = db->ForceGc();
+  }
+  stop.store(true, std::memory_order_release);
+  reader.join();
+  ASSERT_TRUE(failed.ok()) << failed.ToString();
+  EXPECT_GT(inspections.load(), 0u);
+  // The rounds' garbage did force at least one rebuild.
+  EXPECT_NE(db->memtable(), first);
+  EXPECT_LT(db->LiveEntryCount(), 5000u);
 }
 
 // ---------------------------------------------------------------------------

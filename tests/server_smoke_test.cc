@@ -102,6 +102,37 @@ TEST_F(ServerSmokeTest, FullRequestSurface) {
   EXPECT_GE(server_->counters().requests_served.load(), 9u);
 }
 
+// The stats endpoint reads every node's engine, so it must hold each
+// node's lifecycle lock: FailNode frees the engine under the exclusive hold.
+TEST_F(ServerSmokeTest, StatsSurvivesNodeCrashAndRecovery) {
+  StartCluster();
+  StartServer();
+  rpc::RpcClient client = MakeClient();
+  ASSERT_TRUE(client.Put("url:a", 1, "hello").ok());
+
+  std::atomic<bool> done{false};
+  std::thread chaos([&] {
+    for (int i = 0; i < 200; ++i) {
+      EXPECT_TRUE(cluster_->FailNode(0).ok());
+      Result<double> recovered = cluster_->RecoverNode(0);
+      EXPECT_TRUE(recovered.ok()) << recovered.status().ToString();
+    }
+    done.store(true, std::memory_order_release);
+  });
+  int calls = 0;
+  int failures = 0;
+  do {
+    Result<std::string> stats = client.Stats();
+    if (!stats.ok() || stats->find("cache:") == std::string::npos) {
+      ++failures;
+    }
+    ++calls;
+  } while (!done.load(std::memory_order_acquire));
+  chaos.join();
+  EXPECT_EQ(failures, 0);
+  EXPECT_GT(calls, 0);
+}
+
 TEST_F(ServerSmokeTest, WriteBatchRoundTripWithPerOpStatuses) {
   StartCluster();
   StartServer();
@@ -164,7 +195,6 @@ TEST_F(ServerSmokeTest, SingleOpWritesAreBatchedOpportunistically) {
   // as one batched run.
   KvServerOptions options;
   options.num_workers = 1;
-  options.max_write_batch = 16;
   StartServer(options);
   rpc::RpcClient client = MakeClient();
   ASSERT_TRUE(client.Connect().ok());
