@@ -35,7 +35,7 @@ struct AofOptions {
   /// Prepended to every file this manager creates ("s03_" gives segments
   /// named s03_aof_00000000.dat). A sharded engine gives each shard's
   /// manager a distinct prefix so N managers share one flat-namespace env
-  /// without colliding; empty (the default) keeps the legacy names.
+  /// without colliding; empty (the default) adds no prefix.
   std::string file_prefix;
 
   /// When set, collection counters are accumulated into this externally

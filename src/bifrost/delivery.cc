@@ -46,11 +46,12 @@ DeliveryService::DeliveryService(SimClock* clock,
           net_->AddLink(relay[a], relay[b], options.interregion_bytes_per_sec);
     }
   }
-  class_summary_ = net_->AddTrafficClass("summary", options.summary_share);
-  class_inverted_ = net_->AddTrafficClass("inverted", options.inverted_share);
+  class_summary_ = net_->AddTrafficClass("summary", kSummaryBandwidthShare);
+  class_inverted_ =
+      net_->AddTrafficClass("inverted", 1.0 - kSummaryBandwidthShare);
   monitor_ = std::make_unique<net::BandwidthMonitor>(net_.get());
   for (int r = 0; r < kNumRegions; ++r) {
-    relay_up_[r] = options_.relay_nodes_per_group;
+    relay_up_[r] = kRelayNodesPerGroup;
   }
   user_background_.assign(net_->num_links(), 0.0);
 }
@@ -80,7 +81,7 @@ Status DeliveryService::FailRelayNodes(int region, int count) {
 
 Status DeliveryService::RestoreRelayNodes(int region, int count) {
   if (region < 0 || region >= kNumRegions || count < 0 ||
-      relay_up_[region] + count > options_.relay_nodes_per_group) {
+      relay_up_[region] + count > kRelayNodesPerGroup) {
     return Status::InvalidArgument("bad region/count");
   }
   relay_up_[region] += count;
@@ -90,7 +91,7 @@ Status DeliveryService::RestoreRelayNodes(int region, int count) {
 
 double DeliveryService::UpFraction(int region) const {
   return static_cast<double>(relay_up_[region]) /
-         static_cast<double>(options_.relay_nodes_per_group);
+         static_cast<double>(kRelayNodesPerGroup);
 }
 
 void DeliveryService::ReapplyBackgrounds() {
@@ -209,7 +210,7 @@ DeliveryReport DeliveryService::DeliverVersion(
     const double now_s =
         static_cast<double>(clock_->NowMicros() - start_micros) * 1e-6;
     for (int dest = 0; dest < kNumDataCenters; ++dest) {
-      while (inflight[dest] < options_.window_per_destination &&
+      while (inflight[dest] < kWindowPerDestination &&
              !queues[dest].empty()) {
         const size_t idx = queues[dest].front();
         if (pendings[idx].release_seconds > now_s) break;  // Not built yet.

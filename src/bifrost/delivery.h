@@ -22,25 +22,21 @@ constexpr int kNumRegions = 3;
 constexpr int kDcsPerRegion = 2;
 constexpr int kNumDataCenters = kNumRegions * kDcsPerRegion;
 
+/// Relay nodes pooled per group ("20~30 relay nodes caching and relaying the
+/// data", Section 2.2). Failing nodes shrinks the group's pooled bandwidth
+/// proportionally.
+constexpr int kRelayNodesPerGroup = 24;
+
+/// Concurrent slices in flight per destination; completions trigger
+/// rescheduling with fresh bandwidth predictions.
+constexpr int kWindowPerDestination = 4;
+
 struct DeliveryOptions {
   /// Aggregate capacities in bytes/sec (a relay group is modeled as one
   /// aggregate node; the paper's 20-30 relay nodes pool their bandwidth).
   double backbone_bytes_per_sec = 12e6;     // Build center -> relay group.
   double interregion_bytes_per_sec = 8e6;   // Relay group <-> relay group.
   double regional_bytes_per_sec = 30e6;     // Relay group -> data center.
-
-  /// Relay nodes pooled per group ("20~30 relay nodes caching and relaying
-  /// the data", Section 2.2). Failing nodes shrinks the group's pooled
-  /// bandwidth proportionally.
-  int relay_nodes_per_group = 24;
-
-  /// Bifrost's empirical bandwidth reservation (Section 2.2).
-  double summary_share = 0.4;
-  double inverted_share = 0.6;
-
-  /// Concurrent slices in flight per destination; completions trigger
-  /// rescheduling with fresh bandwidth predictions.
-  int window_per_destination = 4;
 
   /// Probability that a slice is corrupted on one hop (checksum catches it;
   /// the slice is retransmitted from the source).

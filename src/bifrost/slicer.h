@@ -12,6 +12,10 @@
 
 namespace directload::bifrost {
 
+/// Bifrost's empirical bandwidth reservation (Section 2.2): summary slices
+/// get this share of a link, inverted slices the rest (40/60).
+constexpr double kSummaryBandwidthShare = 0.4;
+
 /// A transmission unit: a checksummed bundle of shipped pairs. Every
 /// intermediate relay recomputes and verifies the checksum (Section 3,
 /// "Failures in Transmission").

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <thread>
 
+#include "bifrost/slicer.h"
 #include "common/failpoint.h"
 #include "common/logging.h"
 
@@ -14,6 +15,18 @@ namespace directload::bifrost::wire {
 /// per-hop slice checksum catches it and answers kCorruption; the loader
 /// repairs by re-sending pristine bytes.
 DIRECTLOAD_FAILPOINT_DEFINE(fp_bulk_slice_corrupt, "bulk_slice_corrupt");
+
+namespace {
+
+/// A slice answered kCorruption (damaged in flight) or a transient
+/// rejection is re-sent up to this many times before the load fails.
+constexpr int kMaxResendsPerSlice = 8;
+
+/// Commit attempts: each round re-sends the slices the server reports
+/// missing and tries again.
+constexpr int kMaxCommitRounds = 4;
+
+}  // namespace
 
 BulkLoader::BulkLoader(rpc::RpcClient* client, BulkLoadOptions options)
     : client_(client), options_(std::move(options)) {}
@@ -111,7 +124,7 @@ Status BulkLoader::ReceiveOne(
                          frame.status == StatusCode::kIOError;
   if (checksum_nack || transient) {
     if (checksum_nack) ++report_.checksum_nacks;
-    if (slices_[id].sends > options_.max_resends_per_slice) {
+    if (slices_[id].sends > kMaxResendsPerSlice) {
       return rpc::StatusFromWire(frame.status, frame.value);
     }
     Result<uint64_t> rid = SendSlice(version, id);
@@ -199,9 +212,9 @@ Status BulkLoader::Load(uint64_t version,
   if (options_.bandwidth_bytes_per_sec > 0) {
     const double burst = static_cast<double>(options_.slice_bytes) * 2;
     summary_limiter_ = std::make_unique<WallRateLimiter>(
-        options_.bandwidth_bytes_per_sec * options_.summary_share, burst);
+        options_.bandwidth_bytes_per_sec * kSummaryBandwidthShare, burst);
     inverted_limiter_ = std::make_unique<WallRateLimiter>(
-        options_.bandwidth_bytes_per_sec * (1.0 - options_.summary_share),
+        options_.bandwidth_bytes_per_sec * (1.0 - kSummaryBandwidthShare),
         burst);
   }
 
@@ -231,7 +244,7 @@ Status BulkLoader::Load(uint64_t version,
   }
 
   // Commit; each extra round repairs the slices the server reports missing.
-  for (int round = 0; round < options_.max_commit_rounds; ++round) {
+  for (int round = 0; round < kMaxCommitRounds; ++round) {
     rpc::Frame commit;
     commit.op = rpc::Opcode::kBulkCommit;
     commit.version = version;

@@ -32,16 +32,10 @@ struct BulkLoadOptions {
   /// connection).
   size_t send_window = 8;
   /// Total shipping budget in bytes/sec across both streams; <= 0 means
-  /// unpaced. Split summary_share : (1 - summary_share) between summary
-  /// and inverted slices — the paper's empirical 40/60 reservation.
+  /// unpaced. Split kSummaryBandwidthShare : (1 - kSummaryBandwidthShare)
+  /// between summary and inverted slices — the paper's empirical 40/60
+  /// reservation.
   double bandwidth_bytes_per_sec = 0;
-  double summary_share = 0.4;
-  /// A slice answered kCorruption (damaged in flight) is re-sent up to this
-  /// many times before the load fails.
-  int max_resends_per_slice = 8;
-  /// Commit attempts: each round re-sends the slices the server reports
-  /// missing and tries again.
-  int max_commit_rounds = 4;
 };
 
 struct BulkLoadReport {

@@ -43,8 +43,8 @@ enum class LockRank : int {
   /// than every engine rank: a worker may take an engine lock while the
   /// server is mid-drain, never the reverse.
   kServerState = 2,
-  /// Lock: `Connection::read_mu` — a connection's frame decoder and
-  /// ingress throttle, used by the worker that owns its read side.
+  /// Lock: `Connection::read_mu` — a connection's frame decoder, used by
+  /// the worker that owns its read side.
   ///
   /// EPOLLONESHOT already hands the read side to one worker at a time, so
   /// the lock is never contended; it makes that hand-over visible to the

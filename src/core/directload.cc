@@ -4,6 +4,17 @@
 
 namespace directload::core {
 
+namespace {
+
+/// Versions retained in storage before the oldest is pruned ("at most four
+/// versions of index data persist", Section 1.1.2).
+constexpr uint64_t kMaxVersions = 4;
+
+/// The data center a new version activates at first (gray release).
+constexpr int kGrayDc = 0;
+
+}  // namespace
+
 DirectLoad::DirectLoad(const DirectLoadOptions& options)
     : options_(options),
       summary_dedup_(options.dedup_enabled),
@@ -14,9 +25,7 @@ DirectLoad::DirectLoad(const DirectLoadOptions& options)
   delivery_ =
       std::make_unique<bifrost::DeliveryService>(&net_clock_, options_.delivery);
   for (int dc = 0; dc < bifrost::kNumDataCenters; ++dc) {
-    mint::MintOptions mint_options = options_.mint;
-    mint_options.seed = options_.mint.seed + dc;
-    clusters_.push_back(std::make_unique<mint::MintCluster>(mint_options));
+    clusters_.push_back(std::make_unique<mint::MintCluster>(options_.mint));
   }
   active_version_.assign(bifrost::kNumDataCenters, 0);
   stored_versions_.assign(bifrost::kNumDataCenters, 0);
@@ -44,13 +53,12 @@ Result<UpdateReport> DirectLoad::RunUpdateCycle(double change_rate,
   report.version = corpus_->version();
   report.docs_changed = corpus_->docs_changed_last_round();
 
-  // 2. Index building (Figure 1's build engine).
+  // 2. Index building (Figure 1's build engine). Each dataset is freed
+  //    once it is sliced.
   std::vector<bifrost::SlicePacket> summary_slices;
   std::vector<bifrost::SlicePacket> inverted_slices;
-  uint64_t pairs_built = 0;
-  if (options_.build_summary) {
+  {
     webindex::IndexDataset summary = webindex::BuildSummaryIndex(*corpus_);
-    pairs_built += summary.pairs.size();
     std::vector<bifrost::ShippedPair> shipped =
         summary_dedup_.Process(summary, &report.dedup);
     summary_slices =
@@ -58,11 +66,10 @@ Result<UpdateReport> DirectLoad::RunUpdateCycle(double change_rate,
                             options_.slice_bytes, next_slice_id_);
     next_slice_id_ += summary_slices.size();
   }
-  if (options_.build_inverted) {
+  {
     webindex::IndexDataset forward = webindex::BuildForwardIndex(*corpus_);
     webindex::IndexDataset inverted =
         webindex::BuildInvertedIndex(*corpus_, forward);
-    pairs_built += inverted.pairs.size();
     std::vector<bifrost::ShippedPair> shipped =
         inverted_dedup_.Process(inverted, &report.dedup);
     inverted_slices =
@@ -72,7 +79,6 @@ Result<UpdateReport> DirectLoad::RunUpdateCycle(double change_rate,
     if (options_.ship_forward) {
       // Forward indices travel with the inverted stream (Figure 1's blue
       // arrows) and land at all six data centers.
-      pairs_built += forward.pairs.size();
       std::vector<bifrost::ShippedPair> fwd_shipped =
           forward_dedup_.Process(forward, &report.dedup);
       // Forward and summary indices both key on the URL; prefix the
@@ -141,8 +147,8 @@ Result<UpdateReport> DirectLoad::RunUpdateCycle(double change_rate,
 
   // 4. Gray release: probe one data center with realistic queries before
   //    activating the version everywhere (Section 3).
-  Result<double> inconsistency = ProbeInconsistency(
-      options_.gray_dc, version, options_.gray_probe_queries);
+  Result<double> inconsistency =
+      ProbeInconsistency(kGrayDc, version, options_.gray_probe_queries);
   if (!inconsistency.ok()) return inconsistency.status();
   report.gray_inconsistency = *inconsistency;
   report.gray_release_passed =
@@ -153,11 +159,11 @@ Result<UpdateReport> DirectLoad::RunUpdateCycle(double change_rate,
     }
   }
 
-  // 5. Version pruning: at most max_versions persist per node.
+  // 5. Version pruning: at most kMaxVersions persist per node.
   for (int dc = 0; dc < bifrost::kNumDataCenters; ++dc) {
     ++stored_versions_[dc];
   }
-  if (stored_versions_[0] > static_cast<uint64_t>(options_.max_versions)) {
+  if (stored_versions_[0] > kMaxVersions) {
     report.version_pruned = oldest_version_;
     for (auto& cluster : clusters_) {
       Status s = cluster->DropVersion(oldest_version_);
@@ -168,48 +174,39 @@ Result<UpdateReport> DirectLoad::RunUpdateCycle(double change_rate,
       --stored_versions_[dc];
     }
   }
-  (void)pairs_built;
   return report;
 }
 
 Result<double> DirectLoad::ProbeInconsistency(int dc, uint64_t version,
                                               int probes) {
   if (probes <= 0) return 0.0;
+  const bool stores_summary = dc % bifrost::kDcsPerRegion == 0;
   const auto& docs = corpus_->documents();
   int mismatches = 0;
   for (int i = 0; i < probes; ++i) {
     const webindex::Document& doc = docs[rng_.Uniform(docs.size())];
     // Inverted-index probe: one of the document's terms must list its URL.
-    if (options_.build_inverted) {
-      const std::vector<uint32_t> terms = corpus_->TermsOf(doc);
-      const uint32_t term =
-          terms[rng_.Uniform(terms.size())];
-      Result<mint::MintCluster::ReadResult> got =
-          clusters_[dc]->Get(webindex::TermKey(term), version);
-      bool consistent = false;
-      if (got.ok()) {
-        std::vector<std::string> urls;
-        if (webindex::DecodeUrlList(got->value, &urls).ok()) {
-          consistent = std::find(urls.begin(), urls.end(), doc.url) != urls.end();
-        }
+    const std::vector<uint32_t> terms = corpus_->TermsOf(doc);
+    const uint32_t term = terms[rng_.Uniform(terms.size())];
+    Result<mint::MintCluster::ReadResult> postings =
+        clusters_[dc]->Get(webindex::TermKey(term), version);
+    bool consistent = false;
+    if (postings.ok()) {
+      std::vector<std::string> urls;
+      if (webindex::DecodeUrlList(postings->value, &urls).ok()) {
+        consistent = std::find(urls.begin(), urls.end(), doc.url) != urls.end();
       }
-      if (!consistent) ++mismatches;
     }
+    if (!consistent) ++mismatches;
     // Summary probe where this DC stores summaries.
-    if (options_.build_summary && dc % bifrost::kDcsPerRegion == 0) {
+    if (stores_summary) {
       Result<mint::MintCluster::ReadResult> got =
           clusters_[dc]->Get(doc.url, version);
       if (!got.ok() || got->value != corpus_->AbstractOf(doc)) ++mismatches;
     }
   }
-  const int checks =
-      probes * ((options_.build_inverted ? 1 : 0) +
-                ((options_.build_summary && dc % bifrost::kDcsPerRegion == 0)
-                     ? 1
-                     : 0));
-  return checks == 0 ? 0.0
-                     : static_cast<double>(mismatches) /
-                           static_cast<double>(checks);
+  const int checks = probes * (stores_summary ? 2 : 1);
+  return static_cast<double>(mismatches) / static_cast<double>(checks);
 }
 
 Result<DirectLoad::QueryResult> DirectLoad::Query(int dc, uint32_t term,

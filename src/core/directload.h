@@ -29,21 +29,14 @@ struct DirectLoadOptions {
   /// DirectLoad" baseline (Figure 10a).
   bool dedup_enabled = true;
 
-  bool build_summary = true;
-  bool build_inverted = true;
   /// Ship the forward index (<URL, terms>) alongside the inverted index —
   /// Figure 1's blue arrows carry both. Off by default in the scaled
   /// simulation; the forward index rides the inverted bandwidth class.
   bool ship_forward = false;
 
-  /// Versions retained in storage before the oldest is pruned ("at most
-  /// four versions of index data persist", Section 1.1.2).
-  int max_versions = 4;
-
-  /// Gray release: the new version activates first at one data center and
-  /// must keep query inconsistency below this rate before activating
-  /// everywhere (Section 3 reports < 0.1 %).
-  int gray_dc = 0;
+  /// Gray release: the new version activates first at one data center
+  /// (kGrayDc) and must keep query inconsistency below this rate before
+  /// activating everywhere (Section 3 reports < 0.1 %).
   int gray_probe_queries = 50;
   double gray_max_inconsistency = 0.001;
 

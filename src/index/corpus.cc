@@ -6,6 +6,13 @@
 
 namespace directload::webindex {
 
+namespace {
+
+/// Term-popularity skew of the Zipfian term draw.
+constexpr double kZipfTheta = 0.8;
+
+}  // namespace
+
 Corpus::Corpus(const CorpusOptions& options)
     : options_(options), rng_(options.seed) {
   docs_.reserve(options_.num_docs);
@@ -51,7 +58,7 @@ uint64_t Corpus::AdvanceVersionTiered(double vip_change_rate,
 
 std::vector<uint32_t> Corpus::TermsOf(const Document& doc) const {
   // Deterministic per content seed: popular terms via a Zipfian draw.
-  ZipfianGenerator zipf(options_.vocab_size, options_.zipf_theta,
+  ZipfianGenerator zipf(options_.vocab_size, kZipfTheta,
                         doc.content_seed);
   std::set<uint32_t> terms;
   // Draw until we have the target count (duplicates collapse).

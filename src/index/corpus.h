@@ -17,7 +17,6 @@ struct CorpusOptions {
   uint64_t num_docs = 2000;
   uint32_t vocab_size = 20000;
   uint32_t terms_per_doc = 50;
-  double zipf_theta = 0.8;      // Term-popularity skew.
   double change_rate = 0.3;     // Fraction of docs modified per crawl round.
   double vip_fraction = 0.2;    // High-quality tier (serves most queries).
   uint32_t abstract_bytes = 20 << 10;

@@ -12,15 +12,7 @@ struct LsmOptions {
   /// Memtable flushes to an L0 SSTable at this size.
   uint64_t write_buffer_bytes = 4ull << 20;
 
-  /// Uncompressed data block target size.
-  uint32_t block_size = 4096;
-
-  /// Restart point interval inside a data block.
-  int block_restart_interval = 16;
-
   int bloom_bits_per_key = 10;
-
-  int num_levels = 7;
 
   /// L0 file count that triggers compaction, and the count at which writes
   /// stall until compaction catches up.
@@ -29,20 +21,12 @@ struct LsmOptions {
 
   /// Max bytes for level 1; each deeper level is 10x larger.
   uint64_t max_bytes_for_level_base = 10ull << 20;
-  double level_size_multiplier = 10.0;
 
   /// Target size of SSTables produced by compaction.
   uint64_t target_file_bytes = 2ull << 20;
 
   /// Block cache capacity (decoded data blocks).
   uint64_t block_cache_bytes = 8ull << 20;
-
-  /// Open-table cache capacity (number of tables, charged 1 each).
-  uint64_t table_cache_entries = 256;
-
-  /// Sync the WAL after every write batch. Off matches LevelDB's default
-  /// (sync=false), which the paper's baseline used.
-  bool sync_writes = false;
 };
 
 struct LsmStats {

@@ -14,6 +14,11 @@ namespace {
 constexpr uint64_t kTableMagic = 0x6469726c73737462ull;  // "dirlsstb"
 constexpr size_t kFooterSize = 48;  // 2 handles (<=40) padded + magic.
 
+/// Uncompressed data block target size, and the restart point interval
+/// inside a data block (LevelDB's defaults).
+constexpr size_t kBlockSize = 4096;
+constexpr int kBlockRestartInterval = 16;
+
 std::string BlockCacheKey(uint64_t file_number, uint64_t offset) {
   std::string key;
   PutFixed64(&key, file_number);
@@ -37,9 +42,8 @@ bool BlockHandle::DecodeFrom(Slice* input, BlockHandle* out) {
 // ---------------------------------------------------------------------------
 
 TableBuilder::TableBuilder(const LsmOptions& options, ssd::WritableFile* file)
-    : options_(options),
-      file_(file),
-      data_block_(options.block_restart_interval),
+    : file_(file),
+      data_block_(kBlockRestartInterval),
       index_block_(1),
       filter_(options.bloom_bits_per_key) {}
 
@@ -58,7 +62,7 @@ Status TableBuilder::Add(const Slice& internal_key, const Slice& value) {
   filter_.AddKey(ExtractUserKey(internal_key));
   data_block_.Add(internal_key, value);
   ++num_entries_;
-  if (data_block_.CurrentSizeEstimate() >= options_.block_size) {
+  if (data_block_.CurrentSizeEstimate() >= kBlockSize) {
     return FlushDataBlock();
   }
   return Status::OK();

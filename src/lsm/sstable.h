@@ -49,7 +49,6 @@ class TableBuilder {
   Status FlushDataBlock();
   Status WriteBlock(const Slice& contents, BlockHandle* handle);
 
-  LsmOptions options_;
   ssd::WritableFile* file_;
   BlockBuilder data_block_;
   BlockBuilder index_block_;

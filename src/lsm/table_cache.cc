@@ -4,12 +4,19 @@
 
 namespace directload::lsm {
 
+namespace {
+
+/// Open-table cache capacity (number of tables, charged 1 each).
+constexpr uint64_t kTableCacheEntries = 256;
+
+}  // namespace
+
 TableCache::TableCache(ssd::SsdEnv* env, const LsmOptions& options,
                        BlockCache* block_cache)
     : env_(env),
       options_(options),
       block_cache_(block_cache),
-      cache_(options.table_cache_entries) {}
+      cache_(kTableCacheEntries) {}
 
 std::string TableCache::TableFileName(uint64_t number) {
   char buf[32];

@@ -12,6 +12,10 @@ namespace {
 constexpr char kManifestName[] = "MANIFEST";
 constexpr char kManifestTemp[] = "MANIFEST.tmp";
 
+/// LevelDB's level count, and the size ratio between adjacent levels.
+constexpr int kNumLevels = 7;
+constexpr double kLevelSizeMultiplier = 10.0;
+
 // VersionEdit field tags.
 enum EditTag : uint32_t {
   kLogNumber = 1,
@@ -121,8 +125,8 @@ Status VersionEdit::DecodeFrom(const Slice& src) {
 VersionSet::VersionSet(ssd::SsdEnv* env, const LsmOptions& options)
     : env_(env),
       options_(options),
-      levels_(options.num_levels),
-      compact_pointers_(options.num_levels) {}
+      levels_(kNumLevels),
+      compact_pointers_(kNumLevels) {}
 
 void VersionSet::Apply(const VersionEdit& edit) {
   if (edit.has_log_number) log_number_ = edit.log_number;
@@ -286,7 +290,7 @@ bool VersionSet::IsBaseLevelForKey(int level, const Slice& user_key) const {
 
 uint64_t VersionSet::MaxBytesForLevel(int level) const {
   double bytes = static_cast<double>(options_.max_bytes_for_level_base);
-  for (int l = 1; l < level; ++l) bytes *= options_.level_size_multiplier;
+  for (int l = 1; l < level; ++l) bytes *= kLevelSizeMultiplier;
   return static_cast<uint64_t>(bytes);
 }
 

@@ -22,8 +22,6 @@ class LogWriter {
   /// Appends one logical record.
   Status AddRecord(const Slice& record);
 
-  Status Sync() { return file_->Sync(); }
-
   static constexpr uint32_t kBlockSize = 32768;
   static constexpr uint32_t kHeaderSize = 7;
 

@@ -17,7 +17,6 @@ namespace {
 // the group as a whole keeps serving, which is exactly the redundancy the
 // chaos harness wants to stress.
 DIRECTLOAD_FAILPOINT_DEFINE(fp_mint_replica_read, "mint_replica_read");
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -27,8 +26,7 @@ DIRECTLOAD_FAILPOINT_DEFINE(fp_mint_replica_read, "mint_replica_read");
 StorageNode::StorageNode(int id, const MintOptions& options)
     : id_(id), options_(options) {
   env_ = ssd::NewSsdEnv(ssd::InterfaceMode::kNativeBlock,
-                        options_.node_geometry, options_.node_latency,
-                        &clock_);
+                        options_.node_geometry, ssd::LatencyModel(), &clock_);
 }
 
 Status StorageNode::Start() {
@@ -393,7 +391,7 @@ Result<MintCluster::ReadResult> MintCluster::ParallelRead(const Slice& key,
         // The replica "answered" with a failure before touching the engine;
         // selection below falls through to the surviving replicas.
         attempt.error = std::move(injected);
-        attempt.latency_micros = options_.read_rtt_micros;
+        attempt.latency_micros = kReadRttMicros;
         return;
       }
     }
@@ -402,14 +400,14 @@ Result<MintCluster::ReadResult> MintCluster::ParallelRead(const Slice& key,
     if (!node->up()) {
       // Crashed between the live-replica scan and this thread running.
       attempt.error = Status::Unavailable("replica failed mid-read");
-      attempt.latency_micros = options_.read_rtt_micros;
+      attempt.latency_micros = kReadRttMicros;
       return;
     }
     const uint64_t before = node->clock()->NowMicros();
     Result<std::string> got = fn(node->db());
     attempt.latency_micros =
         static_cast<double>(node->clock()->NowMicros() - before) +
-        options_.read_rtt_micros;
+        kReadRttMicros;
     if (got.ok()) {
       attempt.ok = true;
       attempt.value = std::move(got).value();
@@ -480,88 +478,6 @@ Result<double> MintCluster::RecoverNode(int node_id) {
     return Status::InvalidArgument("no such node");
   }
   return nodes_[node_id]->Recover();
-}
-
-Result<uint64_t> MintCluster::RepairNode(int node_id) {
-  ReaderLock cluster_guard(&cluster_mu_);
-  if (node_id < 0 || node_id >= static_cast<int>(nodes_.size())) {
-    return Status::InvalidArgument("no such node");
-  }
-  StorageNode* target = nodes_[node_id].get();
-  if (!target->up()) return Status::Unavailable("node is down");
-
-  // Find the node's group.
-  int group = -1;
-  for (int g = 0; g < options_.num_groups; ++g) {
-    for (int id : groups_[g]) {
-      if (id == node_id) group = g;
-    }
-  }
-  if (group < 0) return Status::Internal("node not in any group");
-
-  uint64_t copied = 0;
-  for (int peer_id : groups_[group]) {
-    if (peer_id == node_id) continue;
-    StorageNode* peer = nodes_[peer_id].get();
-
-    // Phase 1: under the peer's lifecycle lock, walk its index and resolve
-    // every pair this node should replicate. The batch is materialized
-    // before touching the target so the two node locks are never nested
-    // (they share rank kMintNode — nesting them is a rank violation and a
-    // real deadlock lurking behind a concurrent Fail()).
-    struct Pending {
-      std::string key;
-      uint64_t version;
-      std::string value;
-    };
-    std::vector<Pending> batch;
-    {
-      ReaderLock peer_guard(peer->lifecycle_mu());
-      if (!peer->up()) continue;
-      // Engine keys are hash-partitioned across shards; repair must see all
-      // of them, so walk every shard's index in turn.
-      for (uint32_t shard = 0; shard < peer->db()->num_shards(); ++shard) {
-        const std::shared_ptr<const MemIndex> index =
-            peer->db()->memtable(shard);
-        for (MemIndex::Iterator it = index->NewIterator(); it.Valid();
-             it.Next()) {
-          const MemEntry* entry = it.entry();
-          if (entry->deleted) continue;
-          const Slice key = entry->user_key();
-          const std::vector<int> replicas = ReplicasOfLocked(key);
-          if (std::find(replicas.begin(), replicas.end(), node_id) ==
-              replicas.end()) {
-            continue;  // Not this node's responsibility.
-          }
-          // Copy the *resolved* value: re-deduplicating on the target would
-          // require its traceback chain to be complete, which repair cannot
-          // assume (the peer may hold the referenced record only as a GC
-          // referent). Materializing trades space for integrity.
-          Result<std::string> value = peer->db()->Get(key, entry->version);
-          if (!value.ok()) continue;  // Peer cannot resolve it; another may.
-          batch.push_back(Pending{key.ToString(), entry->version,
-                                  std::move(value).value()});
-        }
-      }
-    }
-
-    // Phase 2: apply the batch under the target's lock, skipping pairs the
-    // target acquired in the meantime.
-    ReaderLock target_guard(target->lifecycle_mu());
-    if (!target->up()) {
-      return Status::Unavailable("node failed during repair");
-    }
-    for (Pending& pending : batch) {
-      if (target->db()->HasEntry(pending.key, pending.version)) {
-        continue;  // Already present.
-      }
-      Status s =
-          target->db()->Put(pending.key, pending.version, pending.value);
-      if (!s.ok()) return s;
-      ++copied;
-    }
-  }
-  return copied;
 }
 
 Result<int> MintCluster::AddNode(int group) {

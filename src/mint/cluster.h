@@ -19,25 +19,22 @@
 
 namespace directload::mint {
 
+/// Fixed network round trip added to every remote read (intra-DC).
+inline constexpr double kReadRttMicros = 200;
+
 struct MintOptions {
   int num_groups = 2;
   int nodes_per_group = 3;
   int replicas = 3;  // <= nodes_per_group; the paper replicates 3x.
 
   ssd::Geometry node_geometry;  // One simulated SSD per storage node.
-  ssd::LatencyModel node_latency;
   qindb::QinDbOptions engine;
-
-  /// Fixed network round trip added to every remote read (intra-DC).
-  double read_rtt_micros = 200;
 
   /// Fan reads out to the group's replicas on real threads (one per live
   /// replica); false falls back to a sequential loop over the replicas.
   /// Either way the winner is the fastest live replica by simulated
   /// latency, so results are deterministic.
   bool parallel_reads = true;
-
-  uint64_t seed = 1;
 };
 
 /// One storage node: its own simulated SSD (devices run in parallel, so
@@ -171,12 +168,6 @@ class MintCluster {
   /// Crash / recover a node. Reads keep working off the other replicas.
   Status FailNode(int node_id);
   Result<double> RecoverNode(int node_id);
-
-  /// Re-replication: copies every pair the node should hold (it is among
-  /// the pair's rendezvous replicas) but does not, from the peers in its
-  /// group. Used after replacing a node whose SSD was lost, restoring the
-  /// replication factor. Returns the number of pairs copied.
-  Result<uint64_t> RepairNode(int node_id);
 
   /// Adds an empty node to `group`. Existing pairs stay where they are
   /// (reads query the whole group, so nothing needs to move); the new node

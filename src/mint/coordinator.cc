@@ -25,6 +25,30 @@ DIRECTLOAD_FAILPOINT_DEFINE(fp_coord_replica_write, "coord_replica_write");
 // server-side cooperation.
 DIRECTLOAD_FAILPOINT_DEFINE(fp_coord_read_attempt, "coord_read_attempt");
 
+/// Sends per replica for a write that fails retryably (kBusy or a transport
+/// error), on top of the RPC client's own reconnect handling. The resend
+/// waits kWriteBackoffMs, jittered to [base/2, base] like the client's
+/// reconnect backoff.
+constexpr int kWriteAttempts = 2;
+constexpr int kWriteBackoffMs = 5;
+
+/// A read hedges after the primary's rolling p95 latency ("Tail-Tolerant
+/// Distributed Search"), never sooner than the floor.
+constexpr double kHedgeQuantile = 0.95;
+constexpr double kHedgeFloorMs = 1.0;
+
+/// Data-path client settings. They keep per-op worst cases short: a
+/// coordinator facing a dead replica should fail the replica fast and let
+/// quorum + the detector absorb it, not burn the caller's patience.
+constexpr rpc::RpcClient::Options kDataPathClient = [] {
+  rpc::RpcClient::Options o;
+  o.connect_timeout_ms = 500;
+  o.request_timeout_ms = 2000;
+  o.max_reconnects = 1;
+  o.retry_budget_ms = 1000;
+  return o;
+}();
+
 /// A failure of the transport (or the peer's availability), as opposed to
 /// the server answering the operation with an error. Only these count as
 /// failure-detector misses: a NotFound is a healthy node disagreeing about
@@ -170,7 +194,7 @@ MintCoordinator::MintCoordinator(std::vector<std::vector<NodeEndpoint>> groups,
     : options_(options), backoff_rng_(options.seed) {
   // Probe clients are deliberately impatient: no reconnects, short
   // deadlines — a probe that needs a retry *is* a miss.
-  rpc::RpcClient::Options probe_opts = options_.rpc;
+  rpc::RpcClient::Options probe_opts = kDataPathClient;
   probe_opts.connect_timeout_ms = options_.heartbeat_timeout_ms;
   probe_opts.request_timeout_ms = options_.heartbeat_timeout_ms;
   probe_opts.max_reconnects = 0;
@@ -240,10 +264,10 @@ MintCoordinator::Counters MintCoordinator::counters() const {
 
 double MintCoordinator::HedgeDelayMsFor(int node_id) {
   const double q = nodes_[node_id]->latency_ms.Quantile(
-      options_.hedge_quantile,
-      static_cast<size_t>(options_.hedge_min_samples), /*fallback=*/-1.0);
+      kHedgeQuantile, static_cast<size_t>(options_.hedge_min_samples),
+      /*fallback=*/-1.0);
   if (q < 0) return options_.hedge_default_delay_ms;
-  return std::max(options_.hedge_floor_ms, q * options_.hedge_multiplier);
+  return std::max(kHedgeFloorMs, q);
 }
 
 std::unique_ptr<rpc::RpcClient> MintCoordinator::AcquireClient(int node_id) {
@@ -258,7 +282,7 @@ std::unique_ptr<rpc::RpcClient> MintCoordinator::AcquireClient(int node_id) {
   }
   const NodeEndpoint& endpoint = nodes_[node_id]->endpoint;
   return std::make_unique<rpc::RpcClient>(endpoint.host, endpoint.port,
-                                          options_.rpc);
+                                          kDataPathClient);
 }
 
 void MintCoordinator::ReleaseClient(int node_id,
@@ -325,17 +349,13 @@ std::vector<int> MintCoordinator::ReadOrder(int group) const {
   return order;
 }
 
-int MintCoordinator::JitteredBackoffMs(int attempt) {
-  int64_t base = options_.write_backoff_initial_ms;
-  for (int i = 1; i < attempt && base < 200; ++i) base *= 2;
-  base = std::min<int64_t>(base, 200);
-  if (base <= 0) return 0;
+int MintCoordinator::JitteredBackoffMs() {
   uint64_t jitter;
   {
     MutexLock lock(&mu_);
-    jitter = backoff_rng_.Uniform(static_cast<uint64_t>(base / 2 + 1));
+    jitter = backoff_rng_.Uniform(kWriteBackoffMs / 2 + 1);
   }
-  return static_cast<int>(base - base / 2 + static_cast<int64_t>(jitter));
+  return kWriteBackoffMs - kWriteBackoffMs / 2 + static_cast<int>(jitter);
 }
 
 // ---------------------------------------------------------------------------
@@ -351,8 +371,8 @@ MintCoordinator::Exchange MintCoordinator::Begin(int node_id,
   x.client = AcquireClient(node_id);
   x.request = request;
   x.request.request_id = x.client->NextRequestId();
-  x.timeout_ms = options_.rpc.request_timeout_ms;
-  x.resends_left = options_.rpc.max_reconnects;
+  x.timeout_ms = kDataPathClient.request_timeout_ms;
+  x.resends_left = kDataPathClient.max_reconnects;
   x.start = SteadyClock::now();
   x.Transmit();
   return x;
@@ -390,11 +410,10 @@ std::vector<Status> MintCoordinator::FanOut(const std::vector<int>& targets,
     round.push_back(static_cast<int>(i));
   }
 
-  const int max_attempts = std::max(1, options_.write_attempts);
   for (int attempt = 1; !round.empty(); ++attempt) {
     if (attempt > 1) {
       std::this_thread::sleep_for(
-          std::chrono::milliseconds(JitteredBackoffMs(attempt - 1)));
+          std::chrono::milliseconds(JitteredBackoffMs()));
     }
     std::vector<Exchange> exchanges;
     exchanges.reserve(round.size());
@@ -411,7 +430,7 @@ std::vector<Status> MintCoordinator::FanOut(const std::vector<int>& targets,
       // Retry what waiting can fix: admission-control pushback and
       // transport failures. A definitive server answer is final.
       const bool retryable = x.status.IsBusy() || IsTransportError(x.status);
-      if (retryable && attempt < max_attempts &&
+      if (retryable && attempt < kWriteAttempts &&
           health(x.node) != NodeHealth::kDown) {
         round.push_back(x.slot);
       }
@@ -427,11 +446,7 @@ Status MintCoordinator::Put(const Slice& key, uint64_t version,
   if (targets.empty()) {
     return Status::InvalidArgument("key maps to no replicas");
   }
-  const int quorum =
-      options_.write_quorum > 0
-          ? std::min<int>(options_.write_quorum,
-                          static_cast<int>(targets.size()))
-          : static_cast<int>(targets.size()) / 2 + 1;
+  const int quorum = static_cast<int>(targets.size()) / 2 + 1;
 
   rpc::Frame request;
   request.op = rpc::Opcode::kPut;
@@ -577,8 +592,7 @@ Result<MintCoordinator::ReadResult> MintCoordinator::ReadInternal(
       launch();
       continue;
     }
-    const bool can_hedge =
-        options_.hedged_reads && hedge_slot < 0 && next < order.size();
+    const bool can_hedge = hedge_slot < 0 && next < order.size();
     if (can_hedge && SteadyClock::now() >= hedge_at) {
       // The attempt went silent past the primary's p95-derived budget: send
       // the backup and race them.
@@ -634,11 +648,11 @@ void MintCoordinator::DetectorLoop() {
 // Repair
 // ---------------------------------------------------------------------------
 
-Result<std::unordered_set<std::string>> MintCoordinator::InventoryNode(
-    int node_id) {
-  std::unordered_set<std::string> tokens;
+Status MintCoordinator::ScanNode(
+    int node_id, bool keys_only,
+    const std::function<void(rpc::RepairPage*)>& on_page) {
   rpc::RepairScanRequest request;
-  request.keys_only = true;
+  request.keys_only = keys_only;
   request.max_pairs = options_.repair_page_pairs;
   std::unique_ptr<rpc::RpcClient> client = AcquireClient(node_id);
   Status failure;
@@ -648,15 +662,23 @@ Result<std::unordered_set<std::string>> MintCoordinator::InventoryNode(
       failure = page.status();
       break;
     }
-    for (const rpc::RepairPair& pair : page->pairs) {
-      tokens.insert(InventoryToken(pair.key, pair.version));
-    }
+    on_page(&page.value());
     if (page->done) break;
     request.cursor = page->next;
   }
-  ReleaseClient(node_id, std::move(client),
-                failure.ok() || !IsTransportError(failure));
-  if (!failure.ok()) return failure;
+  ReleaseClient(node_id, std::move(client), !IsTransportError(failure));
+  return failure;
+}
+
+Result<std::unordered_set<std::string>> MintCoordinator::InventoryNode(
+    int node_id) {
+  std::unordered_set<std::string> tokens;
+  Status s = ScanNode(node_id, /*keys_only=*/true, [&](rpc::RepairPage* page) {
+    for (const rpc::RepairPair& pair : page->pairs) {
+      tokens.insert(InventoryToken(pair.key, pair.version));
+    }
+  });
+  if (!s.ok()) return s;
   return tokens;
 }
 
@@ -682,63 +704,48 @@ Result<uint64_t> MintCoordinator::RepairNode(int node_id) {
   if (!inventory.ok()) return inventory.status();
   std::unordered_set<std::string> present = std::move(inventory).value();
 
-  const int group = nodes_[node_id]->group;
   uint64_t copied = 0;
   Status first_error;
-  for (int peer : groups_[group]) {
+  // Copies the pairs of one peer's page that the target owns but lacks.
+  auto copy_page = [&](rpc::RepairPage* page) {
+    std::vector<rpc::BatchOp> ops;
+    std::vector<std::string> op_tokens;
+    for (rpc::RepairPair& pair : page->pairs) {
+      const std::vector<int> owners = ReplicasOf(pair.key);
+      if (std::find(owners.begin(), owners.end(), node_id) == owners.end()) {
+        continue;  // Not this node's responsibility.
+      }
+      std::string token = InventoryToken(pair.key, pair.version);
+      if (present.count(token) != 0) continue;
+      rpc::BatchOp op;
+      op.version = pair.version;
+      op.key = std::move(pair.key);
+      op.value = std::move(pair.value);
+      ops.push_back(std::move(op));
+      op_tokens.push_back(std::move(token));
+    }
+    if (ops.empty()) return;
+    std::unique_ptr<rpc::RpcClient> target_client = AcquireClient(node_id);
+    std::vector<Status> statuses;
+    Status s = target_client->WriteBatch(ops, &statuses);
+    ReleaseClient(node_id, std::move(target_client), !IsTransportError(s));
+    if (statuses.size() == ops.size()) {
+      for (size_t i = 0; i < statuses.size(); ++i) {
+        if (statuses[i].ok()) {
+          ++copied;
+          present.insert(std::move(op_tokens[i]));
+        }
+      }
+    }
+    if (!s.ok() && first_error.ok()) first_error = s;
+  };
+  for (int peer : groups_[nodes_[node_id]->group]) {
     if (peer == node_id) continue;
     if (health(peer) == NodeHealth::kDown) continue;
-
-    rpc::RepairScanRequest request;
-    request.max_pairs = options_.repair_page_pairs;
-    std::unique_ptr<rpc::RpcClient> scan_client = AcquireClient(peer);
-    bool scan_transport_ok = true;
-    while (true) {
-      Result<rpc::RepairPage> page = scan_client->RepairScan(request);
-      if (!page.ok()) {
-        if (first_error.ok()) first_error = page.status();
-        scan_transport_ok = !IsTransportError(page.status());
-        break;  // Next peer may still cover the missing pairs.
-      }
-      // Filter the page down to pairs the target owns but lacks.
-      std::vector<rpc::BatchOp> ops;
-      std::vector<std::string> op_tokens;
-      for (rpc::RepairPair& pair : page->pairs) {
-        const std::vector<int> owners = ReplicasOf(pair.key);
-        if (std::find(owners.begin(), owners.end(), node_id) ==
-            owners.end()) {
-          continue;  // Not this node's responsibility.
-        }
-        std::string token = InventoryToken(pair.key, pair.version);
-        if (present.count(token) != 0) continue;
-        rpc::BatchOp op;
-        op.version = pair.version;
-        op.key = std::move(pair.key);
-        op.value = std::move(pair.value);
-        ops.push_back(std::move(op));
-        op_tokens.push_back(std::move(token));
-      }
-      if (!ops.empty()) {
-        std::unique_ptr<rpc::RpcClient> target_client =
-            AcquireClient(node_id);
-        std::vector<Status> statuses;
-        Status s = target_client->WriteBatch(ops, &statuses);
-        ReleaseClient(node_id, std::move(target_client),
-                      !IsTransportError(s));
-        if (statuses.size() == ops.size()) {
-          for (size_t i = 0; i < statuses.size(); ++i) {
-            if (statuses[i].ok()) {
-              ++copied;
-              present.insert(std::move(op_tokens[i]));
-            }
-          }
-        }
-        if (!s.ok() && first_error.ok()) first_error = s;
-      }
-      if (page->done) break;
-      request.cursor = page->next;
-    }
-    ReleaseClient(peer, std::move(scan_client), scan_transport_ok);
+    // A failed scan moves on: the next peer may still cover the missing
+    // pairs.
+    Status s = ScanNode(peer, /*keys_only=*/false, copy_page);
+    if (!s.ok() && first_error.ok()) first_error = s;
   }
   repair_pairs_copied_.fetch_add(copied, std::memory_order_relaxed);
   if (copied == 0 && !first_error.ok()) return first_error;
@@ -754,21 +761,10 @@ Result<uint64_t> MintCoordinator::VerifyNodeComplete(int node_id) {
   const std::unordered_set<std::string> present = std::move(inventory).value();
 
   std::unordered_set<std::string> missing;
-  const int group = nodes_[node_id]->group;
-  for (int peer : groups_[group]) {
+  for (int peer : groups_[nodes_[node_id]->group]) {
     if (peer == node_id) continue;
     if (health(peer) == NodeHealth::kDown) continue;
-    rpc::RepairScanRequest request;
-    request.keys_only = true;
-    request.max_pairs = options_.repair_page_pairs;
-    std::unique_ptr<rpc::RpcClient> client = AcquireClient(peer);
-    Status failure;
-    while (true) {
-      Result<rpc::RepairPage> page = client->RepairScan(request);
-      if (!page.ok()) {
-        failure = page.status();
-        break;
-      }
+    Status s = ScanNode(peer, /*keys_only=*/true, [&](rpc::RepairPage* page) {
       for (const rpc::RepairPair& pair : page->pairs) {
         const std::vector<int> owners = ReplicasOf(pair.key);
         if (std::find(owners.begin(), owners.end(), node_id) ==
@@ -778,12 +774,8 @@ Result<uint64_t> MintCoordinator::VerifyNodeComplete(int node_id) {
         std::string token = InventoryToken(pair.key, pair.version);
         if (present.count(token) == 0) missing.insert(std::move(token));
       }
-      if (page->done) break;
-      request.cursor = page->next;
-    }
-    ReleaseClient(peer, std::move(client),
-                  failure.ok() || !IsTransportError(failure));
-    if (!failure.ok()) return failure;
+    });
+    if (!s.ok()) return s;
   }
   return static_cast<uint64_t>(missing.size());
 }

@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -32,36 +33,21 @@ enum class NodeHealth { kUp, kSuspect, kDown };
 
 struct CoordinatorOptions {
   /// Copies per pair, chosen by rendezvous hashing within the key's group.
+  /// A write is reported durable once a majority of them ack (2 of 3), so
+  /// "SIGKILL one replica" loses zero acked writes: every ack then has a
+  /// surviving copy.
   int replicas = 3;
 
-  /// Replica acks required before a write is reported durable to the
-  /// caller. 0 derives a majority of the key's replica set (2 of 3) — the
-  /// default that makes "SIGKILL one replica" lose zero acked writes, since
-  /// every ack then has a surviving copy.
-  int write_quorum = 0;
-
-  /// Per-replica send attempts for retryable failures (kBusy and transport
-  /// errors), on top of the RPC client's own reconnect handling. The delay
-  /// before attempt k doubles from write_backoff_initial_ms, jittered to
-  /// [base/2, base] like the client's reconnect backoff.
-  int write_attempts = 2;
-  int write_backoff_initial_ms = 5;
-
   // -- Hedged reads ("Tail-Tolerant Distributed Search") -------------------
-  /// Send the read to the preferred replica; if it has not answered within
-  /// the hedge delay, send a backup attempt to the next candidate and take
-  /// whichever answers first. The caller's thread waits on both sockets.
-  /// The loser's connection is closed, not pooled — the DLP1 protocol has
-  /// no cancel, so a pooled client never has a request outstanding and an
-  /// abandoned response can never bleed into a later request.
-  bool hedged_reads = true;
-  /// Hedge after hedge_multiplier × the primary's rolling
-  /// hedge_quantile latency (the p95-derived delay), never below the
-  /// floor; until the primary has hedge_min_samples samples, after
+  /// A read goes to the preferred replica; if it has not answered within
+  /// the hedge delay, a backup attempt goes to the next candidate and
+  /// whichever answers first wins. The caller's thread waits on both
+  /// sockets. The loser's connection is closed, not pooled — the DLP1
+  /// protocol has no cancel, so a pooled client never has a request
+  /// outstanding and an abandoned response can never bleed into a later
+  /// request. The delay is the primary's rolling p95 latency, never below
+  /// 1 ms; until the primary has hedge_min_samples samples, it is
   /// hedge_default_delay_ms.
-  double hedge_quantile = 0.95;
-  double hedge_multiplier = 1.0;
-  double hedge_floor_ms = 1.0;
   double hedge_default_delay_ms = 20.0;
   int hedge_min_samples = 16;
 
@@ -77,18 +63,6 @@ struct CoordinatorOptions {
 
   /// Pairs requested per kRepairScan page.
   uint32_t repair_page_pairs = 512;
-
-  /// Data-path client knobs. Defaults keep per-op worst cases short: a
-  /// coordinator facing a dead replica should fail the replica fast and
-  /// let quorum + the detector absorb it, not burn the caller's patience.
-  rpc::RpcClient::Options rpc = [] {
-    rpc::RpcClient::Options o;
-    o.connect_timeout_ms = 500;
-    o.request_timeout_ms = 2000;
-    o.max_reconnects = 1;
-    o.retry_budget_ms = 1000;
-    return o;
-  }();
 
   uint64_t seed = 1;
 };
@@ -140,7 +114,7 @@ class MintCoordinator {
   };
 
   /// Replicates the put to the key's rendezvous replicas, one ack per
-  /// replica, and succeeds once `write_quorum` acks are in. The replicas
+  /// replica, and succeeds once a majority of them acked. The replicas
   /// are written in parallel and all of them are waited for. Down nodes
   /// are skipped (routed around); replicas that miss the write are healed
   /// by RepairNode.
@@ -214,8 +188,8 @@ class MintCoordinator {
   /// Sends `request` to every node in `targets` at once, then collects the
   /// answers, so a write costs its slowest replica rather than the sum.
   /// Per target: a down node is routed around, `coord_replica_write` fires,
-  /// and kBusy and transport failures are resent up to `write_attempts`
-  /// times after a jittered backoff. Returns one status per target; `sends`
+  /// and a kBusy or transport failure is sent once more after a jittered
+  /// backoff. Returns one status per target; `sends`
   /// counts every send, retries included.
   std::vector<Status> FanOut(const std::vector<int>& targets,
                              const rpc::Frame& request, int* sends);
@@ -238,9 +212,16 @@ class MintCoordinator {
   /// may have restarted before the detector noticed.
   std::vector<int> ReadOrder(int group) const EXCLUDES(mu_);
 
-  int JitteredBackoffMs(int attempt) EXCLUDES(mu_);
+  int JitteredBackoffMs() EXCLUDES(mu_);
 
   void DetectorLoop();
+
+  /// Pages through `node_id`'s repair scan from the start over one pooled
+  /// client, handing each page to `on_page`; the client is pooled again
+  /// unless the transport failed. Returns the scan's failure, or OK once
+  /// the last page is handled.
+  Status ScanNode(int node_id, bool keys_only,
+                  const std::function<void(rpc::RepairPage*)>& on_page);
 
   /// Keys-only inventory of everything `node_id` currently holds, as
   /// key-bytes + fixed64-version tokens (the fixed-width suffix makes the

@@ -17,14 +17,8 @@ struct QinDbOptions {
   /// different shards commit in parallel. Zero (the default) resolves to
   /// hardware_concurrency at first open, and to the persisted shard count on
   /// reopen; a nonzero value is validated against the shard manifest — a
-  /// mismatch fails the open rather than silently misrouting keys. One shard
-  /// reproduces the pre-sharding engine byte-for-byte (legacy file names, no
-  /// manifest-routing overhead on reads).
+  /// mismatch fails the open rather than silently misrouting keys.
   uint32_t num_shards = 0;
-
-  /// Seed of the routing hash (shard = Hash64(key, seed) % num_shards),
-  /// persisted in the shard manifest so every reopen routes identically.
-  uint64_t shard_hash_seed = 0x51494e44u;  // "QIND"
 
   /// AOF GC is deferred while reads are in flight, unless disk usage crosses
   /// `gc_space_pressure` (fraction of device capacity). This is the paper's

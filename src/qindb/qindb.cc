@@ -25,6 +25,9 @@ DIRECTLOAD_FAILPOINT_DEFINE(fp_qindb_del, "qindb_del");
 // cross-shard commit where a prefix of shards has durable markers.
 DIRECTLOAD_FAILPOINT_DEFINE(fp_qindb_ingest_commit, "qindb_ingest_commit");
 
+// Seed of the routing hash (shard = Hash64(key, seed) % num_shards).
+constexpr uint64_t kShardHashSeed = 0x51494e44u;  // "QIND"
+
 // The shard manifest pins the routing layout (count + hash seed) to the
 // device: Hash64(key, seed) % num_shards must evaluate identically on every
 // open, or keys silently land on shards that never saw their records. The
@@ -98,16 +101,6 @@ Status ReadManifest(ssd::SsdEnv* env, uint32_t* num_shards, uint64_t* seed) {
   return Status::OK();
 }
 
-/// True when the env holds pre-sharding engine files (unprefixed AOF
-/// segments or checkpoint) but no manifest: the layout predates sharding
-/// and must be adopted as a single shard, never re-hashed.
-bool HasLegacyUnshardedFiles(ssd::SsdEnv* env) {
-  for (const std::string& name : env->ListFiles()) {
-    if (name.rfind("aof_", 0) == 0 || name == "checkpoint.dat") return true;
-  }
-  return false;
-}
-
 }  // namespace
 
 QinDb::QinDb(ssd::SsdEnv* env, const QinDbOptions& options)
@@ -125,13 +118,13 @@ Result<std::unique_ptr<QinDb>> QinDb::Open(ssd::SsdEnv* env,
     uint64_t manifest_seed = 0;
     Status s = ReadManifest(env, &num_shards, &manifest_seed);
     if (!s.ok()) return s;
-    if (options.shard_hash_seed != manifest_seed) {
+    if (manifest_seed != kShardHashSeed) {
       char msg[160];
       std::snprintf(msg, sizeof(msg),
-                    "shard manifest was written with hash seed %llu but the "
-                    "options specify %llu; keys would be misrouted",
+                    "shard manifest was written with hash seed %llu, not "
+                    "this engine's %llu; keys would be misrouted",
                     static_cast<unsigned long long>(manifest_seed),
-                    static_cast<unsigned long long>(options.shard_hash_seed));
+                    static_cast<unsigned long long>(kShardHashSeed));
       return Status::InvalidArgument(msg);
     }
     if (options.num_shards != 0 && options.num_shards != num_shards) {
@@ -142,24 +135,12 @@ Result<std::unique_ptr<QinDb>> QinDb::Open(ssd::SsdEnv* env,
                     num_shards, options.num_shards, num_shards);
       return Status::InvalidArgument(msg);
     }
-  } else if (HasLegacyUnshardedFiles(env)) {
-    if (options.num_shards > 1) {
-      return Status::InvalidArgument(
-          "env holds unsharded (pre-manifest) engine files; they can only "
-          "be opened with num_shards=1 (or 0)");
-    }
-    num_shards = 1;
-    if (Status s = WriteManifest(env, num_shards, options.shard_hash_seed);
-        !s.ok()) {
-      return s;
-    }
   } else {
     num_shards = options.num_shards != 0
                      ? options.num_shards
                      : std::max(1u, std::thread::hardware_concurrency());
     if (num_shards > kMaxShards) num_shards = kMaxShards;
-    if (Status s = WriteManifest(env, num_shards, options.shard_hash_seed);
-        !s.ok()) {
+    if (Status s = WriteManifest(env, num_shards, kShardHashSeed); !s.ok()) {
       return s;
     }
   }
@@ -171,10 +152,7 @@ Result<std::unique_ptr<QinDb>> QinDb::Open(ssd::SsdEnv* env,
   std::vector<Status> statuses(num_shards);
   auto open_one = [&](uint32_t shard_id) {
     QinDbOptions shard_options = db->options_;
-    // One shard keeps the legacy unprefixed names, so a pre-sharding env
-    // reopens byte-for-byte and single-shard tests see the familiar files.
-    shard_options.aof.file_prefix =
-        num_shards == 1 ? "" : ShardFilePrefix(shard_id);
+    shard_options.aof.file_prefix = ShardFilePrefix(shard_id);
     shard_options.aof.shared_gc_stats = &db->gc_stats_;
     // The cache budget is engine-wide; each shard governs its slice.
     shard_options.cache_bytes = db->options_.cache_bytes / num_shards;
@@ -207,8 +185,7 @@ Result<std::unique_ptr<QinDb>> QinDb::Open(ssd::SsdEnv* env,
 
 uint32_t QinDb::ShardOf(const Slice& key) const {
   if (shards_.size() == 1) return 0;
-  return static_cast<uint32_t>(Hash64(key, options_.shard_hash_seed) %
-                               shards_.size());
+  return static_cast<uint32_t>(Hash64(key, kShardHashSeed) % shards_.size());
 }
 
 bool QinDb::degraded() const {
@@ -528,11 +505,6 @@ uint64_t QinDb::LiveEntryCount() const {
   uint64_t total = 0;
   for (const auto& shard : shards_) total += shard->PinIndex()->live_count();
   return total;
-}
-
-bool QinDb::HasEntry(const Slice& key, uint64_t version) const {
-  return shards_[ShardOf(key)]->PinIndex()->FindExact(key, version) !=
-         nullptr;
 }
 
 uint64_t QinDb::LiveBytes() const {

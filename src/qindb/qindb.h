@@ -43,9 +43,9 @@ namespace directload::qindb {
 /// open with a clear error instead of silently misrouting keys. This facade
 /// routes point ops to their shard, splits a WriteBatch into per-shard
 /// sub-batches committed in PARALLEL through the shards' independent
-/// group-commit leaders, merges scans, and aggregates stats. At num_shards=1
-/// the engine is the pre-sharding engine byte-for-byte: legacy file names,
-/// no routing hash on the read path.
+/// group-commit leaders, merges scans, and aggregates stats. Every shard's
+/// files carry its `sNN_` prefix; at num_shards=1 the read path skips the
+/// routing hash.
 ///
 /// Thread model: each shard serializes its mutations on its own write mutex
 /// (all at rank LockRank::kQinDbWrite — the rank checker's equal-rank
@@ -56,12 +56,12 @@ class QinDb {
  public:
   /// Opens (or recovers) an engine over `env`. The first open writes the
   /// shard manifest (resolving `options.num_shards`: 0 means
-  /// hardware_concurrency, or 1 when unsharded legacy files exist); a reopen
-  /// adopts the manifest's layout and fails with kInvalidArgument when the
-  /// options demand a different one. Shards recover in parallel — each from
-  /// its checkpoint plus the post-checkpoint segment suffix when a valid
-  /// checkpoint is present, otherwise by scanning its entire AOF space (the
-  /// paper's recovery story, per shard).
+  /// hardware_concurrency); a reopen adopts the manifest's layout and fails
+  /// with kInvalidArgument when the options demand a different one or the
+  /// manifest records another routing seed. Shards recover in parallel —
+  /// each from its checkpoint plus the post-checkpoint segment suffix when a
+  /// valid checkpoint is present, otherwise by scanning its entire AOF space
+  /// (the paper's recovery story, per shard).
   static Result<std::unique_ptr<QinDb>> Open(ssd::SsdEnv* env,
                                              const QinDbOptions& options);
 
@@ -246,7 +246,7 @@ class QinDb {
   /// The resolved shard count (>= 1; fixed for the lifetime of the layout).
   uint32_t num_shards() const { return static_cast<uint32_t>(shards_.size()); }
 
-  /// The shard `key` routes to: Hash64(key, shard_hash_seed) % num_shards.
+  /// The shard `key` routes to: Hash64(key, seed) % num_shards.
   /// Stable across reopens — the seed and count live in the manifest.
   uint32_t ShardOf(const Slice& key) const;
 
@@ -276,9 +276,6 @@ class QinDb {
   /// MemIndex::live_count semantics: deleted-flagged entries count until GC
   /// purges them.
   uint64_t LiveEntryCount() const;
-  /// True if (key, version) is present (live or deleted) in its shard's
-  /// memtable — the sharded replacement for memtable().FindExact checks.
-  bool HasEntry(const Slice& key, uint64_t version) const;
   /// Live AOF bytes per the GC occupancy tables, summed over shards.
   uint64_t LiveBytes() const;
   /// Memtable arena bytes, summed over shards.

@@ -28,7 +28,6 @@ RpcClient::RpcClient(std::string host, uint16_t port, Options options)
     : host_(std::move(host)),
       port_(port),
       options_(options),
-      decoder_(options.max_frame_bytes),
       backoff_rng_(options.backoff_seed) {}
 
 RpcClient::~RpcClient() { Close(); }
@@ -45,7 +44,7 @@ void RpcClient::Close() {
 
 void RpcClient::CloseLocked() {
   socket_.Close();
-  decoder_ = FrameDecoder(options_.max_frame_bytes);
+  decoder_ = FrameDecoder();
 }
 
 Status RpcClient::EnsureConnectedLocked() {
@@ -54,7 +53,7 @@ Status RpcClient::EnsureConnectedLocked() {
       ConnectTo(host_, port_, options_.connect_timeout_ms);
   if (!connected.ok()) return connected.status();
   socket_ = std::move(connected).value();
-  decoder_ = FrameDecoder(options_.max_frame_bytes);
+  decoder_ = FrameDecoder();
   return Status::OK();
 }
 

@@ -37,7 +37,6 @@ class RpcClient {
     int request_timeout_ms = 5000;
     /// Reconnect-and-resend attempts after a connection-level failure.
     int max_reconnects = 2;
-    size_t max_frame_bytes = kMaxBodyBytes;
     /// Capped exponential backoff before retry k (1-based): the cap-clamped
     /// base is backoff_initial_ms << (k-1), and the slept delay is drawn
     /// uniformly from [base/2, base] — jittered so a fleet of clients

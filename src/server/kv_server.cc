@@ -12,7 +12,6 @@
 #include "bifrost/wire/slice_codec.h"
 #include "common/failpoint.h"
 #include "common/logging.h"
-#include "common/rate_limiter.h"
 #include "server/bulk_ingest.h"
 
 namespace directload::server {
@@ -64,7 +63,7 @@ bool IsWriteOp(const rpc::Frame& frame) {
 }  // namespace
 
 /// Per-connection state. EPOLLONESHOT hands the read side to one worker
-/// per wake-up; that worker uses `decoder` and `limiter` under `read_mu`,
+/// per wake-up; that worker uses `decoder` under `read_mu`,
 /// which is never contended and makes the hand-over between workers
 /// visible to race detectors. Any worker executing the connection's
 /// requests may send on the socket; `write_mu` serializes the senders so
@@ -73,11 +72,8 @@ struct KvServer::Connection : std::enable_shared_from_this<Connection> {
   Connection(rpc::Socket s, const KvServerOptions& options,
              std::atomic<uint64_t>* send_failures)
       : socket(std::move(s)),
-        decoder(options.max_frame_bytes),
-        limiter(options.conn_bytes_per_sec, options.conn_burst_bytes),
         send_failures(send_failures),
-        idle_deadline_ms(NowMs() + options.idle_timeout_ms),
-        frame_limit(options.max_frame_bytes) {}
+        idle_deadline_ms(NowMs() + options.idle_timeout_ms) {}
 
   /// Encodes and writes one frame. A send failure means the peer is gone
   /// or stopped reading: the response is dropped — counted, not silent —
@@ -96,7 +92,6 @@ struct KvServer::Connection : std::enable_shared_from_this<Connection> {
   rpc::Socket socket;
   Mutex read_mu{LockRank::kServerConnRead, "Connection::read_mu"};
   rpc::FrameDecoder decoder GUARDED_BY(read_mu);
-  WallRateLimiter limiter GUARDED_BY(read_mu);
   Mutex write_mu{LockRank::kServerConnWrite, "Connection::write_mu"};
   std::atomic<uint64_t>* send_failures;  // Server-owned counter.
   /// Steady-clock ms after which housekeeping shuts the connection down
@@ -104,10 +99,13 @@ struct KvServer::Connection : std::enable_shared_from_this<Connection> {
   std::atomic<int64_t> idle_deadline_ms;
 
   /// Decoder frame bound, re-applied by the read side before each decode
-  /// pass. Raised by the kBulkBegin handler *before* its ack goes out, so
-  /// by the time the client can legally send an oversized slice the read
-  /// side already observes the new bound.
-  std::atomic<size_t> frame_limit;
+  /// pass. Raised to rpc::kMaxBulkBodyBytes by the kBulkBegin handler
+  /// *before* its ack goes out, so by the time the client can legally send
+  /// an oversized slice the read side already observes the new bound. The
+  /// raise persists for the rest of the connection (a loader typically
+  /// streams several versions back to back); connections that never open a
+  /// bulk session keep the tight rpc::kMaxBodyBytes bound.
+  std::atomic<size_t> frame_limit{rpc::kMaxBodyBytes};
   /// The connection's bulk-ingest session, if one is open. Workers copy the
   /// pointer out under bulk_mu and call the session unlocked.
   Mutex bulk_mu{LockRank::kServerBulk, "Connection::bulk_mu"};
@@ -267,9 +265,6 @@ void KvServer::ServeReady(Connection* tagged,
       // how a socket shut down by housekeeping or Write ends.
       alive = !n.ok() && n.status().IsTimedOut();
     } else {
-      if (options_.conn_bytes_per_sec > 0) {
-        conn->limiter.Throttle(static_cast<double>(*n));
-      }
       // The bulk-begin handler may have negotiated the frame bound up since
       // the last pass; the decoder applies the new bound from the next
       // frame.
@@ -462,9 +457,8 @@ rpc::Frame KvServer::Execute(Connection& conn, const rpc::Frame& request) {
       // Negotiate the frame bound up before the ack is on the wire: once
       // the client sees OK it may send slices up to the bulk bound, and by
       // then the read side observes the raised limit.
-      conn.frame_limit.store(
-          std::max(options_.max_frame_bytes, options_.max_bulk_frame_bytes),
-          std::memory_order_release);
+      conn.frame_limit.store(rpc::kMaxBulkBodyBytes,
+                             std::memory_order_release);
       counters_.bulk_sessions_opened.fetch_add(1);
       return rpc::MakeResponse(request, Status::OK());
     }

@@ -22,7 +22,7 @@ struct KvServerOptions {
   /// Numeric IPv4 listen address. Loopback by default: the simulated
   /// cluster behind the server is a research artifact, not a hardened
   /// network service.
-  std::string host = "127.0.0.1";
+  std::string host = "127.0.0.1";  // dl-lint: ignore(option-setter)
   /// 0 = kernel-assigned ephemeral port; read it back via port().
   uint16_t port = 0;
   /// Worker threads; each executes the requests it reads. <= 0 sizes the
@@ -30,18 +30,6 @@ struct KvServerOptions {
   int num_workers = 0;
   /// Connections with no complete request for this long are closed.
   int idle_timeout_ms = 60'000;
-  size_t max_frame_bytes = rpc::kMaxBodyBytes;
-  /// Frame bound a connection is raised to after the server acks its
-  /// kBulkBegin — the negotiated ceiling for slice frames. Connections that
-  /// never open a bulk session keep the tight max_frame_bytes bound, so the
-  /// remote-OOM posture of normal traffic is unchanged. The raise persists
-  /// for the rest of the connection (a loader typically streams several
-  /// versions back to back).
-  size_t max_bulk_frame_bytes = rpc::kMaxBulkBodyBytes;
-  /// Optional per-connection ingress byte throttle (wall-clock token
-  /// bucket). 0 disables it.
-  double conn_bytes_per_sec = 0;
-  double conn_burst_bytes = 256 * 1024;
 };
 
 /// A multi-threaded TCP front end over a mint::MintCluster — the serving
@@ -65,7 +53,7 @@ struct KvServerOptions {
 /// Locks (all ranked above the engine ranks — a worker may take engine
 /// locks while holding nothing of the server's):
 ///   kServerState      mu_        lifecycle + connection registry
-///   kServerConnRead   read_mu    per-connection decoder and throttle
+///   kServerConnRead   read_mu    per-connection decoder
 ///   kServerConnWrite  write_mu   per-connection response serialization
 class KvServer {
  public:

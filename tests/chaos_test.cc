@@ -460,7 +460,6 @@ void RunSchedule(uint64_t seed, uint32_t num_shards,
   // drop must evict or re-key) now ride every storm, and the acked-write
   // check below would catch a stale cached value as a torn write.
   cluster_options.engine.cache_bytes = 1 << 20;
-  cluster_options.seed = seed;
   mint::MintCluster cluster(cluster_options);
   ASSERT_TRUE(cluster.Start().ok());
 
@@ -745,7 +744,6 @@ void RunBulkSchedule(uint64_t seed, uint32_t num_shards,
   cluster_options.engine.num_shards = num_shards;
   cluster_options.engine.aof.segment_bytes = 16 << 10;
   cluster_options.engine.cache_bytes = 1 << 20;
-  cluster_options.seed = seed;
   mint::MintCluster cluster(cluster_options);
   ASSERT_TRUE(cluster.Start().ok());
 

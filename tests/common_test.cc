@@ -378,28 +378,6 @@ TEST(ArenaTest, AllocationsAreUsableAndAligned) {
   EXPECT_EQ(c[99999], 3);
 }
 
-TEST(RateLimiterTest, BurstThenPaced) {
-  SimClock clock;
-  RateLimiter limiter(&clock, /*rate_per_sec=*/1000.0, /*burst=*/500.0);
-  // The burst admits immediately.
-  EXPECT_EQ(limiter.Acquire(500.0), 0u);
-  // The next 1000 units are admissible one second later.
-  const uint64_t admit = limiter.Acquire(1000.0);
-  EXPECT_EQ(admit, 1000000u);
-  // Advancing past the admit time refills the bucket.
-  clock.AdvanceTo(admit);
-  EXPECT_NEAR(limiter.available(), 0.0, 1e-6);
-  clock.AdvanceMicros(250000);  // +0.25s => +250 tokens.
-  EXPECT_NEAR(limiter.available(), 250.0, 1e-6);
-}
-
-TEST(RateLimiterTest, TokensCapAtBurst) {
-  SimClock clock;
-  RateLimiter limiter(&clock, 100.0, 50.0);
-  clock.AdvanceMicros(10 * 1000000);  // 10s idle: would be 1000 tokens.
-  EXPECT_NEAR(limiter.available(), 50.0, 1e-6);
-}
-
 TEST(WallRateLimiterTest, BurstAdmitsImmediately) {
   // Slow refill (1 token/s) so the bucket stays near empty for the duration
   // of the test no matter how slowly it runs.
@@ -430,18 +408,6 @@ TEST(WallRateLimiterTest, TokensCapAtBurst) {
   EXPECT_LE(limiter.available(), 50.0);
   limiter.Acquire(10.0);
   EXPECT_LE(limiter.available(), 50.0);
-}
-
-TEST(WallRateLimiterTest, ZeroRateDisablesThrottling) {
-  WallRateLimiter limiter(/*rate_per_sec=*/0.0, /*burst=*/1.0);
-  // Unlimited: any amount is admissible immediately, forever, and no debt
-  // accumulates across calls.
-  for (int i = 0; i < 3; ++i) {
-    const auto admit = limiter.Acquire(1e12);
-    EXPECT_LE(admit, WallRateLimiter::Clock::now());
-    EXPECT_DOUBLE_EQ(limiter.available(), 1.0);
-  }
-  limiter.Throttle(1e12);  // Must return without sleeping.
 }
 
 TEST(SimClockTest, AdvancesMonotonically) {

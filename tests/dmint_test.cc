@@ -3,9 +3,10 @@
 // DLP1 to the fleet. Covers replicated writes with per-replica verification,
 // the quorum path across a SIGKILLed replica, the full crash → restart →
 // RepairNode → VerifyNodeComplete healing loop (paged over a deliberately
-// tiny repair page), timer-fired hedged reads against a SIGSTOPped primary
-// (and the late answer of the abandoned attempt), hedge and failover
-// accounting, a failed read's status, stale pooled connections, and the
+// tiny repair page), repair of dedup chains and its refusals, timer-fired
+// hedged reads against a SIGSTOPped primary (and the late answer of the
+// abandoned attempt), hedge and failover accounting, a failed read's
+// status, stale pooled connections, and the
 // heartbeat failure detector's down/up transitions.
 
 #include <gtest/gtest.h>
@@ -221,6 +222,37 @@ TEST_F(DmintTest, AckedWritesSurviveKillRestartAndRepair) {
     EXPECT_EQ(*value, ValueOf(acked[i].first, acked[i].second));
   }
   EXPECT_EQ(coordinator_->counters().repair_pairs_copied, acked.size());
+}
+
+TEST_F(DmintTest, RepairResolvesDedupChains) {
+  StartFleet(3);
+  // Node 1 is down for both writes, so it never receives the base version
+  // the dedup pair traces back to.
+  nodes_[1].Kill();
+  ASSERT_TRUE(coordinator_->Put("k", 1, "base-value").ok());
+  ASSERT_TRUE(coordinator_->Put("k", 2, Slice(), /*dedup=*/true).ok());
+
+  // Repair copies resolved values, so the repaired node needs no chain.
+  ASSERT_TRUE(nodes_[1].Restart().ok());
+  Result<uint64_t> copied = coordinator_->RepairNode(1);
+  ASSERT_TRUE(copied.ok()) << copied.status().ToString();
+  EXPECT_EQ(*copied, 2u);
+
+  // Both versions resolve on the repaired node alone.
+  rpc::RpcClient healed = DirectClient(1);
+  for (uint64_t version : {1, 2}) {
+    Result<std::string> value = healed.Get("k", version);
+    ASSERT_TRUE(value.ok()) << "version " << version << ": "
+                            << value.status().ToString();
+    EXPECT_EQ(*value, "base-value") << "version " << version;
+  }
+}
+
+TEST_F(DmintTest, RepairOfDownOrUnknownNodeRejected) {
+  StartFleet(3);
+  nodes_[2].Kill();
+  EXPECT_TRUE(coordinator_->RepairNode(2).status().IsUnavailable());
+  EXPECT_TRUE(coordinator_->RepairNode(99).status().IsInvalidArgument());
 }
 
 TEST_F(DmintTest, HedgedReadFiresWhenPrimaryStalls) {

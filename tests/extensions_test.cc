@@ -1,6 +1,6 @@
 // Tests for the extension features beyond the paper's minimum: QinDB range
-// scans (the sorted-memtable advantage over hash-based stores), periodic
-// checkpointing, and Mint replica repair.
+// scans (the sorted-memtable advantage over hash-based stores) and periodic
+// checkpointing.
 
 #include <gtest/gtest.h>
 
@@ -10,7 +10,6 @@
 
 #include "common/random.h"
 #include "common/sim_clock.h"
-#include "mint/cluster.h"
 #include "qindb/qindb.h"
 #include "ssd/env.h"
 
@@ -151,13 +150,13 @@ TEST(PeriodicCheckpointTest, CheckpointsAppearAtConfiguredInterval) {
   options.checkpoint_interval_bytes = 64 << 10;
   auto db = std::move(qindb::QinDb::Open(env.get(), options)).value();
   Random rnd(8);
-  EXPECT_FALSE(env->FileExists("checkpoint.dat"));
+  EXPECT_FALSE(env->FileExists("s00_checkpoint.dat"));
   for (int i = 0; i < 40; ++i) {
     ASSERT_TRUE(
         db->Put("k" + std::to_string(i), 1, rnd.NextString(2000)).ok());
   }
   // 80 KB ingested > 64 KB interval: a checkpoint must exist.
-  EXPECT_TRUE(env->FileExists("checkpoint.dat"));
+  EXPECT_TRUE(env->FileExists("s00_checkpoint.dat"));
 
   // Recovery uses it: reads only the checkpoint + post-checkpoint suffix.
   db.reset();
@@ -168,93 +167,6 @@ TEST(PeriodicCheckpointTest, CheckpointsAppearAtConfiguredInterval) {
   for (int i = 0; i < 40; ++i) {
     EXPECT_TRUE(reopened->Get("k" + std::to_string(i), 1).ok()) << i;
   }
-}
-
-// ---------------------------------------------------------------------------
-// Mint repair
-// ---------------------------------------------------------------------------
-
-mint::MintOptions RepairClusterOptions() {
-  mint::MintOptions o;
-  o.num_groups = 1;
-  o.nodes_per_group = 3;
-  o.node_geometry = SmallGeometry();
-  o.engine.aof.segment_bytes = 256 << 10;
-  return o;
-}
-
-TEST(MintRepairTest, ReplacedNodeIsRefilledFromPeers) {
-  mint::MintCluster cluster(RepairClusterOptions());
-  ASSERT_TRUE(cluster.Start().ok());
-  Random rnd(9);
-  std::map<std::string, std::string> data;
-  for (int i = 0; i < 80; ++i) {
-    const std::string key = "url:" + std::to_string(i);
-    const std::string value = rnd.NextString(1000);
-    ASSERT_TRUE(cluster.Put(key, 1, value).ok());
-    data[key] = value;
-  }
-  // Node 0's SSD is destroyed and replaced with a blank one: simulate by
-  // failing it and wiping via a fresh env — here we approximate with
-  // fail + recover (AOFs intact), then measure repair is a no-op…
-  ASSERT_TRUE(cluster.FailNode(0).ok());
-  ASSERT_TRUE(cluster.RecoverNode(0).ok());
-  Result<uint64_t> copied = cluster.RepairNode(0);
-  ASSERT_TRUE(copied.ok());
-  EXPECT_EQ(*copied, 0u);  // Nothing missing after an AOF recovery.
-
-  // …then create real divergence: new writes while the node is down.
-  ASSERT_TRUE(cluster.FailNode(0).ok());
-  for (int i = 100; i < 160; ++i) {
-    const std::string key = "url:" + std::to_string(i);
-    const std::string value = rnd.NextString(1000);
-    ASSERT_TRUE(cluster.Put(key, 1, value).ok());
-    data[key] = value;
-  }
-  ASSERT_TRUE(cluster.RecoverNode(0).ok());
-  copied = cluster.RepairNode(0);
-  ASSERT_TRUE(copied.ok());
-  EXPECT_GT(*copied, 0u);
-
-  // The node now holds everything it is a replica for.
-  for (const auto& [key, value] : data) {
-    const std::vector<int> replicas = cluster.ReplicasOf(key);
-    if (std::find(replicas.begin(), replicas.end(), 0) == replicas.end()) {
-      continue;
-    }
-    Result<std::string> got = cluster.node(0)->db()->Get(key, 1);
-    ASSERT_TRUE(got.ok()) << key;
-    EXPECT_EQ(*got, value);
-  }
-}
-
-TEST(MintRepairTest, RepairResolvesDedupChains) {
-  mint::MintCluster cluster(RepairClusterOptions());
-  ASSERT_TRUE(cluster.Start().ok());
-  // Write a value + a dedup version, then diverge a node and repair.
-  ASSERT_TRUE(cluster.FailNode(1).ok());
-  ASSERT_TRUE(cluster.Put("k", 1, "base-value").ok());
-  ASSERT_TRUE(cluster.Put("k", 2, Slice(), /*dedup=*/true).ok());
-  ASSERT_TRUE(cluster.RecoverNode(1).ok());
-  Result<uint64_t> copied = cluster.RepairNode(1);
-  ASSERT_TRUE(copied.ok());
-  const std::vector<int> replicas = cluster.ReplicasOf("k");
-  if (std::find(replicas.begin(), replicas.end(), 1) != replicas.end()) {
-    EXPECT_EQ(*copied, 2u);
-    // Both versions resolve on the repaired node alone.
-    EXPECT_EQ(*cluster.node(1)->db()->Get("k", 1), "base-value");
-    EXPECT_EQ(*cluster.node(1)->db()->Get("k", 2), "base-value");
-  } else {
-    EXPECT_EQ(*copied, 0u);
-  }
-}
-
-TEST(MintRepairTest, RepairDownNodeRejected) {
-  mint::MintCluster cluster(RepairClusterOptions());
-  ASSERT_TRUE(cluster.Start().ok());
-  ASSERT_TRUE(cluster.FailNode(2).ok());
-  EXPECT_TRUE(cluster.RepairNode(2).status().IsUnavailable());
-  EXPECT_TRUE(cluster.RepairNode(99).status().IsInvalidArgument());
 }
 
 }  // namespace

@@ -153,7 +153,8 @@ TEST_F(QinDbFaultTest, CorruptedValueNeverServedSilently) {
   const std::string value(20000, 'q');
   ASSERT_TRUE(db->Put("url:1", 1, value).ok());
   ASSERT_TRUE(db->aof().SealActive().ok());
-  ASSERT_TRUE(env_->CorruptFileByteForTesting("aof_00000000.dat", 600).ok());
+  ASSERT_TRUE(
+      env_->CorruptFileByteForTesting("s00_aof_00000000.dat", 600).ok());
   Result<std::string> got = db->Get("url:1", 1);
   // Either detected corruption or (if the flip missed the record) intact
   // data — never silently wrong bytes.
@@ -180,8 +181,8 @@ TEST_F(QinDbFaultTest, CorruptCheckpointFallsBackToFullScan) {
     }
     ASSERT_TRUE(db->Checkpoint().ok());
   }
-  ASSERT_TRUE(env_->FileExists("checkpoint.dat"));
-  ASSERT_TRUE(env_->CorruptFileByteForTesting("checkpoint.dat", 100).ok());
+  ASSERT_TRUE(env_->FileExists("s00_checkpoint.dat"));
+  ASSERT_TRUE(env_->CorruptFileByteForTesting("s00_checkpoint.dat", 100).ok());
 
   // Open must not trust the damaged checkpoint: it falls back to the AOF
   // scan and recovers everything.

@@ -323,7 +323,7 @@ TEST(RecoveryIntegrationTest, CheckpointGcCrashSequencePreservesData) {
     }
     ASSERT_TRUE(db->ForceGc().ok());
     EXPECT_GT(db->gc_stats().segments_reclaimed, 0u);
-    EXPECT_FALSE(env->FileExists("checkpoint.dat"));
+    EXPECT_FALSE(env->FileExists("s00_checkpoint.dat"));
     // More writes after the GC, then a crash.
     for (int i = 200; i < 230; ++i) {
       const std::string key = "url:" + std::to_string(i);

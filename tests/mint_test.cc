@@ -104,7 +104,7 @@ TEST_F(MintTest, GetReturnsFastestReplica) {
   EXPECT_EQ(got->value, value);
   EXPECT_EQ(got->served_by, fastest);
   EXPECT_DOUBLE_EQ(got->latency_micros,
-                   device_micros[fastest] + SmallCluster().read_rtt_micros);
+                   device_micros[fastest] + kReadRttMicros);
 }
 
 // A read the only replica answers correctly must come back, however slow

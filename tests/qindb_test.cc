@@ -280,9 +280,9 @@ TEST_F(QinDbTest, GcDeferredWhileReadsInFlight) {
   EXPECT_GT(db->gc_stats().segments_reclaimed, 0u);
 }
 
-// LiveEntryCount and HasEntry serve live engines (the heartbeat, node
-// repair), so they must pin the index they read: a GC rebuild frees the
-// old index as soon as no reader holds it.
+// LiveEntryCount serves live engines (the heartbeat), so it must pin the
+// index it reads: a GC rebuild frees the old index as soon as no reader
+// holds it.
 TEST_F(QinDbTest, InspectionSurvivesConcurrentIndexRebuilds) {
   QinDbOptions options;
   options.num_shards = 1;
@@ -294,11 +294,9 @@ TEST_F(QinDbTest, InspectionSurvivesConcurrentIndexRebuilds) {
   std::atomic<bool> stop{false};
   std::atomic<uint64_t> inspections{0};
   std::thread reader([&] {
-    uint64_t i = 0;
     do {
-      // The answers race the writer; only the index walks matter here.
+      // The answer races the writer; only the index walk matters here.
       db->LiveEntryCount();
-      db->HasEntry("k" + std::to_string(i++ % 5000), 1);
       inspections.fetch_add(1, std::memory_order_relaxed);
     } while (!stop.load(std::memory_order_acquire));
   });
@@ -427,7 +425,7 @@ TEST_F(QinDbTest, CheckpointSpeedsUpRecoveryAndPreservesState) {
 
     // Wipe the checkpoint and compare recovery I/O: the full scan must read
     // much more.
-    ASSERT_TRUE(env_->DeleteFile("checkpoint.dat").ok());
+    ASSERT_TRUE(env_->DeleteFile("s00_checkpoint.dat").ok());
     const uint64_t before_full = env_->stats().host_pages_read;
     auto db2 = OpenDb(options);
     const uint64_t full_scan_reads =
@@ -447,13 +445,13 @@ TEST_F(QinDbTest, GcInvalidatesCheckpoint) {
         db->Put("k" + std::to_string(i), 1, std::string(2000, 'v')).ok());
   }
   ASSERT_TRUE(db->Checkpoint().ok());
-  EXPECT_TRUE(env_->FileExists("checkpoint.dat"));
+  EXPECT_TRUE(env_->FileExists("s00_checkpoint.dat"));
   for (int i = 0; i < 60; ++i) {
     ASSERT_TRUE(db->Del("k" + std::to_string(i), 1).ok());
   }
   ASSERT_TRUE(db->ForceGc().ok());
   // Relocations made the checkpoint stale; it must be gone.
-  EXPECT_FALSE(env_->FileExists("checkpoint.dat"));
+  EXPECT_FALSE(env_->FileExists("s00_checkpoint.dat"));
 }
 
 // ---------------------------------------------------------------------------

@@ -618,22 +618,6 @@ TEST_F(ServerSmokeTest, IdleConnectionsAreClosed) {
   EXPECT_GE(server_->counters().connections_idle_closed.load(), 1u);
 }
 
-TEST_F(ServerSmokeTest, PerConnectionThrottlingStillServes) {
-  StartCluster();
-  KvServerOptions options;
-  options.conn_bytes_per_sec = 64 * 1024;
-  options.conn_burst_bytes = 4 * 1024;
-  StartServer(options);
-  rpc::RpcClient client = MakeClient();
-  for (int i = 0; i < 5; ++i) {
-    const std::string key = "throttle:k" + std::to_string(i);
-    ASSERT_TRUE(client.Put(key, 1, std::string(512, 'p')).ok());
-    Result<std::string> got = client.Get(key, 1);
-    ASSERT_TRUE(got.ok());
-    EXPECT_EQ(got->size(), 512u);
-  }
-}
-
 TEST_F(ServerSmokeTest, GracefulDrainLosesNoAcknowledgedWrite) {
   StartCluster();
   StartServer();

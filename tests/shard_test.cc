@@ -13,6 +13,8 @@
 #include <thread>
 #include <vector>
 
+#include "common/coding.h"
+#include "common/crc32c.h"
 #include "common/random.h"
 #include "common/sim_clock.h"
 #include "qindb/qindb.h"
@@ -117,52 +119,41 @@ TEST_F(ShardTest, MismatchedShardCountFailsReopenWithClearError) {
   ASSERT_TRUE(QinDb::Open(env_.get(), exact).ok());
 }
 
-TEST_F(ShardTest, MismatchedHashSeedFailsReopen) {
+TEST_F(ShardTest, ManifestWithAnotherHashSeedFailsReopen) {
   QinDbOptions options;
   options.num_shards = 2;
   { OpenDb(options); }
 
-  QinDbOptions wrong;
-  wrong.shard_hash_seed = 0xdeadbeef;
-  wrong.aof.segment_bytes = 128 << 10;
-  auto reopened = QinDb::Open(env_.get(), wrong);
+  // Rewrite the manifest with another routing seed and a valid checksum, as
+  // an engine built with a different seed would have written it: the
+  // layout checks pass, and only the seed check can refuse it.
+  constexpr char kManifest[] = "shard_manifest.dat";
+  Result<uint64_t> size = env_->GetFileSize(kManifest);
+  ASSERT_TRUE(size.ok());
+  std::string blob;
+  {
+    auto file = env_->NewRandomAccessFile(kManifest);
+    ASSERT_TRUE(file.ok());
+    ASSERT_TRUE((*file)->Read(0, *size, &blob).ok());
+  }
+  ASSERT_EQ(blob.size(), 28u);  // magic, version, count, seed, crc.
+  EncodeFixed64(&blob[16], DecodeFixed64(blob.data() + 16) ^ 0xdeadbeef);
+  EncodeFixed32(&blob[24], crc32c::Mask(crc32c::Value(blob.data(), 24)));
+  ASSERT_TRUE(env_->DeleteFile(kManifest).ok());
+  {
+    auto file = env_->NewWritableFile(kManifest);
+    ASSERT_TRUE(file.ok());
+    ASSERT_TRUE((*file)->Append(blob).ok());
+    ASSERT_TRUE((*file)->Sync().ok());
+    ASSERT_TRUE((*file)->Close().ok());
+  }
+
+  QinDbOptions reopen;
+  reopen.aof.segment_bytes = 128 << 10;
+  auto reopened = QinDb::Open(env_.get(), reopen);
   ASSERT_FALSE(reopened.ok());
   EXPECT_TRUE(reopened.status().IsInvalidArgument());
   EXPECT_NE(reopened.status().ToString().find("seed"), std::string::npos);
-}
-
-TEST_F(ShardTest, LegacyUnshardedFilesAdoptSingleShardLayout) {
-  // An env written by the pre-sharding engine: unprefixed files, no
-  // manifest. Simulate by opening at num_shards=1 and deleting the
-  // manifest the open wrote.
-  QinDbOptions one;
-  one.num_shards = 1;
-  {
-    auto db = OpenDb(one);
-    ASSERT_TRUE(db->Put("legacy", 1, "value").ok());
-    ASSERT_TRUE(db->Checkpoint().ok());
-  }
-  ASSERT_TRUE(env_->FileExists("aof_00000000.dat"));
-  ASSERT_TRUE(env_->DeleteFile("shard_manifest.dat").ok());
-
-  // A sharded open must refuse rather than strand the legacy files.
-  QinDbOptions four;
-  four.num_shards = 4;
-  four.aof.segment_bytes = 128 << 10;
-  auto sharded = QinDb::Open(env_.get(), four);
-  ASSERT_FALSE(sharded.ok());
-  EXPECT_TRUE(sharded.status().IsInvalidArgument());
-
-  // The default open adopts the data as one shard, even on a many-core
-  // machine where num_shards=0 would otherwise resolve wider.
-  QinDbOptions adopt;
-  adopt.aof.segment_bytes = 128 << 10;
-  auto db = QinDb::Open(env_.get(), adopt);
-  ASSERT_TRUE(db.ok()) << db.status().ToString();
-  EXPECT_EQ((*db)->num_shards(), 1u);
-  Result<std::string> value = (*db)->Get("legacy", 1);
-  ASSERT_TRUE(value.ok());
-  EXPECT_EQ(*value, "value");
 }
 
 TEST_F(ShardTest, ShardsOwnPrefixedDisjointFiles) {
@@ -399,14 +390,16 @@ TEST_F(ShardTest, ShardsRecoverIndependentlyAcrossReopen) {
   EXPECT_GE(db->LiveEntryCount(), 200u);
 }
 
-TEST_F(ShardTest, SingleShardKeepsLegacyFileNames) {
+TEST_F(ShardTest, SingleShardUsesPrefixedFileNames) {
   QinDbOptions options;
   options.num_shards = 1;
   auto db = OpenDb(options);
   ASSERT_TRUE(db->Put("k", 1, "v").ok());
   ASSERT_TRUE(db->Checkpoint().ok());
-  EXPECT_TRUE(env_->FileExists("aof_00000000.dat"));
-  EXPECT_TRUE(env_->FileExists("checkpoint.dat"));
+  EXPECT_TRUE(env_->FileExists("s00_aof_00000000.dat"));
+  EXPECT_TRUE(env_->FileExists("s00_checkpoint.dat"));
+  EXPECT_FALSE(env_->FileExists("aof_00000000.dat"));
+  EXPECT_FALSE(env_->FileExists("checkpoint.dat"));
   EXPECT_TRUE(env_->FileExists("shard_manifest.dat"));
   EXPECT_EQ(db->ShardOf("anything"), 0u);
 }

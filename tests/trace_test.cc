@@ -186,7 +186,8 @@ TEST(ScrubTest, ScrubFindsInjectedCorruption) {
     ASSERT_TRUE(db->Put("k" + std::to_string(i), 1, rnd.NextString(2000)).ok());
   }
   ASSERT_TRUE(db->aof().SealActive().ok());
-  ASSERT_TRUE(env->CorruptFileByteForTesting("aof_00000000.dat", 3000).ok());
+  ASSERT_TRUE(
+      env->CorruptFileByteForTesting("s00_aof_00000000.dat", 3000).ok());
   Result<qindb::QinDb::ScrubReport> report = db->Scrub();
   ASSERT_TRUE(report.ok());
   EXPECT_FALSE(report->clean());

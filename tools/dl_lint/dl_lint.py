@@ -10,6 +10,7 @@ Machine-checks the conventions that generic tooling cannot see:
     decode-bounds           wire-decoded integers are bounds-checked
                             before they size anything (src/rpc/)
     failpoint-registry-sync code failpoints == docs/fault_injection.md
+    option-setter           every Options field is set outside its module
 
 Usage:
     tools/dl_lint/dl_lint.py [-p BUILD_DIR] [--root DIR]
@@ -36,6 +37,7 @@ from lintlib import (  # noqa: E402
     check_guarded_by,
     check_lock_rank_sync,
     check_must_use_status,
+    check_option_setter,
 )
 
 CHECKS = {
@@ -44,6 +46,7 @@ CHECKS = {
     check_guarded_by.NAME: check_guarded_by,
     check_decode_bounds.NAME: check_decode_bounds,
     check_failpoint_sync.NAME: check_failpoint_sync,
+    check_option_setter.NAME: check_option_setter,
 }
 
 

@@ -15,7 +15,7 @@ import pathlib
 import re
 import shlex
 
-_SOURCE_SUFFIXES = (".h", ".cc")
+_SOURCE_SUFFIXES = (".h", ".cc", ".cpp")
 
 
 def strip_comments_and_strings(text: str, keep_strings: bool = False) -> str:
@@ -41,6 +41,10 @@ def strip_comments_and_strings(text: str, keep_strings: bool = False) -> str:
                 if out[k] != "\n":
                     out[k] = " "
             i = j + 2
+        elif c == "'" and i > 0 and re.match(r"[0-9a-fA-F]'[0-9a-fA-F]",
+                                              text[i - 1:i + 2]) \
+                and text[i - 2:i] != "u8":
+            i += 1  # A digit separator (60'000), not a char literal.
         elif c in "\"'":
             quote = c
             j = i + 1
@@ -109,7 +113,8 @@ class Project:
         self._files.pop(path.resolve(), None)
 
     def files_under(self, *subdirs: str):
-        """All .h/.cc files under the named root-relative subdirs, sorted."""
+        """All .h/.cc/.cpp files under the named root-relative subdirs,
+        sorted."""
         out = []
         for sub in subdirs:
             base = self.root / sub

@@ -124,6 +124,14 @@ def test_failpoint_sync():
         must_not_flag=['"site_a" is not documented'])
 
 
+def test_option_setter():
+    check_fixture(
+        "option_setter", "option-setter", [],
+        must_flag=[("widget.h:10", "WidgetOptions::spare_knob is assigned "
+                                   "by no file outside")],
+        must_not_flag=["::host", "::size", "::depth"])
+
+
 def test_clean_tree(build_dir, no_compile):
     args = ["--root", str(REPO)]
     if build_dir:
@@ -148,6 +156,7 @@ def main():
     test_guarded_by()
     test_decode_bounds()
     test_failpoint_sync()
+    test_option_setter()
     test_clean_tree(args.build_dir, args.no_compile)
 
     if _failures:
