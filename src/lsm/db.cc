@@ -18,8 +18,7 @@ LsmDb::LsmDb(ssd::SsdEnv* env, const LsmOptions& options)
     : env_(env),
       options_(options),
       block_cache_(std::make_unique<BlockCache>(options.block_cache_bytes)),
-      table_cache_(
-          std::make_unique<TableCache>(env, options, block_cache_.get())),
+      table_cache_(std::make_unique<TableCache>(env, block_cache_.get())),
       versions_(std::make_unique<VersionSet>(env, options)),
       mem_(std::make_unique<LsmMemTable>()) {}
 

@@ -130,17 +130,15 @@ Status TableBuilder::Finish() {
 // TableReader
 // ---------------------------------------------------------------------------
 
-TableReader::TableReader(const LsmOptions& options,
-                         std::unique_ptr<ssd::RandomAccessFile> file,
+TableReader::TableReader(std::unique_ptr<ssd::RandomAccessFile> file,
                          uint64_t file_number, BlockCache* block_cache)
-    : options_(options),
-      file_(std::move(file)),
+    : file_(std::move(file)),
       file_number_(file_number),
       block_cache_(block_cache) {}
 
 Result<std::unique_ptr<TableReader>> TableReader::Open(
-    const LsmOptions& options, std::unique_ptr<ssd::RandomAccessFile> file,
-    uint64_t file_size, uint64_t file_number, BlockCache* block_cache) {
+    std::unique_ptr<ssd::RandomAccessFile> file, uint64_t file_size,
+    uint64_t file_number, BlockCache* block_cache) {
   if (file_size < kFooterSize) {
     return Status::Corruption("table too small for footer");
   }
@@ -158,7 +156,7 @@ Result<std::unique_ptr<TableReader>> TableReader::Open(
   }
 
   std::unique_ptr<TableReader> reader(
-      new TableReader(options, std::move(file), file_number, block_cache));
+      new TableReader(std::move(file), file_number, block_cache));
   s = reader->ReadRawBlock(filter_handle, &reader->filter_);
   if (!s.ok()) return s;
   std::string index_contents;

@@ -71,8 +71,8 @@ using BlockCache = LruCache<Block>;
 class TableReader {
  public:
   static Result<std::unique_ptr<TableReader>> Open(
-      const LsmOptions& options, std::unique_ptr<ssd::RandomAccessFile> file,
-      uint64_t file_size, uint64_t file_number, BlockCache* block_cache);
+      std::unique_ptr<ssd::RandomAccessFile> file, uint64_t file_size,
+      uint64_t file_number, BlockCache* block_cache);
 
   /// Point lookup for the internal-key probe. Outcomes:
   ///   *found=false                      — user key not in this table;
@@ -90,15 +90,13 @@ class TableReader {
  private:
   class TwoLevelIterator;
 
-  TableReader(const LsmOptions& options,
-              std::unique_ptr<ssd::RandomAccessFile> file,
+  TableReader(std::unique_ptr<ssd::RandomAccessFile> file,
               uint64_t file_number, BlockCache* block_cache);
 
   /// Loads (through the cache) the data block for `handle`.
   Result<std::shared_ptr<Block>> ReadDataBlock(const BlockHandle& handle);
   Status ReadRawBlock(const BlockHandle& handle, std::string* contents) const;
 
-  LsmOptions options_;
   std::unique_ptr<ssd::RandomAccessFile> file_;
   uint64_t file_number_;
   BlockCache* block_cache_;

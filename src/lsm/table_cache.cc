@@ -11,10 +11,8 @@ constexpr uint64_t kTableCacheEntries = 256;
 
 }  // namespace
 
-TableCache::TableCache(ssd::SsdEnv* env, const LsmOptions& options,
-                       BlockCache* block_cache)
+TableCache::TableCache(ssd::SsdEnv* env, BlockCache* block_cache)
     : env_(env),
-      options_(options),
       block_cache_(block_cache),
       cache_(kTableCacheEntries) {}
 
@@ -35,7 +33,7 @@ Result<std::shared_ptr<TableReader>> TableCache::GetTable(
       env_->NewRandomAccessFile(key);
   if (!file.ok()) return file.status();
   Result<std::unique_ptr<TableReader>> reader = TableReader::Open(
-      options_, std::move(file).value(), file_size, file_number, block_cache_);
+      std::move(file).value(), file_size, file_number, block_cache_);
   if (!reader.ok()) return reader.status();
   std::shared_ptr<TableReader> shared = std::move(reader).value();
   cache_.Insert(key, shared, 1);

@@ -7,7 +7,6 @@
 
 #include "common/result.h"
 #include "lsm/cache.h"
-#include "lsm/options.h"
 #include "lsm/sstable.h"
 #include "ssd/env.h"
 
@@ -19,8 +18,7 @@ namespace directload::lsm {
 /// Figure 8 measures ("LevelDB has to open multiple files").
 class TableCache {
  public:
-  TableCache(ssd::SsdEnv* env, const LsmOptions& options,
-             BlockCache* block_cache);
+  TableCache(ssd::SsdEnv* env, BlockCache* block_cache);
 
   Result<std::shared_ptr<TableReader>> GetTable(uint64_t file_number,
                                                 uint64_t file_size);
@@ -31,7 +29,6 @@ class TableCache {
 
  private:
   ssd::SsdEnv* env_;
-  LsmOptions options_;
   BlockCache* block_cache_;
   LruCache<TableReader> cache_;
 };

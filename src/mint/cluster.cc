@@ -115,53 +115,22 @@ std::vector<int> MintCluster::ReplicasOfLocked(const Slice& key) const {
 
 Status MintCluster::Put(const Slice& key, uint64_t version, const Slice& value,
                         bool dedup) {
-  ReaderLock cluster_guard(&cluster_mu_);
-  Status first_error;
-  int applied = 0;
-  for (int id : ReplicasOfLocked(key)) {
-    StorageNode* node = nodes_[id].get();
-    ReaderLock guard(node->lifecycle_mu());
-    if (!node->up()) continue;  // Will be healed by recovery + re-replication.
-    Status s = node->db()->Put(key, version, value, dedup);
-    if (!s.ok() && first_error.ok()) first_error = s;
-    if (s.ok()) ++applied;
-  }
-  if (applied == 0) {
-    if (!first_error.ok()) return first_error;
-    return Status::Unavailable("group " + std::to_string(GroupOfLocked(key)) +
-                               " has no live replica for the key");
-  }
-  return Status::OK();
+  std::vector<rpc::BatchOp> ops(1);
+  ops[0].dedup = dedup;
+  ops[0].version = version;
+  ops[0].key = key.ToString();
+  ops[0].value = value.ToString();
+  std::vector<Status> statuses;
+  return WriteMany(ops, &statuses);
 }
 
 Status MintCluster::Del(const Slice& key, uint64_t version) {
-  ReaderLock cluster_guard(&cluster_mu_);
-  const int group = GroupOfLocked(key);
-  bool any = false;
-  bool any_live = false;
-  Status first_error;
-  for (int id : GroupNodesLocked(group)) {
-    StorageNode* node = nodes_[id].get();
-    ReaderLock guard(node->lifecycle_mu());
-    if (!node->up()) continue;
-    any_live = true;
-    Status s = node->db()->Del(key, version);
-    if (s.ok()) {
-      any = true;
-    } else if (!s.IsNotFound() && first_error.ok()) {
-      first_error = s;  // A replica refused the delete (e.g. degraded).
-    }
-  }
-  if (any) return Status::OK();
-  if (!any_live) {
-    // Distinguish "the pair is gone" from "nobody could answer": a caller
-    // that treats NotFound as success must not do so while the whole group
-    // is down.
-    return Status::Unavailable("group " + std::to_string(group) +
-                               " is entirely down; delete not applied");
-  }
-  if (!first_error.ok()) return first_error;
-  return Status::NotFound("no replica held the pair");
+  std::vector<rpc::BatchOp> ops(1);
+  ops[0].is_del = true;
+  ops[0].version = version;
+  ops[0].key = key.ToString();
+  std::vector<Status> statuses;
+  return WriteMany(ops, &statuses);
 }
 
 Status MintCluster::WriteMany(const std::vector<rpc::BatchOp>& ops,
@@ -171,8 +140,7 @@ Status MintCluster::WriteMany(const std::vector<rpc::BatchOp>& ops,
   if (ops.empty()) return Status::OK();
 
   // Bucket ops by target node, preserving op order inside each bucket.
-  // Puts go to the key's rendezvous replicas, Dels to the whole group
-  // (matching Put/Del above).
+  // Puts go to the key's rendezvous replicas, Dels to the whole group.
   struct NodePlan {
     qindb::WriteBatch batch;
     std::vector<size_t> op_index;  // Batch position -> ops index.
@@ -224,7 +192,10 @@ Status MintCluster::WriteMany(const std::vector<rpc::BatchOp>& ops,
     }
   }
 
-  // Per-op aggregation, mirroring Put/Del exactly.
+  // Per-op aggregation. An op any live replica applied succeeds. A Del
+  // distinguishes "the pair is gone" (NotFound) from "nobody could answer"
+  // (Unavailable): a caller that treats NotFound as success must not do so
+  // while the whole group is down.
   for (size_t i = 0; i < ops.size(); ++i) {
     const Agg& a = agg[i];
     if (a.applied > 0) continue;

@@ -113,6 +113,7 @@ class MintCluster {
   /// Replica node ids (within the key's group) for new writes.
   std::vector<int> ReplicasOf(const Slice& key) const;
 
+  /// One-op WriteMany calls.
   Status Put(const Slice& key, uint64_t version, const Slice& value,
              bool dedup = false);
   Status Del(const Slice& key, uint64_t version);
@@ -120,9 +121,11 @@ class MintCluster {
   /// Executes `ops` in order with one engine Write per involved node: ops
   /// are bucketed by replica target into per-node qindb::WriteBatch objects
   /// and each node commits its share in a single group-commit pass (one AOF
-  /// append per node instead of one per op). `statuses` receives one status
-  /// per op with the same replica-aggregation semantics as Put/Del — ops to
-  /// the same key always target the same node set, so per-key ordering is
+  /// append per node instead of one per op). Puts go to the key's replicas,
+  /// Dels to its whole group. `statuses` receives one status per op: OK if
+  /// any live target applied it; otherwise the first refusal, NotFound for a
+  /// Del no replica held, or Unavailable when no target was live. Ops to the
+  /// same key always target the same node set, so per-key ordering is
   /// preserved. Returns the first non-OK per-op status.
   Status WriteMany(const std::vector<rpc::BatchOp>& ops,
                    std::vector<Status>* statuses);

@@ -67,10 +67,12 @@ enum class InterfaceMode {
 
 std::string_view InterfaceModeName(InterfaceMode mode);
 
-/// A flat-namespace filesystem over a simulated SSD. Thread-safe: each
-/// implementation serializes env and file operations on one plain mutex of
-/// rank LockRank::kSsdEnv (internal composition — rename→delete, close→sync,
-/// file→allocator — goes through *Locked methods rather than re-acquiring),
+/// A flat-namespace filesystem over a simulated SSD. One implementation
+/// serves both interface modes, which differ only in where a file's pages go.
+/// Thread-safe: an env serializes env and file operations on one plain mutex
+/// of rank LockRank::kSsdEnv (internal composition — rename→delete,
+/// close→tail write, file→allocator — goes through *Locked methods rather
+/// than re-acquiring),
 /// matching a real device's single command queue. Timing stays simulated,
 /// but callers (engine writer/reader threads, replica read threads) are real
 /// threads.

@@ -383,6 +383,7 @@ TEST(FailPointConcurrency, ArmDisarmRacesEvaluationsSafely) {
   FailPoint point("test_concurrent");
   std::atomic<bool> stop{false};
   std::atomic<uint64_t> observed_failures{0};
+  std::atomic<uint64_t> evaluations{0};
 
   std::vector<std::thread> evaluators;
   for (int t = 0; t < 4; ++t) {
@@ -395,17 +396,35 @@ TEST(FailPointConcurrency, ArmDisarmRacesEvaluationsSafely) {
         uint64_t io_bytes = payload.size();
         DL_DISCARD_STATUS("hammering the trigger from many threads",
                           point.MaybeFailIo(&payload, &io_bytes));
+        evaluations.fetch_add(1, std::memory_order_relaxed);
       }
     });
   }
 
+  // Each armed window stays open until the evaluators have finished
+  // kEvaluationsPerWindow rounds that began inside it (an evaluation already
+  // in flight at Activate may count; one per evaluator is added for those).
+  // The wait is bounded: a stuck evaluator fails the test instead of
+  // hanging it.
+  constexpr uint64_t kEvaluationsPerWindow = 8;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  bool stalled = false;
   std::thread toggler([&] {
     Spec on;
     ASSERT_TRUE(ParseSpec("50%return(io)", &on).ok());
     on.seed = 99;
-    for (int i = 0; i < 200; ++i) {
+    for (int i = 0; i < 200 && !stalled; ++i) {
       point.Activate(on);
-      std::this_thread::yield();
+      const uint64_t target = evaluations.load() + kEvaluationsPerWindow +
+                              evaluators.size();
+      while (evaluations.load() < target) {
+        if (std::chrono::steady_clock::now() > deadline) {
+          stalled = true;
+          break;
+        }
+        std::this_thread::yield();
+      }
       point.Deactivate();
     }
   });
@@ -414,8 +433,9 @@ TEST(FailPointConcurrency, ArmDisarmRacesEvaluationsSafely) {
   stop.store(true);
   for (std::thread& t : evaluators) t.join();
 
-  // No crash, no TSan report; and the toggling windows were wide enough for
-  // at least one injected failure to land.
+  EXPECT_FALSE(stalled) << "evaluators stopped making progress";
+  // No crash, no TSan report; and the armed windows were wide enough for
+  // injected failures to land.
   EXPECT_GT(observed_failures.load(), 0u);
 }
 

@@ -283,7 +283,7 @@ TEST_F(SstableTest, BuildLookupIterate) {
   BlockCache cache(1 << 20);
   auto file = env_->NewRandomAccessFile("t.sst");
   ASSERT_TRUE(file.ok());
-  auto table = TableReader::Open(options, std::move(file).value(),
+  auto table = TableReader::Open(std::move(file).value(),
                                  *env_->GetFileSize("t.sst"), 1, &cache);
   ASSERT_TRUE(table.ok()) << table.status().ToString();
 
@@ -340,7 +340,7 @@ TEST_F(SstableTest, IteratorSeekLandsOnLowerBound) {
   BlockCache cache(1 << 20);
   auto file = env_->NewRandomAccessFile("t.sst");
   ASSERT_TRUE(file.ok());
-  auto table = TableReader::Open(options, std::move(file).value(),
+  auto table = TableReader::Open(std::move(file).value(),
                                  *env_->GetFileSize("t.sst"), 1, &cache);
   ASSERT_TRUE(table.ok());
   auto it = (*table)->NewIterator();

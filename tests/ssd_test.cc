@@ -3,6 +3,7 @@
 #include <memory>
 #include <string>
 
+#include "common/failpoint.h"
 #include "common/random.h"
 #include "common/sim_clock.h"
 #include "ssd/device.h"
@@ -372,6 +373,110 @@ TEST_P(EnvTest, FillToCapacityReportsNoSpace) {
   }
   EXPECT_TRUE(s.IsNoSpace()) << s.ToString();
   EXPECT_GT(written, env_->CapacityBytes() / 2);
+}
+
+// Pins, step by step, what each interface persists and what it costs the
+// device. With 4 KB pages and 8-page (32 KB) blocks: the FTL programs a
+// synced partial page and later completes it in place, while a native file
+// keeps its partial tail in memory until Close pads it onto a fresh page.
+TEST_P(EnvTest, PersistenceAndDeviceCostPerStep) {
+  const bool ftl = GetParam() == InterfaceMode::kPageMappedFtl;
+  Random rnd(7);
+  const std::string content = rnd.NextString(41000);
+  auto file = env_->NewWritableFile("f");
+  ASSERT_TRUE(file.ok());
+
+  // A partial page, then Sync: only the FTL writes it out.
+  ASSERT_TRUE((*file)->Append(Slice(content.data(), 1000)).ok());
+  EXPECT_EQ((*file)->PersistedSize(), 0u);
+  ASSERT_TRUE((*file)->Sync().ok());
+  EXPECT_EQ((*file)->PersistedSize(), ftl ? 1000u : 0u);
+
+  // Across page 0's end and block 0's end (byte 32768): ten full pages.
+  ASSERT_TRUE((*file)->Append(Slice(content.data() + 1000, 40000)).ok());
+  EXPECT_EQ((*file)->PersistedSize(), 40960u);
+  ASSERT_TRUE((*file)->Sync().ok());
+  EXPECT_EQ((*file)->PersistedSize(), ftl ? 41000u : 40960u);
+
+  ASSERT_TRUE((*file)->Close().ok());
+  EXPECT_EQ((*file)->PersistedSize(), 41000u);
+  EXPECT_EQ((*file)->Size(), 41000u);
+  // Footprint: 11 logical pages, or 2 whole erase blocks.
+  EXPECT_EQ(env_->TotalFileBytes(), ftl ? 11u * 4096 : 2u * 8 * 4096);
+
+  auto reader = env_->NewRandomAccessFile("f");
+  ASSERT_TRUE(reader.ok());
+  std::string out;
+  ASSERT_TRUE((*reader)->Read(4000, 33000, &out).ok());
+  EXPECT_EQ(out, content.substr(4000, 33000));
+  ASSERT_TRUE(env_->DeleteFile("f").ok());
+  EXPECT_EQ(env_->TotalFileBytes(), 0u);
+
+  const SsdStats& stats = env_->stats();
+  // FTL: partial page 0, page 0 completed in place plus pages 1-9, partial
+  // page 10. Native: pages 0-9, then page 10 padded at Close.
+  EXPECT_EQ(stats.host_pages_written, ftl ? 12u : 11u);
+  EXPECT_EQ(stats.host_pages_read, 10u);  // Pages 0-9 cover [4000, 37000).
+  EXPECT_EQ(stats.gc_pages_migrated, 0u);
+  // The FTL only trims; native deletion erases both owned blocks.
+  EXPECT_EQ(stats.blocks_erased, ftl ? 0u : 2u);
+  EXPECT_EQ(clock_.NowMicros(), ftl ? 12u * 200 + 10 * 80
+                                    : 11u * 200 + 10 * 80 + 2 * 2000);
+}
+
+TEST_P(EnvTest, TornAppendKeepsPrefixAndFails) {
+  if (!failpoint::kCompiledIn) {
+    GTEST_SKIP() << "failpoint sites not compiled in (DIRECTLOAD_FAILPOINTS)";
+  }
+  Random rnd(8);
+  const std::string content = rnd.NextString(6000);
+  auto file = env_->NewWritableFile("f");
+  ASSERT_TRUE(file.ok());
+  ASSERT_TRUE((*file)->Append(Slice(content.data(), 1000)).ok());
+  failpoint::Registry& reg = failpoint::Registry::Instance();
+  ASSERT_TRUE(reg.Activate("ssd_file_append", "1*short(100)").ok());
+  // The torn append lands its first 100 bytes and reports the failure.
+  EXPECT_TRUE((*file)->Append(Slice(content.data() + 1000, 5000)).IsIOError());
+  reg.DeactivateAll();
+  EXPECT_EQ((*file)->Size(), 1100u);
+  EXPECT_EQ(env_->host_bytes_appended(), 1100u);
+  ASSERT_TRUE((*file)->Close().ok());
+
+  auto reader = env_->NewRandomAccessFile("f");
+  ASSERT_TRUE(reader.ok());
+  std::string out;
+  ASSERT_TRUE((*reader)->Read(0, content.size(), &out).ok());
+  EXPECT_EQ(out, content.substr(0, 1100));
+}
+
+TEST_P(EnvTest, ReadCorruptFlipsOneBitOfOneRead) {
+  if (!failpoint::kCompiledIn) {
+    GTEST_SKIP() << "failpoint sites not compiled in (DIRECTLOAD_FAILPOINTS)";
+  }
+  Random rnd(9);
+  const std::string content = rnd.NextString(10000);
+  auto file = env_->NewWritableFile("f");
+  ASSERT_TRUE(file.ok());
+  ASSERT_TRUE((*file)->Append(content).ok());
+  ASSERT_TRUE((*file)->Close().ok());
+  auto reader = env_->NewRandomAccessFile("f");
+  ASSERT_TRUE(reader.ok());
+
+  failpoint::Registry& reg = failpoint::Registry::Instance();
+  ASSERT_TRUE(reg.Activate("ssd_file_read_corrupt", "1*corrupt").ok());
+  std::string out;
+  ASSERT_TRUE((*reader)->Read(0, content.size(), &out).ok());
+  reg.DeactivateAll();
+  ASSERT_EQ(out.size(), content.size());
+  int flipped_bits = 0;
+  for (size_t i = 0; i < out.size(); ++i) {
+    flipped_bits += __builtin_popcount(
+        static_cast<unsigned char>(out[i] ^ content[i]));
+  }
+  EXPECT_EQ(flipped_bits, 1);
+  // The damage was in flight: the media still holds the written bytes.
+  ASSERT_TRUE((*reader)->Read(0, content.size(), &out).ok());
+  EXPECT_EQ(out, content);
 }
 
 TEST_P(EnvTest, SimulatedCrashDropsWriterOwnership) {
