@@ -9,11 +9,13 @@
 #include <cstring>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "bench/common/engine_adapter.h"
 #include "bench/common/report.h"
+#include "bifrost/dedup.h"
 #include "common/crc32c.h"
 #include "common/hash.h"
 #include "common/logging.h"
@@ -451,7 +453,7 @@ void BM_Crc32c(benchmark::State& state) {
 }
 BENCHMARK(BM_Crc32c)->Arg(64)->Arg(4096)->Arg(65536);
 
-void BM_Hash64Signature(benchmark::State& state) {
+void BM_ValueSignature(benchmark::State& state) {
   Random rnd(7);
   const std::string data = rnd.NextString(state.range(0));
   for (auto _ : state) {
@@ -460,7 +462,43 @@ void BM_Hash64Signature(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
                           state.range(0));
 }
-BENCHMARK(BM_Hash64Signature)->Arg(64)->Arg(20480);
+BENCHMARK(BM_ValueSignature)->Arg(64)->Arg(20480);
+
+// Bifrost's dedup pass over 100k pairs of 400 B values. Arg 0: a first
+// version, every pair new to a fresh deduplicator. Arg 1: the steady state,
+// alternating two versions that differ in every third value.
+void BM_DedupProcess(benchmark::State& state) {
+  constexpr size_t kPairs = 100'000;
+  constexpr size_t kValueBytes = 400;
+  Random rnd(8);
+  webindex::IndexDataset versions[2];
+  for (size_t i = 0; i < kPairs; ++i) {
+    char key[32];
+    std::snprintf(key, sizeof(key), "url:%016zu", i);
+    webindex::KvPair pair{key, rnd.NextString(kValueBytes)};
+    versions[1].pairs.push_back(pair);
+    if (i % 3 == 0) pair.value[0] ^= 1;
+    versions[0].pairs.push_back(std::move(pair));
+  }
+  const bool steady = state.range(0) != 0;
+  bifrost::Deduplicator primed;
+  if (steady) primed.Process(versions[1], nullptr);
+  size_t next = 0;
+  for (auto _ : state) {
+    std::optional<bifrost::Deduplicator> fresh;
+    bifrost::Deduplicator* dedup = steady ? &primed : &fresh.emplace();
+    std::vector<bifrost::ShippedPair> out =
+        dedup->Process(versions[next], nullptr);
+    benchmark::DoNotOptimize(out.data());
+    state.PauseTiming();
+    out = {};
+    fresh.reset();
+    if (steady) next ^= 1;
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * kPairs));
+}
+BENCHMARK(BM_DedupProcess)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 void BM_BloomMayMatch(benchmark::State& state) {
   lsm::BloomFilterBuilder builder(10);

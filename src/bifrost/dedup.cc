@@ -8,29 +8,30 @@ std::vector<ShippedPair> Deduplicator::Process(
     const webindex::IndexDataset& dataset, DedupStats* stats) {
   std::vector<ShippedPair> out;
   out.reserve(dataset.pairs.size());
+  if (enabled_) signatures_.reserve(dataset.pairs.size());
+  DedupStats local;
   for (const webindex::KvPair& kv : dataset.pairs) {
-    const uint64_t signature = ValueSignature(kv.value);
-    ShippedPair shipped;
+    ShippedPair& shipped = out.emplace_back();
     shipped.key = kv.key;
     if (enabled_) {
-      auto it = signatures_.find(kv.key);
-      if (it != signatures_.end() && it->second == signature) {
+      // One probe: insert the signature, or compare and update in place.
+      const uint64_t signature = ValueSignature(kv.value);
+      auto [it, inserted] = signatures_.try_emplace(kv.key, signature);
+      if (!inserted && it->second == signature) {
         shipped.dedup = true;  // Value field removed before delivery.
       } else {
+        it->second = signature;
         shipped.value = kv.value;
       }
-      signatures_[kv.key] = signature;
     } else {
       shipped.value = kv.value;
     }
-    if (stats != nullptr) {
-      ++stats->pairs_total;
-      stats->pairs_deduped += shipped.dedup ? 1 : 0;
-      stats->bytes_total += kv.key.size() + kv.value.size();
-      stats->bytes_shipped += shipped.key.size() + shipped.value.size();
-    }
-    out.push_back(std::move(shipped));
+    local.pairs_deduped += shipped.dedup ? 1 : 0;
+    local.bytes_total += kv.key.size() + kv.value.size();
+    local.bytes_shipped += shipped.key.size() + shipped.value.size();
   }
+  local.pairs_total = out.size();
+  if (stats != nullptr) stats->Merge(local);
   return out;
 }
 

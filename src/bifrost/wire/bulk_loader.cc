@@ -26,63 +26,94 @@ constexpr int kMaxResendsPerSlice = 8;
 /// missing and tries again.
 constexpr int kMaxCommitRounds = 4;
 
+/// The summary stream carries no explicit deletes.
+const std::vector<BulkDelete> kNoDeletes;
+
 }  // namespace
 
 BulkLoader::BulkLoader(rpc::RpcClient* client, BulkLoadOptions options)
     : client_(client), options_(std::move(options)) {}
 
-void BulkLoader::PackStream(uint64_t version,
-                            const std::vector<ShippedPair>& pairs,
-                            const std::vector<BulkDelete>& deletes,
-                            webindex::IndexType type) {
-  std::string payload;
-  uint32_t count = 0;
-  auto seal = [&]() {
-    if (count == 0) return;
-    SliceHeader header;
-    header.slice_id = slices_.size();
-    header.version = version;
-    header.type = type;
-    header.pair_count = count;
-    PendingSlice slice;
-    slice.type = type;
-    EncodeSlicePacket(header, payload, &slice.frame_value);
-    slices_.push_back(std::move(slice));
-    payload.clear();
-    count = 0;
+uint64_t BulkLoader::SizeStream(const Stream& stream) {
+  // Same cut as packing pairs one by one: a slice is sealed as soon as its
+  // payload reaches slice_bytes.
+  PendingSlice slice;
+  slice.type = stream.type;
+  size_t payload = 0;
+  uint64_t stream_bytes = 0;
+  auto seal = [&](size_t next) {
+    slice.frame_bytes = kSliceHeaderBytes + payload + kSliceTrailerBytes;
+    stream_bytes += slice.frame_bytes;
+    slices_.push_back(slice);
+    slice.first = next;
+    slice.pair_count = 0;
+    payload = 0;
   };
-  for (const ShippedPair& pair : pairs) {
-    AppendWirePair(&payload, pair.key, version, pair.value, pair.dedup,
-                   /*tombstone=*/false);
-    ++count;
-    ++report_.pairs_total;
-    if (payload.size() >= options_.slice_bytes) seal();
+  for (size_t i = 0; i < stream.pairs->size(); ++i) {
+    const ShippedPair& pair = (*stream.pairs)[i];
+    payload += WirePairBytes(pair.key.size(), version_, pair.value.size(),
+                             pair.dedup, /*tombstone=*/false);
+    ++slice.pair_count;
+    if (payload >= options_.slice_bytes) seal(i + 1);
   }
-  for (const BulkDelete& del : deletes) {
-    AppendWirePair(&payload, del.key, del.version, Slice(), /*dedup=*/false,
-                   /*tombstone=*/true);
-    ++count;
-    ++report_.pairs_total;
-    if (payload.size() >= options_.slice_bytes) seal();
+  for (size_t d = 0; d < stream.deletes->size(); ++d) {
+    payload += WirePairBytes((*stream.deletes)[d].key.size(),
+                             (*stream.deletes)[d].version, 0,
+                             /*dedup=*/false, /*tombstone=*/true);
+    ++slice.pair_count;
+    if (payload >= options_.slice_bytes) seal(stream.pairs->size() + d + 1);
   }
-  seal();
+  if (slice.pair_count > 0) seal(stream.size());
+  report_.pairs_total += stream.size();
+  return stream_bytes;
 }
 
-Result<uint64_t> BulkLoader::SendSlice(uint64_t version, uint64_t id) {
+void BulkLoader::EncodeSlice(uint64_t id, std::string* dst) const {
+  const PendingSlice& slice = slices_[id];
+  const Stream& stream =
+      slice.type == webindex::IndexType::kSummary ? summary_ : inverted_;
+  SliceHeader header;
+  header.slice_id = id;
+  header.version = version_;
+  header.type = slice.type;
+  header.pair_count = slice.pair_count;
+  const size_t start = dst->size();
+  dst->reserve(start + slice.frame_bytes);
+  AppendSliceHeader(header, dst);
+  const size_t end = slice.first + slice.pair_count;
+  for (size_t i = slice.first; i < end; ++i) {
+    if (i < stream.pairs->size()) {
+      const ShippedPair& pair = (*stream.pairs)[i];
+      AppendWirePair(dst, pair.key, version_, pair.value, pair.dedup,
+                     /*tombstone=*/false);
+    } else {
+      const BulkDelete& del = (*stream.deletes)[i - stream.pairs->size()];
+      AppendWirePair(dst, del.key, del.version, Slice(), /*dedup=*/false,
+                     /*tombstone=*/true);
+    }
+  }
+  AppendSliceTrailer(start, dst);
+  DL_CHECK(dst->size() - start == slice.frame_bytes);
+}
+
+Result<uint64_t> BulkLoader::SendSlice(uint64_t id) {
   PendingSlice& slice = slices_[id];
+  if (slice.frame_value.empty()) EncodeSlice(id, &slice.frame_value);
   WallRateLimiter* limiter = slice.type == webindex::IndexType::kSummary
                                  ? summary_limiter_.get()
                                  : inverted_limiter_.get();
   if (limiter != nullptr) {
-    limiter->Throttle(static_cast<double>(slice.frame_value.size()));
+    limiter->Throttle(static_cast<double>(slice.frame_bytes));
   }
   rpc::Frame frame;
   frame.op = rpc::Opcode::kBulkSlice;
   frame.request_id = client_->NextRequestId();
-  frame.version = version;
-  frame.value = slice.frame_value;
+  frame.version = version_;
+  // The frame borrows the pristine bytes for the send and hands them back.
+  frame.value.swap(slice.frame_value);
 #if DIRECTLOAD_FAILPOINTS_COMPILED
   if (fp_bulk_slice_corrupt->armed()) {
+    slice.frame_value = frame.value;  // Damage only the outgoing copy.
     DL_DISCARD_STATUS(
         "corrupt-only site; damage surfaces as the server's checksum NACK",
         fp_bulk_slice_corrupt->MaybeFailIo(&frame.value, nullptr));
@@ -91,12 +122,14 @@ Result<uint64_t> BulkLoader::SendSlice(uint64_t version, uint64_t id) {
   ++slice.sends;
   if (slice.sends > 1) ++report_.slices_resent;
   report_.bytes_shipped += frame.value.size();
-  if (Status s = client_->Send(frame); !s.ok()) return s;
+  const Status sent = client_->Send(frame);
+  if (slice.frame_value.empty()) slice.frame_value.swap(frame.value);
+  if (!sent.ok()) return sent;
   return frame.request_id;
 }
 
 Status BulkLoader::ReceiveOne(
-    uint64_t version, std::vector<std::pair<uint64_t, uint64_t>>* outstanding) {
+    std::vector<std::pair<uint64_t, uint64_t>>* outstanding) {
   Result<rpc::Frame> resp = client_->Receive();
   if (!resp.ok()) return resp.status();
   const rpc::Frame& frame = resp.value();
@@ -109,7 +142,9 @@ Status BulkLoader::ReceiveOne(
   const uint64_t id = it->second;
   outstanding->erase(it);
   if (frame.status == StatusCode::kOk) {
-    slices_[id].acked = true;
+    // Landed: drop the bytes. A commit round that still reports the slice
+    // missing re-encodes it.
+    std::string().swap(slices_[id].frame_value);
     return Status::OK();
   }
   const bool checksum_nack = frame.status == StatusCode::kCorruption;
@@ -127,7 +162,7 @@ Status BulkLoader::ReceiveOne(
     if (slices_[id].sends > kMaxResendsPerSlice) {
       return rpc::StatusFromWire(frame.status, frame.value);
     }
-    Result<uint64_t> rid = SendSlice(version, id);
+    Result<uint64_t> rid = SendSlice(id);
     if (!rid.ok()) return rid.status();
     outstanding->emplace_back(rid.value(), id);
     return Status::OK();
@@ -135,18 +170,18 @@ Status BulkLoader::ReceiveOne(
   return rpc::StatusFromWire(frame.status, frame.value);
 }
 
-Status BulkLoader::ShipAll(uint64_t version, const std::vector<uint64_t>& ids) {
+Status BulkLoader::ShipAll(const std::vector<uint64_t>& ids) {
   std::vector<std::pair<uint64_t, uint64_t>> outstanding;
   for (uint64_t id : ids) {
     while (outstanding.size() >= options_.send_window) {
-      if (Status s = ReceiveOne(version, &outstanding); !s.ok()) return s;
+      if (Status s = ReceiveOne(&outstanding); !s.ok()) return s;
     }
-    Result<uint64_t> rid = SendSlice(version, id);
+    Result<uint64_t> rid = SendSlice(id);
     if (!rid.ok()) return rid.status();
     outstanding.emplace_back(rid.value(), id);
   }
   while (!outstanding.empty()) {
-    if (Status s = ReceiveOne(version, &outstanding); !s.ok()) return s;
+    if (Status s = ReceiveOne(&outstanding); !s.ok()) return s;
   }
   return Status::OK();
 }
@@ -193,17 +228,12 @@ Status BulkLoader::Load(uint64_t version,
         "slice_bytes must fit the negotiated bulk frame bound");
   }
 
-  PackStream(version, summary, {}, webindex::IndexType::kSummary);
-  const size_t summary_slices = slices_.size();
-  PackStream(version, inverted, deletes, webindex::IndexType::kInverted);
+  version_ = version;
+  summary_ = Stream{webindex::IndexType::kSummary, &summary, &kNoDeletes};
+  inverted_ = Stream{webindex::IndexType::kInverted, &inverted, &deletes};
+  const uint64_t summary_bytes = SizeStream(summary_);
+  const uint64_t inverted_bytes = SizeStream(inverted_);
   report_.slices_total = slices_.size();
-
-  uint64_t summary_bytes = 0;
-  uint64_t inverted_bytes = 0;
-  for (size_t i = 0; i < slices_.size(); ++i) {
-    (i < summary_slices ? summary_bytes : inverted_bytes) +=
-        slices_[i].frame_value.size();
-  }
 
   // The empirical 40/60 reservation: one bucket per stream, split from the
   // total budget.
@@ -238,7 +268,7 @@ Status BulkLoader::Load(uint64_t version,
 
   std::vector<uint64_t> ids(slices_.size());
   for (size_t i = 0; i < ids.size(); ++i) ids[i] = i;
-  if (Status s = ShipAll(version, ids); !s.ok()) {
+  if (Status s = ShipAll(ids); !s.ok()) {
     Abort(version);
     return s;
   }
@@ -275,7 +305,7 @@ Status BulkLoader::Load(uint64_t version,
       }
     }
     ++report_.repair_rounds;
-    if (Status s = ShipAll(version, missing); !s.ok()) {
+    if (Status s = ShipAll(missing); !s.ok()) {
       Abort(version);
       return s;
     }

@@ -68,33 +68,50 @@ class BulkLoader {
               BulkLoadReport* report = nullptr);
 
  private:
-  struct PendingSlice {
-    std::string frame_value;  // Pristine encoded slice (header..trailer).
+  /// One pair stream of the load being shipped: `pairs`, then `deletes` as
+  /// tombstones. Points into Load's arguments while Load runs.
+  struct Stream {
     webindex::IndexType type = webindex::IndexType::kInverted;
-    bool acked = false;
+    const std::vector<ShippedPair>* pairs = nullptr;
+    const std::vector<BulkDelete>* deletes = nullptr;
+
+    size_t size() const { return pairs->size() + deletes->size(); }
+  };
+
+  struct PendingSlice {
+    webindex::IndexType type = webindex::IndexType::kInverted;  // Stream.
+    size_t first = 0;  // Stream index of the slice's first pair.
+    uint32_t pair_count = 0;
+    size_t frame_bytes = 0;   // Exact encoded size (header..trailer).
+    std::string frame_value;  // Pristine encoded slice while in flight.
     int sends = 0;
   };
 
-  /// Packs one stream of pairs into wire slices appended to `slices_`.
-  void PackStream(uint64_t version, const std::vector<ShippedPair>& pairs,
-                  const std::vector<BulkDelete>& deletes,
-                  webindex::IndexType type);
+  /// The sizing pass: cuts `stream` into slices appended to `slices_` —
+  /// pair ranges and exact encoded sizes, computed from the pairs' lengths
+  /// without encoding anything. Returns the stream's encoded bytes.
+  uint64_t SizeStream(const Stream& stream);
+
+  /// Appends the encoded slice `id` (header, pairs, checksum) to `dst`.
+  void EncodeSlice(uint64_t id, std::string* dst) const;
 
   /// Ships slice `id` and returns the request id used (fresh each send),
-  /// pacing against the stream's rate limiter. The failpoint
-  /// "bulk_slice_corrupt" flips a bit in the outgoing copy — never in the
-  /// pristine bytes — so the server's per-hop checksum catches it and the
-  /// re-send repairs it.
-  Result<uint64_t> SendSlice(uint64_t version, uint64_t id);
+  /// pacing against the stream's rate limiter. A slice is encoded when it
+  /// is first sent, so encoding overlaps the server's ingest of the slices
+  /// already in the window; its pristine bytes are kept for re-sends until
+  /// it is acked, and re-encoded if a commit round reports it missing. The
+  /// failpoint "bulk_slice_corrupt" flips a bit in the outgoing copy —
+  /// never in the pristine bytes — so the server's per-hop checksum
+  /// catches it and the re-send repairs it.
+  Result<uint64_t> SendSlice(uint64_t id);
 
   /// Receives one response and applies it: ack, bounded re-send on
   /// kCorruption, or hard failure. `outstanding` tracks in-flight ids by
   /// request id.
-  Status ReceiveOne(uint64_t version,
-                    std::vector<std::pair<uint64_t, uint64_t>>* outstanding);
+  Status ReceiveOne(std::vector<std::pair<uint64_t, uint64_t>>* outstanding);
 
   /// Sends the ids in `ids` under the send window and drains every ack.
-  Status ShipAll(uint64_t version, const std::vector<uint64_t>& ids);
+  Status ShipAll(const std::vector<uint64_t>& ids);
 
   /// One blocking request/response exchange (no other frames in flight).
   /// kBusy answers (admission shedding) are retried a bounded number of
@@ -105,6 +122,9 @@ class BulkLoader {
 
   rpc::RpcClient* const client_;
   const BulkLoadOptions options_;
+  uint64_t version_ = 0;
+  Stream summary_;
+  Stream inverted_;
   std::vector<PendingSlice> slices_;
   BulkLoadReport report_;
   std::unique_ptr<WallRateLimiter> summary_limiter_;

@@ -16,14 +16,29 @@ void AppendWirePair(std::string* payload, const Slice& key, uint64_t version,
   PutLengthPrefixedSlice(payload, (dedup || tombstone) ? Slice() : value);
 }
 
+size_t WirePairBytes(size_t key_size, uint64_t version, size_t value_size,
+                     bool dedup, bool tombstone) {
+  if (dedup || tombstone) value_size = 0;
+  return 1 + VarintLength(version) + VarintLength(key_size) + key_size +
+         VarintLength(value_size) + value_size;
+}
+
 void EncodeSlicePacket(const SliceHeader& header, const Slice& payload,
                        std::string* dst) {
   const size_t start = dst->size();
+  AppendSliceHeader(header, dst);
+  dst->append(payload.data(), payload.size());
+  AppendSliceTrailer(start, dst);
+}
+
+void AppendSliceHeader(const SliceHeader& header, std::string* dst) {
   PutFixed64(dst, header.slice_id);
   PutFixed64(dst, header.version);
   dst->push_back(static_cast<char>(header.type));
   PutFixed32(dst, header.pair_count);
-  dst->append(payload.data(), payload.size());
+}
+
+void AppendSliceTrailer(size_t start, std::string* dst) {
   const uint32_t crc =
       crc32c::Value(dst->data() + start, dst->size() - start);
   PutFixed32(dst, crc32c::Mask(crc));

@@ -71,10 +71,21 @@ struct PairView {
 void AppendWirePair(std::string* payload, const Slice& key, uint64_t version,
                     const Slice& value, bool dedup, bool tombstone);
 
+/// Bytes AppendWirePair appends for a pair with these fields — lets a
+/// sender cut slices and declare their sizes before encoding any of them.
+size_t WirePairBytes(size_t key_size, uint64_t version, size_t value_size,
+                     bool dedup, bool tombstone);
+
 /// Wraps a pair payload into a complete slice frame (header + payload +
 /// checksum trailer), appended to `dst`.
 void EncodeSlicePacket(const SliceHeader& header, const Slice& payload,
                        std::string* dst);
+
+/// EncodeSlicePacket in place, without a separate payload buffer: append
+/// the header, then the pairs with AppendWirePair, then the trailer, which
+/// checksums every byte of `dst` from `start` (where the header began).
+void AppendSliceHeader(const SliceHeader& header, std::string* dst);
+void AppendSliceTrailer(size_t start, std::string* dst);
 
 /// Verifies framing and the checksum trailer and fills `header`, WITHOUT
 /// decoding pairs — the cheap per-hop integrity check. kCorruption means

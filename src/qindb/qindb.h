@@ -113,9 +113,10 @@ class QinDb {
 
   /// Commits `version`: each shard appends a durable commit marker and
   /// then indexes its staged pairs — the version becomes readable
-  /// atomically per shard, in ascending shard order. A crash between
-  /// shards leaves markers on a prefix; only those shards' pairs survive
-  /// recovery (the cross-shard WriteBatch durability rule).
+  /// atomically per shard. Shard 0 commits first, then the others in
+  /// parallel. A crash mid-commit leaves markers on shard 0 plus any subset
+  /// of the others; only those shards' pairs survive recovery (the
+  /// cross-shard WriteBatch durability rule), and a retry completes.
   Status IngestCommit(uint64_t version);
 
   /// Abandons `version` on every shard holding a session: staged records

@@ -293,25 +293,32 @@ Status DecodeRepairPage(const Slice& payload, RepairPage* out) {
 }
 
 void EncodeFrame(const Frame& frame, std::string* out) {
-  std::string body;
-  body.reserve(kBodyFixedBytes + frame.key.size() + frame.value.size() + 10);
-  body.push_back(static_cast<char>(frame.op));
+  // Header, body and trailer go straight into `out`; the body length is
+  // patched in once the body is written.
+  const size_t start = out->size();
+  out->reserve(start + kHeaderBytes + kBodyFixedBytes +
+               VarintLength(frame.key.size()) + frame.key.size() +
+               VarintLength(frame.value.size()) + frame.value.size() +
+               kTrailerBytes);
+  PutFixed32(out, kFrameMagic);
+  PutFixed32(out, 0);  // Body length, patched below.
+  const size_t body_start = out->size();
+  out->push_back(static_cast<char>(frame.op));
   uint8_t flags = 0;
   if (frame.response) flags |= kFlagResponse;
   if (frame.dedup) flags |= kFlagDedup;
   if (frame.latest) flags |= kFlagLatest;
-  body.push_back(static_cast<char>(flags));
-  body.push_back(static_cast<char>(frame.status));
-  body.push_back('\0');  // Reserved.
-  PutFixed64(&body, frame.request_id);
-  PutFixed64(&body, frame.version);
-  PutLengthPrefixedSlice(&body, frame.key);
-  PutLengthPrefixedSlice(&body, frame.value);
-
-  PutFixed32(out, kFrameMagic);
-  PutFixed32(out, static_cast<uint32_t>(body.size()));
-  out->append(body);
-  PutFixed32(out, crc32c::Mask(crc32c::Value(body.data(), body.size())));
+  out->push_back(static_cast<char>(flags));
+  out->push_back(static_cast<char>(frame.status));
+  out->push_back('\0');  // Reserved.
+  PutFixed64(out, frame.request_id);
+  PutFixed64(out, frame.version);
+  PutLengthPrefixedSlice(out, frame.key);
+  PutLengthPrefixedSlice(out, frame.value);
+  const size_t body_len = out->size() - body_start;
+  EncodeFixed32(out->data() + start + 4, static_cast<uint32_t>(body_len));
+  PutFixed32(out, crc32c::Mask(
+                      crc32c::Value(out->data() + body_start, body_len)));
 }
 
 Frame MakeResponse(const Frame& request, const Status& status,

@@ -5,6 +5,8 @@
 #include "bifrost/dedup.h"
 #include "bifrost/delivery.h"
 #include "bifrost/slicer.h"
+#include "common/hash.h"
+#include "common/random.h"
 #include "common/sim_clock.h"
 #include "index/builders.h"
 #include "index/corpus.h"
@@ -100,6 +102,114 @@ TEST(DedupTest, ChangedValueShipsAgainAfterDedup) {
   ASSERT_EQ(s3.size(), 1u);
   EXPECT_FALSE(s3[0].dedup);
   EXPECT_EQ(s3[0].value, "value-b");
+}
+
+// Pins the dedup decisions and stats over a version sequence that covers new,
+// changed, unchanged and changed-back values, an empty value, a value that
+// only grows a trailing NUL, and the disabled baseline. The expected figures
+// are those of the byte-at-a-time FNV signature the pass used before.
+TEST(DedupTest, VersionSequenceDecisionsAndStatsArePinned) {
+  auto dataset = [](uint64_t version,
+                    std::vector<std::pair<std::string, std::string>> kvs) {
+    webindex::IndexDataset d;
+    d.version = version;
+    for (auto& [k, v] : kvs) d.pairs.push_back(webindex::KvPair{k, v});
+    return d;
+  };
+  const std::string nul("x\0", 2);
+  const webindex::IndexDataset v1 = dataset(
+      1, {{"k:a", "alpha"}, {"k:b", "bravo-1"}, {"k:c", std::string(100, 'c')},
+          {"k:d", "delta"}, {"k:empty", ""}, {"k:nul", "x"}});
+  const webindex::IndexDataset v2 = dataset(
+      2, {{"k:a", "alpha"}, {"k:b", "bravo-2"}, {"k:c", std::string(100, 'c')},
+          {"k:d", "delta-2"}, {"k:e", "echo"}, {"k:empty", ""},
+          {"k:nul", nul}});
+  const webindex::IndexDataset v3 = dataset(
+      3, {{"k:a", "alpha"}, {"k:b", "bravo-1"},  // b changed back to v1's.
+          {"k:c", std::string(99, 'c') + "C"}, {"k:d", "delta-2"},
+          {"k:e", "echo"}, {"k:empty", ""}, {"k:nul", nul}});
+
+  struct Expected {
+    std::vector<bool> dedup;
+    uint64_t pairs_deduped, bytes_total, bytes_shipped;
+  };
+  auto check = [](const std::vector<ShippedPair>& shipped,
+                  const webindex::IndexDataset& in, const DedupStats& stats,
+                  const Expected& want) {
+    ASSERT_EQ(shipped.size(), want.dedup.size());
+    for (size_t i = 0; i < shipped.size(); ++i) {
+      EXPECT_EQ(shipped[i].dedup, want.dedup[i]) << in.pairs[i].key;
+      EXPECT_EQ(shipped[i].key, in.pairs[i].key);
+      EXPECT_EQ(shipped[i].value,
+                want.dedup[i] ? std::string() : in.pairs[i].value);
+    }
+    EXPECT_EQ(stats.pairs_total, want.dedup.size());
+    EXPECT_EQ(stats.pairs_deduped, want.pairs_deduped);
+    EXPECT_EQ(stats.bytes_total, want.bytes_total);
+    EXPECT_EQ(stats.bytes_shipped, want.bytes_shipped);
+  };
+
+  Deduplicator dedup;
+  DedupStats s1, s2, s3, off_stats;
+  check(dedup.Process(v1, &s1), v1, s1, {{0, 0, 0, 0, 0, 0}, 0, 142, 142});
+  check(dedup.Process(v2, &s2), v2, s2, {{1, 0, 1, 0, 0, 1, 0}, 3, 152, 47});
+  check(dedup.Process(v3, &s3), v3, s3,
+        {{1, 0, 0, 1, 1, 1, 1}, 5, 152, 134});
+  EXPECT_EQ(dedup.tracked_keys(), 7u);
+
+  Deduplicator off(/*enabled=*/false);
+  off.Process(v1, nullptr);
+  check(off.Process(v3, &off_stats), v3, off_stats,
+        {{0, 0, 0, 0, 0, 0, 0}, 0, 152, 152});
+  EXPECT_EQ(off.tracked_keys(), 0u);
+
+  // Stats accumulate across calls.
+  DedupStats total;
+  Deduplicator again;
+  again.Process(v1, &total);
+  again.Process(v2, &total);
+  EXPECT_EQ(total.pairs_total, 13u);
+  EXPECT_EQ(total.pairs_deduped, 3u);
+  EXPECT_EQ(total.bytes_total, 294u);
+  EXPECT_EQ(total.bytes_shipped, 189u);
+}
+
+TEST(ValueSignatureTest, EverySingleBitFlipChangesTheSignature) {
+  Random rnd(11);
+  for (size_t n = 0; n <= 80; ++n) {
+    std::string value = rnd.NextString(n);
+    const uint64_t base = ValueSignature(value);
+    for (size_t offset = 0; offset < n; ++offset) {
+      for (int bit = 0; bit < 8; ++bit) {
+        value[offset] ^= static_cast<char>(1 << bit);
+        EXPECT_NE(ValueSignature(value), base)
+            << "length " << n << " offset " << offset << " bit " << bit;
+        value[offset] ^= static_cast<char>(1 << bit);
+      }
+    }
+  }
+}
+
+TEST(ValueSignatureTest, LengthIsPartOfTheSignature) {
+  EXPECT_NE(ValueSignature(Slice("a", 1)), ValueSignature(Slice("a\0", 2)));
+  EXPECT_NE(ValueSignature(Slice("", 0)), ValueSignature(Slice("\0", 1)));
+  const std::string zeros(16, '\0');
+  EXPECT_NE(ValueSignature(Slice(zeros.data(), 8)),
+            ValueSignature(Slice(zeros.data(), 16)));
+}
+
+TEST(ValueSignatureTest, SameBytesAtAnyAlignmentSignTheSame) {
+  Random rnd(12);
+  for (size_t n : {0, 1, 7, 8, 9, 63, 400}) {
+    const std::string value = rnd.NextString(n);
+    const uint64_t expected = ValueSignature(value);
+    for (size_t shift = 1; shift < 8; ++shift) {
+      std::string buffer(shift, '#');
+      buffer += value;
+      EXPECT_EQ(ValueSignature(Slice(buffer.data() + shift, n)), expected)
+          << "length " << n << " shift " << shift;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -12,6 +12,8 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "bifrost/dedup.h"
@@ -19,6 +21,7 @@
 #include "bifrost/wire/slice_codec.h"
 #include "common/coding.h"
 #include "common/failpoint.h"
+#include "common/logging.h"
 #include "common/sim_clock.h"
 #include "qindb/qindb.h"
 #include "rpc/client.h"
@@ -605,6 +608,214 @@ TEST_F(BulkLoadServerTest, CorruptedSliceIsNackedAndRepairedInFlight) {
     Result<std::string> got = client.Get(key, 2);
     ASSERT_TRUE(got.ok()) << key << ": " << got.status().ToString();
     EXPECT_EQ(*got, "fv" + std::to_string(i) + std::string(100, 'q'));
+  }
+}
+
+// A stand-in ingest server on one connection: it answers every bulk frame
+// kOk and records what arrived, so a test can compare the loader's bytes
+// with a reference packing. Ids in `missing_at_first_commit` are reported
+// missing by the first commit, which makes the loader re-send them.
+class RecordingBulkPeer {
+ public:
+  explicit RecordingBulkPeer(std::vector<uint64_t> missing_at_first_commit)
+      : missing_(std::move(missing_at_first_commit)) {
+    Result<rpc::Socket> listener = rpc::Listen("127.0.0.1", 0, 4);
+    DL_CHECK(listener.ok());
+    listener_ = std::move(listener).value();
+    port_ = rpc::LocalPort(listener_).value();
+    thread_ = std::thread([this] { Serve(); });
+  }
+
+  ~RecordingBulkPeer() {
+    if (thread_.joinable()) thread_.join();
+  }
+  RecordingBulkPeer(const RecordingBulkPeer&) = delete;
+  RecordingBulkPeer& operator=(const RecordingBulkPeer&) = delete;
+
+  uint16_t port() const { return port_; }
+
+  /// Waits for the client to disconnect; the records are complete after.
+  void Join() { thread_.join(); }
+
+  std::string begin;                // kBulkBegin value.
+  std::vector<std::string> slices;  // kBulkSlice values, in arrival order.
+
+ private:
+  void Serve() {
+    Result<rpc::Socket> conn = rpc::AcceptOne(listener_, 10'000);
+    if (!conn.ok()) return;
+    rpc::FrameDecoder decoder(rpc::kMaxBulkBodyBytes);
+    std::vector<char> buf(1 << 16);
+    for (;;) {
+      Result<size_t> n = conn->RecvSome(buf.data(), buf.size(), 10'000);
+      if (!n.ok() || *n == 0) return;
+      decoder.Append(buf.data(), *n);
+      rpc::Frame frame;
+      for (Result<bool> next = decoder.Next(&frame); next.ok() && *next;
+           next = decoder.Next(&frame)) {
+        rpc::Frame response = rpc::MakeResponse(frame, Status::OK(), "");
+        if (frame.op == rpc::Opcode::kBulkBegin) begin = frame.value;
+        if (frame.op == rpc::Opcode::kBulkSlice) slices.push_back(frame.value);
+        if (frame.op == rpc::Opcode::kBulkCommit && !missing_.empty()) {
+          response.status = StatusCode::kUnavailable;
+          EncodeMissingSlices(missing_, &response.value);
+          missing_.clear();
+        }
+        std::string wire;
+        rpc::EncodeFrame(response, &wire);
+        if (!conn->SendAll(wire, 10'000).ok()) return;
+      }
+    }
+  }
+
+  std::vector<uint64_t> missing_;
+  rpc::Socket listener_;
+  uint16_t port_ = 0;
+  std::thread thread_;
+};
+
+// The loader's sizing pass and send-time encoding must ship exactly what
+// packing every pair with AppendWirePair and sealing each slice with
+// EncodeSlicePacket would: the same BulkBeginInfo and the same slices,
+// byte for byte, including a slice re-encoded for a commit-round repair.
+TEST(BulkLoaderPackingTest, ShipsTheReferencePackingByteForByte) {
+  struct Packed {
+    BulkBeginInfo info;
+    std::vector<std::string> slices;
+  };
+  auto reference = [](uint64_t version, const std::vector<ShippedPair>& summary,
+                      const std::vector<ShippedPair>& inverted,
+                      const std::vector<BulkDelete>& deletes,
+                      uint64_t slice_bytes) {
+    Packed out;
+    auto pack = [&](webindex::IndexType type,
+                    const std::vector<ShippedPair>& pairs,
+                    const std::vector<BulkDelete>& dels) {
+      uint64_t bytes = 0;
+      std::string payload;
+      uint32_t count = 0;
+      auto seal = [&] {
+        if (count == 0) return;
+        SliceHeader header;
+        header.slice_id = out.slices.size();
+        header.version = version;
+        header.type = type;
+        header.pair_count = count;
+        std::string frame;
+        EncodeSlicePacket(header, payload, &frame);
+        bytes += frame.size();
+        out.slices.push_back(std::move(frame));
+        payload.clear();
+        count = 0;
+      };
+      for (const ShippedPair& pair : pairs) {
+        AppendWirePair(&payload, pair.key, version, pair.value, pair.dedup,
+                       /*tombstone=*/false);
+        ++count;
+        if (payload.size() >= slice_bytes) seal();
+      }
+      for (const BulkDelete& del : dels) {
+        AppendWirePair(&payload, del.key, del.version, Slice(), false,
+                       /*tombstone=*/true);
+        ++count;
+        if (payload.size() >= slice_bytes) seal();
+      }
+      seal();
+      return bytes;
+    };
+    out.info.version = version;
+    out.info.summary_bytes = pack(webindex::IndexType::kSummary, summary, {});
+    out.info.inverted_bytes =
+        pack(webindex::IndexType::kInverted, inverted, deletes);
+    out.info.total_slices = out.slices.size();
+    return out;
+  };
+  auto pairs = [](const std::string& prefix, int n, size_t value_bytes) {
+    std::vector<ShippedPair> out;
+    for (int i = 0; i < n; ++i) {
+      ShippedPair pair;
+      pair.key = prefix + std::to_string(i);
+      pair.dedup = i % 3 == 0;
+      if (!pair.dedup) {
+        pair.value.assign(value_bytes + i, static_cast<char>('a' + i % 26));
+      }
+      out.push_back(std::move(pair));
+    }
+    return out;
+  };
+  auto deletes = [](int n, uint64_t version) {
+    std::vector<BulkDelete> out;
+    for (int i = 0; i < n; ++i) {
+      out.push_back(BulkDelete{"del:k" + std::to_string(i), version});
+    }
+    return out;
+  };
+  auto check = [&](uint64_t version, const std::vector<ShippedPair>& summary,
+                   const std::vector<ShippedPair>& inverted,
+                   const std::vector<BulkDelete>& dels, uint64_t slice_bytes,
+                   std::vector<uint64_t> missing) {
+    const Packed want = reference(version, summary, inverted, dels,
+                                  slice_bytes);
+    std::vector<std::string> want_slices = want.slices;
+    for (uint64_t id : missing) want_slices.push_back(want.slices[id]);
+    uint64_t want_bytes = 0;
+    for (const std::string& slice : want_slices) want_bytes += slice.size();
+
+    RecordingBulkPeer peer(missing);
+    BulkLoadReport report;
+    {
+      rpc::RpcClient client("127.0.0.1", peer.port());
+      BulkLoadOptions options;
+      options.slice_bytes = slice_bytes;
+      options.send_window = 3;
+      BulkLoader loader(&client, options);
+      Status s = loader.Load(version, summary, inverted, dels, &report);
+      ASSERT_TRUE(s.ok()) << s.ToString();
+    }
+    peer.Join();
+
+    BulkBeginInfo got;
+    ASSERT_TRUE(DecodeBulkBegin(peer.begin, &got).ok());
+    EXPECT_EQ(got.version, want.info.version);
+    EXPECT_EQ(got.total_slices, want.info.total_slices);
+    EXPECT_EQ(got.summary_bytes, want.info.summary_bytes);
+    EXPECT_EQ(got.inverted_bytes, want.info.inverted_bytes);
+    ASSERT_EQ(peer.slices.size(), want_slices.size());
+    for (size_t i = 0; i < want_slices.size(); ++i) {
+      EXPECT_EQ(peer.slices[i], want_slices[i]) << "slice frame " << i;
+    }
+    EXPECT_EQ(report.slices_total, want.slices.size());
+    EXPECT_EQ(report.pairs_total,
+              summary.size() + inverted.size() + dels.size());
+    EXPECT_EQ(report.bytes_shipped, want_bytes);
+    EXPECT_EQ(report.slices_resent, missing.size());
+    EXPECT_EQ(report.repair_rounds, missing.empty() ? 0u : 1u);
+  };
+
+  {
+    SCOPED_TRACE("dedup pairs, both streams, deletes, a repaired slice");
+    check(300, pairs("sum:k", 30, 100), pairs("inv:k", 25, 150),
+          deletes(5, 299), 512, {1, 3});
+  }
+  {
+    SCOPED_TRACE("tombstone-only inverted stream");
+    check(2, {}, {}, deletes(40, 1), 256, {});
+  }
+  {
+    SCOPED_TRACE("empty summary stream");
+    check(3, {}, pairs("inv:k", 20, 300), {}, 1024, {});
+  }
+  {
+    SCOPED_TRACE("one pair larger than slice_bytes");
+    std::vector<ShippedPair> inverted = pairs("inv:k", 4, 10);
+    inverted[2].dedup = false;
+    inverted[2].value.assign(5000, 'L');
+    check(4, pairs("sum:k", 2, 10), inverted, {}, 1024, {0});
+  }
+  {
+    SCOPED_TRACE("slice_bytes = 1: one pair per slice");
+    check(5, pairs("sum:k", 5, 20), pairs("inv:k", 5, 20), deletes(3, 4), 1,
+          {});
   }
 }
 

@@ -96,6 +96,46 @@ TEST(RpcProtocolTest, RoundTripsResponses) {
   }
 }
 
+std::string Unhex(const std::string& hex) {
+  std::string out;
+  for (size_t i = 0; i + 1 < hex.size(); i += 2) {
+    out.push_back(static_cast<char>(std::stoi(hex.substr(i, 2), nullptr, 16)));
+  }
+  return out;
+}
+
+// The exact bytes of a request and a response frame, as the encoder wrote
+// them when it still built each body in a separate buffer. Any drift in
+// layout, length patching or checksum placement fails here.
+TEST(RpcProtocolTest, EncodesGoldenBytes) {
+  const std::string golden_request =
+      Unhex("444c5031" "58010000"            // magic, body length 344
+            "02020000"                       // kPut, kFlagDedup, kOk, 0
+            "8877665544332211"               // request id
+            "2a00000000000000" "15") +       // version 42, key length 21
+      "url:example.com/index" + Unhex("ac02") + std::string(300, 'v') +
+      Unhex("6da7e3db");                     // masked CRC32C of the body
+  const std::string golden_response =
+      Unhex("444c5031" "21000000"            // magic, body length 33
+            "01010100"                       // kGet, response, kNotFound, 0
+            "8877665544332211" "2a00000000000000" "00" "0b") +
+      "no such key" + Unhex("1474db8c");
+  Frame response;
+  response.op = Opcode::kGet;
+  response.response = true;
+  response.status = StatusCode::kNotFound;
+  response.request_id = 0x1122334455667788ull;
+  response.version = 42;
+  response.value = "no such key";
+
+  std::string wire;
+  EncodeFrame(SampleRequest(Opcode::kPut), &wire);
+  EXPECT_EQ(wire, golden_request);
+  // Appending behind a frame already in the buffer, as the writer batches.
+  EncodeFrame(response, &wire);
+  EXPECT_EQ(wire, golden_request + golden_response);
+}
+
 TEST(RpcProtocolTest, ErrorResponseCarriesCodeAndMessage) {
   Frame response = MakeResponse(SampleRequest(Opcode::kGet),
                                 Status::NotFound("no such key"));
