@@ -20,8 +20,10 @@
 #include "common/hash.h"
 #include "common/logging.h"
 #include "common/random.h"
+#include "common/sim_clock.h"
 #include "lsm/bloom.h"
 #include "memtable/mem_index.h"
+#include "ssd/env.h"
 
 namespace directload::bench {
 namespace {
@@ -396,6 +398,43 @@ void BM_LsmGet(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LsmGet)->Iterations(4000);
+
+// One SsdWritableFile::Append of the arg's bytes per iteration on the
+// native interface — the shape of a bulk-load run landing in an AOF
+// segment. Pages are programmed from the appended bytes, so the per-byte
+// cost should not grow with the append size. Files rotate every 32 MiB
+// (untimed) so the 64 MiB device never fills.
+void BM_EnvAppend(benchmark::State& state) {
+  SimClock clock;
+  ssd::Geometry geometry;
+  geometry.num_blocks = 256;
+  auto env = ssd::NewSsdEnv(ssd::InterfaceMode::kNativeBlock, geometry,
+                            ssd::LatencyModel(), &clock);
+  Random rnd(8);
+  const std::string data = rnd.NextString(state.range(0));
+  constexpr uint64_t kFileBytes = 32 << 20;
+  std::unique_ptr<ssd::WritableFile> file;
+  uint64_t written = kFileBytes;
+  for (auto _ : state) {
+    if (written + data.size() > kFileBytes) {
+      state.PauseTiming();
+      if (file != nullptr) {
+        DL_CHECK_OK(file->Close());
+        DL_CHECK_OK(env->DeleteFile("f"));
+      }
+      auto opened = env->NewWritableFile("f");
+      DL_CHECK_OK(opened.status());
+      file = std::move(opened).value();
+      written = 0;
+      state.ResumeTiming();
+    }
+    benchmark::DoNotOptimize(file->Append(data));
+    written += data.size();
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_EnvAppend)->Arg(4 << 10)->Arg(64 << 10)->Arg(1 << 20);
 
 void BM_MemIndexInsert(benchmark::State& state) {
   MemIndex index;

@@ -32,9 +32,11 @@ MemIndex::MemIndex(uint64_t seed)
       list_(std::make_unique<List>(EntryComparator(), arena_.get(), seed)) {}
 
 MemEntry* MemIndex::Insert(const Slice& key, uint64_t version,
-                           uint64_t address, uint32_t value_size, bool dedup) {
+                           uint64_t address, uint32_t value_size, bool dedup,
+                           Replaced* replaced) {
   // Re-transmitted pairs update the existing item in place (including
   // reviving a purged ghost) rather than duplicating it.
+  if (replaced != nullptr) *replaced = Replaced{};
   MemEntry probe{};
   FillProbe(&probe, key, version);
   List::Iterator it(list_.get());
@@ -45,6 +47,11 @@ MemEntry* MemIndex::Insert(const Slice& key, uint64_t version,
     if (existing->purged.load(std::memory_order_relaxed)) {
       existing->purged.store(false, std::memory_order_relaxed);
       live_count_.fetch_add(1, std::memory_order_relaxed);
+    } else if (replaced != nullptr) {
+      replaced->found = true;
+      replaced->address = existing->address.load(std::memory_order_relaxed);
+      replaced->value_size =
+          existing->value_size.load(std::memory_order_relaxed);
     }
     existing->address.store(address, std::memory_order_relaxed);
     existing->value_size.store(value_size, std::memory_order_relaxed);

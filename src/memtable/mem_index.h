@@ -65,9 +65,20 @@ class MemIndex {
   MemIndex(const MemIndex&) = delete;
   MemIndex& operator=(const MemIndex&) = delete;
 
-  /// Inserts or updates the item for (key, version). Returns the entry.
+  /// The item an Insert superseded: the prior (key, version) entry, when one
+  /// existed and was not purged — the record a re-PUT turns into garbage.
+  struct Replaced {
+    bool found = false;
+    uint64_t address = 0;
+    uint32_t value_size = 0;
+  };
+
+  /// Inserts or updates the item for (key, version). Returns the entry. When
+  /// `replaced` is set it receives the item this call superseded, found by
+  /// the same seek that places the entry.
   MemEntry* Insert(const Slice& key, uint64_t version, uint64_t address,
-                   uint32_t value_size, bool dedup);
+                   uint32_t value_size, bool dedup,
+                   Replaced* replaced = nullptr);
 
   /// Exact lookup; returns nullptr if absent or purged.
   MemEntry* FindExact(const Slice& key, uint64_t version) const;

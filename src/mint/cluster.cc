@@ -254,20 +254,28 @@ Status MintCluster::BulkIngest(uint64_t version, const qindb::IngestOp* ops,
                                size_t count) {
   if (count == 0) return Status::OK();
   ReaderLock cluster_guard(&cluster_mu_);
-  // Bucket per node, preserving run order inside each bucket: puts go to
+  // Bucket per node id, preserving run order inside each bucket: puts go to
   // the key's rendezvous replicas, tombstones to the whole group (matching
-  // Put/Del above).
-  std::map<int, std::vector<qindb::IngestOp>> routed;
+  // Put/Del above). The ranking buffers are reused across pairs, so routing
+  // allocates nothing per pair.
+  std::vector<std::vector<qindb::IngestOp>> routed(nodes_.size());
+  std::vector<std::pair<uint64_t, int>> ranked;
+  std::vector<int> replicas;
   for (size_t i = 0; i < count; ++i) {
     const qindb::IngestOp& op = ops[i];
-    const std::vector<int> targets =
-        op.tombstone ? GroupNodesLocked(GroupOfLocked(op.key))
-                     : ReplicasOfLocked(op.key);
-    for (int id : targets) routed[id].push_back(op);
+    const std::vector<int>* targets = &GroupNodesLocked(GroupOfLocked(op.key));
+    if (!op.tombstone) {
+      RendezvousReplicas(op.key, *targets, options_.replicas, &ranked,
+                         &replicas);
+      targets = &replicas;
+    }
+    for (int id : *targets) routed[id].push_back(op);
   }
   size_t applied_nodes = 0;
   Status first_error;
-  for (auto& [id, node_ops] : routed) {
+  for (size_t id = 0; id < routed.size(); ++id) {
+    const std::vector<qindb::IngestOp>& node_ops = routed[id];
+    if (node_ops.empty()) continue;
     StorageNode* node = nodes_[id].get();
     ReaderLock guard(node->lifecycle_mu());
     if (!node->up()) continue;  // Healed by recovery + re-replication.

@@ -24,22 +24,32 @@ inline int GroupOfKey(const Slice& key, int num_groups) {
 }
 
 /// Rendezvous hashing within the group: rank `members` (node ids) by
-/// hash(key, node) and take the top `replicas`. Stable under membership
-/// growth for most keys.
+/// hash(key, node) and take the top `replicas` into `out`. Stable under
+/// membership growth for most keys. `ranked` is scratch: a caller routing
+/// many keys reuses both buffers and allocates nothing per key.
+inline void RendezvousReplicas(const Slice& key,
+                               const std::vector<int>& members, int replicas,
+                               std::vector<std::pair<uint64_t, int>>* ranked,
+                               std::vector<int>* out) {
+  ranked->clear();
+  for (int id : members) {
+    ranked->emplace_back(Hash64(key, /*seed=*/0x5eed0000 + id), id);
+  }
+  std::sort(ranked->begin(), ranked->end(), std::greater<>());
+  const int want =
+      std::min<int>(replicas, static_cast<int>(ranked->size()));
+  out->clear();
+  out->reserve(static_cast<size_t>(want));
+  for (int i = 0; i < want; ++i) out->push_back((*ranked)[i].second);
+}
+
 inline std::vector<int> RendezvousReplicas(const Slice& key,
                                            const std::vector<int>& members,
                                            int replicas) {
   std::vector<std::pair<uint64_t, int>> ranked;
   ranked.reserve(members.size());
-  for (int id : members) {
-    ranked.emplace_back(Hash64(key, /*seed=*/0x5eed0000 + id), id);
-  }
-  std::sort(ranked.begin(), ranked.end(), std::greater<>());
   std::vector<int> out;
-  const int want =
-      std::min<int>(replicas, static_cast<int>(ranked.size()));
-  out.reserve(static_cast<size_t>(want));
-  for (int i = 0; i < want; ++i) out.push_back(ranked[i].second);
+  RendezvousReplicas(key, members, replicas, &ranked, &out);
   return out;
 }
 

@@ -723,15 +723,15 @@ void Shard::CommitGroupLocked(const std::vector<PendingWrite*>& group) {
         case Action::kSkip:
           break;
         case Action::kPut: {
-          MemEntry* old = idx->FindExact(op.key, op.version);
-          if (old != nullptr) {
+          MemIndex::Replaced old;
+          idx->Insert(op.key, op.version, addresses[plan.slot].Pack(),
+                      static_cast<uint32_t>(op.value.size()), op.dedup, &old);
+          if (old.found) {
             // Re-PUT of the same versioned key supersedes the previous
             // record (possibly one from earlier in this very group).
-            sink.MarkDead(aof::RecordAddress::Unpack(old->address),
-                          EntryExtent(old));
+            sink.MarkDead(aof::RecordAddress::Unpack(old.address),
+                          aof::RecordExtent(op.key.size(), old.value_size));
           }
-          idx->Insert(op.key, op.version, addresses[plan.slot].Pack(),
-                      static_cast<uint32_t>(op.value.size()), op.dedup);
           ++stats_->puts;
           ++shard_puts_;
           if (op.dedup) ++stats_->dedup_puts;
@@ -960,6 +960,8 @@ Status Shard::IngestCommit(uint64_t version) {
   MemIndex* idx = CurrentIndex();
   IngestSession& sess = it->second;
   uint64_t ingested = 0;
+  uint64_t puts = 0;
+  uint64_t dedup_puts = 0;
   bool any_applied_delete = false;
   std::vector<std::pair<aof::RecordAddress, uint64_t>> dead;
   const DeadSink sink{&dead, cache_.get()};
@@ -980,17 +982,22 @@ Status Shard::IngestCommit(uint64_t version) {
       }
       continue;
     }
-    MemEntry* old = idx->FindExact(key, op.version);
-    if (old != nullptr) {
-      sink.MarkDead(aof::RecordAddress::Unpack(old->address),
-                    EntryExtent(old));
+    // One seek places the entry and reports the record it supersedes.
+    MemIndex::Replaced old;
+    idx->Insert(key, op.version, op.address, op.value_size, op.dedup, &old);
+    if (old.found) {
+      sink.MarkDead(aof::RecordAddress::Unpack(old.address),
+                    aof::RecordExtent(op.key.size(), old.value_size));
     }
-    idx->Insert(key, op.version, op.address, op.value_size, op.dedup);
-    ++stats_->puts;
-    ++shard_puts_;
-    if (op.dedup) ++stats_->dedup_puts;
+    ++puts;
+    if (op.dedup) ++dedup_puts;
     ingested += op.key.size() + op.value_size;
   }
+  // Shards commit in parallel: the engine-wide counters take one add each
+  // per commit, not one per pair.
+  stats_->puts += puts;
+  stats_->dedup_puts += dedup_puts;
+  shard_puts_ += puts;
   stats_->user_bytes_ingested += ingested;
   shard_bytes_ingested_.fetch_add(ingested, std::memory_order_relaxed);
   aof_->MarkDeadMany(dead);

@@ -1,5 +1,6 @@
 #include "ssd/env.h"
 
+#include <algorithm>
 #include <deque>
 #include <map>
 #include <optional>
@@ -364,22 +365,46 @@ class SsdWritableFile final : public WritableFile {
   }
 
  private:
-  // Complete pages go to the device as they fill.
+  // Complete pages go to the device as they fill: the buffered partial page
+  // is topped up first, every further full page is programmed straight from
+  // `data`, and only the final partial page is buffered — linear in the
+  // append. If a placement fails, `tail_` keeps exactly the bytes not yet
+  // placed.
   Status AppendLocked(const Slice& data) REQUIRES(env_->mu_) {
     env_->AccountAppendLocked(data.size());
     meta_->size += data.size();
-    tail_.append(data.data(), data.size());
     tail_dirty_ = true;
     const uint32_t page_size = env_->geometry().page_size;
-    while (tail_.size() >= page_size) {
-      Status s = env_->PlacePageLocked(meta_.get(), full_pages_,
-                                       Slice(tail_.data(), page_size));
-      if (!s.ok()) return s;
-      tail_.erase(0, page_size);
-      ++full_pages_;
-      meta_->persisted = full_pages_ * page_size;
+    const char* p = data.data();
+    size_t n = data.size();
+    if (!tail_.empty()) {
+      const size_t take = std::min<size_t>(n, page_size - tail_.size());
+      tail_.append(p, take);
+      p += take;
+      n -= take;
+      if (tail_.size() < page_size) return Status::OK();
+      if (Status s = PlaceFullPageLocked(tail_); !s.ok()) {
+        tail_.append(p, n);
+        return s;
+      }
+      tail_.clear();
     }
+    for (; n >= page_size; p += page_size, n -= page_size) {
+      if (Status s = PlaceFullPageLocked(Slice(p, page_size)); !s.ok()) {
+        tail_.assign(p, n);
+        return s;
+      }
+    }
+    tail_.assign(p, n);
     if (tail_.empty()) tail_dirty_ = false;
+    return Status::OK();
+  }
+
+  Status PlaceFullPageLocked(const Slice& page) REQUIRES(env_->mu_) {
+    Status s = env_->PlacePageLocked(meta_.get(), full_pages_, page);
+    if (!s.ok()) return s;
+    ++full_pages_;
+    meta_->persisted = full_pages_ * page.size();
     return Status::OK();
   }
 

@@ -131,6 +131,64 @@ TEST_F(QinDbTest, RePutSupersedesAndKillsOldBytes) {
   EXPECT_EQ(db->aof().LiveBytes(), live_before);
 }
 
+// A bulk load that re-ships a committed (key, version) supersedes it like a
+// re-PUT: the old record turns dead, by exactly its extent. A purged entry
+// the load revives has no live record behind it, so nothing else turns dead.
+TEST_F(QinDbTest, ReIngestSupersedesAndKillsOldBytes) {
+  QinDbOptions options;
+  options.num_shards = 1;
+  auto ingest = [](QinDb* db, uint64_t version,
+                   const std::vector<IngestOp>& ops) {
+    ASSERT_TRUE(db->IngestBegin(version).ok());
+    ASSERT_TRUE(db->IngestRun(version, ops.data(), ops.size()).ok());
+    ASSERT_TRUE(db->IngestCommit(version).ok());
+  };
+  auto dead_bytes = [](QinDb* db) {
+    uint64_t dead = 0;
+    for (const auto& [id, meta] : db->aof().SegmentMetas()) {
+      dead += meta.total_bytes - meta.live_bytes;
+    }
+    return dead;
+  };
+  const std::string old_value(3000, 'a');
+  const std::string new_value(4000, 'b');
+  {
+    auto db = OpenDb(options);
+    IngestOp put;
+    put.key = "url";
+    put.version = 1;
+    put.value = old_value;
+    // A tombstone with no target: a no-op at commit, but its record stays.
+    IngestOp tombstone;
+    tombstone.key = "ghost";
+    tombstone.version = 1;
+    tombstone.tombstone = true;
+    ingest(db.get(), 1, {put, tombstone});
+  }
+  // A full-scan recovery replays the target-less tombstone as a deleted
+  // placeholder and purges it: ("ghost", 1) is now a purged entry that
+  // points at the tombstone's record, which is already dead.
+  auto db = OpenDb(options);
+  ASSERT_EQ(db->memtable()->FindExact("ghost", 1), nullptr);
+  ASSERT_EQ(*db->GetLatest("url"), old_value);
+  const uint64_t dead_before = dead_bytes(db.get());
+
+  IngestOp put;
+  put.key = "url";
+  put.version = 1;
+  put.value = new_value;
+  IngestOp revive;
+  revive.key = "ghost";
+  revive.version = 1;
+  revive.value = "back";
+  ingest(db.get(), 1, {put, revive});
+  EXPECT_EQ(*db->GetLatest("url"), new_value);
+  EXPECT_EQ(*db->Get("ghost", 1), "back");
+  EXPECT_EQ(dead_bytes(db.get()) - dead_before,
+            aof::RecordExtent(3, old_value.size()));
+  EXPECT_EQ(db->stats().puts, 2u);
+}
+
 TEST_F(QinDbTest, DropVersionFlagsEveryPair) {
   auto db = OpenDb();
   for (int i = 0; i < 10; ++i) {

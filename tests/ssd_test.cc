@@ -424,6 +424,95 @@ TEST_P(EnvTest, PersistenceAndDeviceCostPerStep) {
                                     : 11u * 200 + 10 * 80 + 2 * 2000);
 }
 
+// A bulk append — the shape a bulk-load run takes — starting mid-page and
+// spanning 300 pages across 38 erase blocks. Each page is programmed once,
+// in file order, with the bytes appended: 1000 + 300 * 4096 + 500 bytes end
+// in a 1500-byte tail.
+TEST_P(EnvTest, BulkAppendProgramsEachPageOnce) {
+  const bool ftl = GetParam() == InterfaceMode::kPageMappedFtl;
+  Random rnd(11);
+  const std::string content = rnd.NextString(1000 + 300 * 4096 + 500);
+  auto file = env_->NewWritableFile("f");
+  ASSERT_TRUE(file.ok());
+
+  ASSERT_TRUE((*file)->Append(Slice(content.data(), 1000)).ok());
+  ASSERT_TRUE((*file)->Sync().ok());
+  EXPECT_EQ((*file)->PersistedSize(), ftl ? 1000u : 0u);
+
+  ASSERT_TRUE(
+      (*file)->Append(Slice(content.data() + 1000, content.size() - 1000))
+          .ok());
+  EXPECT_EQ((*file)->Size(), content.size());
+  EXPECT_EQ((*file)->PersistedSize(), 300u * 4096);
+  // FTL: synced partial page 0, then page 0 completed plus pages 1-299.
+  EXPECT_EQ(env_->stats().host_pages_written, ftl ? 301u : 300u);
+
+  ASSERT_TRUE((*file)->Sync().ok());
+  EXPECT_EQ((*file)->PersistedSize(), ftl ? content.size() : 300u * 4096);
+  ASSERT_TRUE((*file)->Close().ok());
+  EXPECT_EQ((*file)->PersistedSize(), content.size());
+  EXPECT_EQ(env_->host_bytes_appended(), content.size());
+  EXPECT_EQ(env_->TotalFileBytes(), ftl ? 301u * 4096 : 38u * 8 * 4096);
+
+  auto reader = env_->NewRandomAccessFile("f");
+  ASSERT_TRUE(reader.ok());
+  std::string out;
+  ASSERT_TRUE((*reader)->Read(0, content.size(), &out).ok());
+  EXPECT_EQ(out, content);
+  ASSERT_TRUE(env_->DeleteFile("f").ok());
+
+  const SsdStats& stats = env_->stats();
+  // FTL: the big append's 300 pages between two partial-page syncs.
+  // Native: pages 0-299, then page 300 padded at Close.
+  EXPECT_EQ(stats.host_pages_written, ftl ? 302u : 301u);
+  EXPECT_EQ(stats.host_pages_read, 301u);
+  EXPECT_EQ(stats.gc_pages_migrated, 0u);
+  EXPECT_EQ(stats.blocks_erased, ftl ? 0u : 38u);
+  EXPECT_EQ(clock_.NowMicros(), ftl ? 302u * 200 + 301 * 80
+                                    : 301u * 200 + 301 * 80 + 38 * 2000);
+}
+
+// The device fills in the middle of one append: every page up to capacity
+// is programmed and readable, the rest of the append stays buffered, and
+// the call reports NoSpace. The file's size counts the whole append.
+TEST_P(EnvTest, NoSpaceMidAppendKeepsPlacedPrefix) {
+  const bool ftl = GetParam() == InterfaceMode::kPageMappedFtl;
+  Random rnd(12);
+  const std::string content = rnd.NextString(1000 + 600 * 4096 + 100);
+  auto file = env_->NewWritableFile("f");
+  ASSERT_TRUE(file.ok());
+
+  ASSERT_TRUE((*file)->Append(Slice(content.data(), 1000)).ok());
+  ASSERT_TRUE((*file)->Sync().ok());
+  const Status s =
+      (*file)->Append(Slice(content.data() + 1000, content.size() - 1000));
+  EXPECT_TRUE(s.IsNoSpace()) << s.ToString();
+
+  // 384 logical pages (FTL) or 64 whole blocks of 8 pages (native).
+  const uint64_t capacity_pages = ftl ? 384 : 512;
+  ASSERT_EQ(env_->CapacityBytes(), capacity_pages * 4096);
+  EXPECT_EQ((*file)->Size(), content.size());
+  EXPECT_EQ((*file)->PersistedSize(), capacity_pages * 4096);
+  EXPECT_EQ(env_->host_bytes_appended(), content.size());
+
+  auto reader = env_->NewRandomAccessFile("f");
+  ASSERT_TRUE(reader.ok());
+  EXPECT_EQ((*reader)->Size(), capacity_pages * 4096);
+  std::string out;
+  ASSERT_TRUE((*reader)->Read(0, content.size(), &out).ok());
+  EXPECT_EQ(out, content.substr(0, capacity_pages * 4096));
+
+  const SsdStats& stats = env_->stats();
+  // FTL: the synced partial page 0 is completed in place before the
+  // logical pages run out; native programs every block once.
+  EXPECT_EQ(stats.host_pages_written, capacity_pages + (ftl ? 1 : 0));
+  EXPECT_EQ(stats.host_pages_read, capacity_pages);
+  EXPECT_EQ(stats.gc_pages_migrated, 0u);
+  EXPECT_EQ(stats.blocks_erased, 0u);
+  EXPECT_EQ(clock_.NowMicros(),
+            (capacity_pages + (ftl ? 1 : 0)) * 200 + capacity_pages * 80);
+}
+
 TEST_P(EnvTest, TornAppendKeepsPrefixAndFails) {
   if (!failpoint::kCompiledIn) {
     GTEST_SKIP() << "failpoint sites not compiled in (DIRECTLOAD_FAILPOINTS)";
