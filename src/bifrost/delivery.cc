@@ -18,6 +18,20 @@ std::vector<int> DestinationsFor(webindex::IndexType type) {
   return dests;
 }
 
+void EncodeSliceFrames(const wire::SliceStream& stream, uint64_t version,
+                       uint64_t slice_bytes, uint64_t* next_slice_id,
+                       std::vector<SliceFrame>* frames) {
+  std::vector<wire::SliceCut> cuts;
+  wire::CutSlices(stream, version, slice_bytes, &cuts);
+  for (const wire::SliceCut& cut : cuts) {
+    SliceFrame frame;
+    frame.slice_id = (*next_slice_id)++;
+    frame.type = stream.type;
+    wire::EncodeSlice(stream, cut, version, frame.slice_id, &frame.bytes);
+    frames->push_back(std::move(frame));
+  }
+}
+
 DeliveryService::DeliveryService(SimClock* clock,
                                  const DeliveryOptions& options)
     : clock_(clock),
@@ -152,15 +166,15 @@ std::vector<int> DeliveryService::PickPath(int dest, bool* detoured,
 }
 
 DeliveryReport DeliveryService::DeliverVersion(
-    const std::vector<SlicePacket>& summary,
-    const std::vector<SlicePacket>& inverted, const SinkFn& sink) {
+    const std::vector<SliceFrame>& summary,
+    const std::vector<SliceFrame>& inverted, const SinkFn& sink) {
   DeliveryReport report;
   const uint64_t start_micros = clock_->NowMicros();
 
   // Build the work list: one Pending per (slice, destination).
   std::vector<Pending> pendings;
-  auto enqueue_dataset = [&](const std::vector<SlicePacket>& slices) {
-    for (const SlicePacket& slice : slices) {
+  auto enqueue_dataset = [&](const std::vector<SliceFrame>& slices) {
+    for (const SliceFrame& slice : slices) {
       for (int dest : DestinationsFor(slice.type)) {
         pendings.push_back(Pending{&slice, dest, 0});
       }
@@ -199,6 +213,7 @@ DeliveryReport DeliveryService::DeliverVersion(
   struct Inflight {
     size_t pending_idx;
     uint64_t start_micros;
+    size_t hops;  // Links on the flow's path: 2 direct, 3 via a detour.
   };
   std::map<uint64_t, Inflight> flow_to_pending;
   size_t outstanding = pendings.size();
@@ -225,13 +240,13 @@ DeliveryReport DeliveryService::DeliverVersion(
         const int klass = p.slice->type == webindex::IndexType::kSummary
                               ? class_summary_
                               : class_inverted_;
-        const uint64_t flow =
-            net_->StartFlow(path, static_cast<double>(p.slice->bytes()), klass,
-                            idx);
-        flow_to_pending[flow] = Inflight{idx, clock_->NowMicros()};
+        const uint64_t bytes = p.slice->bytes.size();
+        const uint64_t flow = net_->StartFlow(
+            path, static_cast<double>(bytes), klass, idx);
+        flow_to_pending[flow] = Inflight{idx, clock_->NowMicros(), path.size()};
         ++inflight[dest];
         ++p.attempts;
-        report.bytes_transmitted += p.slice->bytes() * path.size();
+        report.bytes_transmitted += bytes * path.size();
       }
     }
   };
@@ -278,13 +293,14 @@ DeliveryReport DeliveryService::DeliverVersion(
       auto it = flow_to_pending.find(flow_id);
       if (it == flow_to_pending.end()) continue;
       const size_t idx = it->second.pending_idx;
+      const size_t hops = it->second.hops;
       flow_to_pending.erase(it);
       Pending& p = pendings[idx];
       --inflight[p.dest];
 
       // Per-hop corruption check: every relay verifies the checksum, so a
-      // corrupted slice is re-requested from the source.
-      const size_t hops = p.dest >= 0 ? 2 : 2;  // Direct=2 hops, detour=3.
+      // slice corrupted on any hop it crossed is re-requested from the
+      // source.
       bool corrupted = false;
       for (size_t h = 0; h < hops && !corrupted; ++h) {
         corrupted = rng_.Bernoulli(options_.corruption_prob);

@@ -4,11 +4,14 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
-#include "bifrost/slicer.h"
+#include "bifrost/wire/slice_codec.h"
 #include "common/random.h"
 #include "common/sim_clock.h"
+#include "common/status.h"
+#include "index/builders.h"
 #include "net/fluid_network.h"
 
 namespace directload::bifrost {
@@ -22,6 +25,10 @@ constexpr int kNumRegions = 3;
 constexpr int kDcsPerRegion = 2;
 constexpr int kNumDataCenters = kNumRegions * kDcsPerRegion;
 
+/// Bifrost's empirical bandwidth reservation (Section 2.2): summary slices
+/// get this share of a link, inverted slices the rest (40/60).
+constexpr double kSummaryBandwidthShare = 0.4;
+
 /// Relay nodes pooled per group ("20~30 relay nodes caching and relaying the
 /// data", Section 2.2). Failing nodes shrinks the group's pooled bandwidth
 /// proportionally.
@@ -31,6 +38,23 @@ constexpr int kRelayNodesPerGroup = 24;
 /// rescheduling with fresh bandwidth predictions.
 constexpr int kWindowPerDestination = 4;
 
+/// A transmission unit: one encoded wire slice frame
+/// (bifrost/wire/slice_codec.h), whose own checksum every relay re-verifies
+/// (Section 3, "Failures in Transmission"), plus the two header fields the
+/// scheduler routes by.
+struct SliceFrame {
+  uint64_t slice_id = 0;
+  webindex::IndexType type = webindex::IndexType::kInverted;
+  std::string bytes;
+};
+
+/// Cuts `stream` into slices of about `slice_bytes` and encodes each as a
+/// wire frame of `version` — the bytes BulkLoader ships — appended to
+/// `frames` with ids counting up from `*next_slice_id`.
+void EncodeSliceFrames(const wire::SliceStream& stream, uint64_t version,
+                       uint64_t slice_bytes, uint64_t* next_slice_id,
+                       std::vector<SliceFrame>* frames);
+
 struct DeliveryOptions {
   /// Aggregate capacities in bytes/sec (a relay group is modeled as one
   /// aggregate node; the paper's 20-30 relay nodes pool their bandwidth).
@@ -39,7 +63,8 @@ struct DeliveryOptions {
   double regional_bytes_per_sec = 30e6;     // Relay group -> data center.
 
   /// Probability that a slice is corrupted on one hop (checksum catches it;
-  /// the slice is retransmitted from the source).
+  /// the slice is retransmitted from the source). Drawn once per hop the
+  /// slice crossed: two on the direct path, three on a detour.
   double corruption_prob = 0.0;
 
   double tick_seconds = 0.25;
@@ -72,7 +97,7 @@ struct DeliveryReport {
   uint64_t deliveries_total = 0;   // (slice, destination) pairs.
   uint64_t retransmissions = 0;
   uint64_t repairs = 0;            // Stuck transfers aborted + re-requested.
-  uint64_t bytes_transmitted = 0;  // Across all hops' ingress (post-dedup).
+  uint64_t bytes_transmitted = 0;  // Frame bytes summed over every hop.
   bool completed = false;          // False if max_seconds elapsed first.
 };
 
@@ -87,12 +112,12 @@ class DeliveryService {
   DeliveryService(SimClock* clock, const DeliveryOptions& options);
 
   /// Invoked for every verified slice arrival: (data_center, slice).
-  using SinkFn = std::function<void(int, const SlicePacket&)>;
+  using SinkFn = std::function<void(int, const SliceFrame&)>;
 
   /// Delivers one version's slices to their destinations and returns when
   /// everything has arrived (or max_seconds passed).
-  DeliveryReport DeliverVersion(const std::vector<SlicePacket>& summary,
-                                const std::vector<SlicePacket>& inverted,
+  DeliveryReport DeliverVersion(const std::vector<SliceFrame>& summary,
+                                const std::vector<SliceFrame>& inverted,
                                 const SinkFn& sink = nullptr);
 
   /// Fault injection: background load on the build-center -> relay backbone
@@ -116,7 +141,7 @@ class DeliveryService {
 
  private:
   struct Pending {
-    const SlicePacket* slice = nullptr;
+    const SliceFrame* slice = nullptr;
     int dest = 0;  // Data center index [0, 6).
     int attempts = 0;
     double release_seconds = 0;  // Generation time within the cycle.

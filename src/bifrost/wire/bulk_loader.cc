@@ -4,7 +4,7 @@
 #include <chrono>
 #include <thread>
 
-#include "bifrost/slicer.h"
+#include "bifrost/delivery.h"
 #include "common/failpoint.h"
 #include "common/logging.h"
 
@@ -34,76 +34,18 @@ const std::vector<BulkDelete> kNoDeletes;
 BulkLoader::BulkLoader(rpc::RpcClient* client, BulkLoadOptions options)
     : client_(client), options_(std::move(options)) {}
 
-uint64_t BulkLoader::SizeStream(const Stream& stream) {
-  // Same cut as packing pairs one by one: a slice is sealed as soon as its
-  // payload reaches slice_bytes.
-  PendingSlice slice;
-  slice.type = stream.type;
-  size_t payload = 0;
-  uint64_t stream_bytes = 0;
-  auto seal = [&](size_t next) {
-    slice.frame_bytes = kSliceHeaderBytes + payload + kSliceTrailerBytes;
-    stream_bytes += slice.frame_bytes;
-    slices_.push_back(slice);
-    slice.first = next;
-    slice.pair_count = 0;
-    payload = 0;
-  };
-  for (size_t i = 0; i < stream.pairs->size(); ++i) {
-    const ShippedPair& pair = (*stream.pairs)[i];
-    payload += WirePairBytes(pair.key.size(), version_, pair.value.size(),
-                             pair.dedup, /*tombstone=*/false);
-    ++slice.pair_count;
-    if (payload >= options_.slice_bytes) seal(i + 1);
-  }
-  for (size_t d = 0; d < stream.deletes->size(); ++d) {
-    payload += WirePairBytes((*stream.deletes)[d].key.size(),
-                             (*stream.deletes)[d].version, 0,
-                             /*dedup=*/false, /*tombstone=*/true);
-    ++slice.pair_count;
-    if (payload >= options_.slice_bytes) seal(stream.pairs->size() + d + 1);
-  }
-  if (slice.pair_count > 0) seal(stream.size());
-  report_.pairs_total += stream.size();
-  return stream_bytes;
-}
-
-void BulkLoader::EncodeSlice(uint64_t id, std::string* dst) const {
-  const PendingSlice& slice = slices_[id];
-  const Stream& stream =
-      slice.type == webindex::IndexType::kSummary ? summary_ : inverted_;
-  SliceHeader header;
-  header.slice_id = id;
-  header.version = version_;
-  header.type = slice.type;
-  header.pair_count = slice.pair_count;
-  const size_t start = dst->size();
-  dst->reserve(start + slice.frame_bytes);
-  AppendSliceHeader(header, dst);
-  const size_t end = slice.first + slice.pair_count;
-  for (size_t i = slice.first; i < end; ++i) {
-    if (i < stream.pairs->size()) {
-      const ShippedPair& pair = (*stream.pairs)[i];
-      AppendWirePair(dst, pair.key, version_, pair.value, pair.dedup,
-                     /*tombstone=*/false);
-    } else {
-      const BulkDelete& del = (*stream.deletes)[i - stream.pairs->size()];
-      AppendWirePair(dst, del.key, del.version, Slice(), /*dedup=*/false,
-                     /*tombstone=*/true);
-    }
-  }
-  AppendSliceTrailer(start, dst);
-  DL_CHECK(dst->size() - start == slice.frame_bytes);
-}
-
 Result<uint64_t> BulkLoader::SendSlice(uint64_t id) {
   PendingSlice& slice = slices_[id];
-  if (slice.frame_value.empty()) EncodeSlice(id, &slice.frame_value);
-  WallRateLimiter* limiter = slice.type == webindex::IndexType::kSummary
+  if (slice.frame_value.empty()) {
+    const SliceStream& stream =
+        slice.cut.type == webindex::IndexType::kSummary ? summary_ : inverted_;
+    EncodeSlice(stream, slice.cut, version_, id, &slice.frame_value);
+  }
+  WallRateLimiter* limiter = slice.cut.type == webindex::IndexType::kSummary
                                  ? summary_limiter_.get()
                                  : inverted_limiter_.get();
   if (limiter != nullptr) {
-    limiter->Throttle(static_cast<double>(slice.frame_bytes));
+    limiter->Throttle(static_cast<double>(slice.cut.frame_bytes));
   }
   rpc::Frame frame;
   frame.op = rpc::Opcode::kBulkSlice;
@@ -229,11 +171,18 @@ Status BulkLoader::Load(uint64_t version,
   }
 
   version_ = version;
-  summary_ = Stream{webindex::IndexType::kSummary, &summary, &kNoDeletes};
-  inverted_ = Stream{webindex::IndexType::kInverted, &inverted, &deletes};
-  const uint64_t summary_bytes = SizeStream(summary_);
-  const uint64_t inverted_bytes = SizeStream(inverted_);
+  summary_ = SliceStream{webindex::IndexType::kSummary, &summary, &kNoDeletes};
+  inverted_ =
+      SliceStream{webindex::IndexType::kInverted, &inverted, &deletes};
+  std::vector<SliceCut> cuts;
+  const uint64_t summary_bytes =
+      CutSlices(summary_, version, options_.slice_bytes, &cuts);
+  const uint64_t inverted_bytes =
+      CutSlices(inverted_, version, options_.slice_bytes, &cuts);
+  slices_.resize(cuts.size());
+  for (size_t i = 0; i < cuts.size(); ++i) slices_[i].cut = cuts[i];
   report_.slices_total = slices_.size();
+  report_.pairs_total = summary_.size() + inverted_.size();
 
   // The empirical 40/60 reservation: one bucket per stream, split from the
   // total budget.

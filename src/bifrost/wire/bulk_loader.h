@@ -17,13 +17,6 @@
 
 namespace directload::bifrost::wire {
 
-/// An explicit delete shipped with a bulk load (the paper's `d`-flagged
-/// pairs): at commit the named key's newest live version is marked deleted.
-struct BulkDelete {
-  std::string key;
-  uint64_t version = 0;  // The version being deleted (informational).
-};
-
 struct BulkLoadOptions {
   /// Target pair-payload bytes per slice. Encoded slices must fit the
   /// negotiated frame bound — the loader refuses values that could not.
@@ -68,32 +61,11 @@ class BulkLoader {
               BulkLoadReport* report = nullptr);
 
  private:
-  /// One pair stream of the load being shipped: `pairs`, then `deletes` as
-  /// tombstones. Points into Load's arguments while Load runs.
-  struct Stream {
-    webindex::IndexType type = webindex::IndexType::kInverted;
-    const std::vector<ShippedPair>* pairs = nullptr;
-    const std::vector<BulkDelete>* deletes = nullptr;
-
-    size_t size() const { return pairs->size() + deletes->size(); }
-  };
-
   struct PendingSlice {
-    webindex::IndexType type = webindex::IndexType::kInverted;  // Stream.
-    size_t first = 0;  // Stream index of the slice's first pair.
-    uint32_t pair_count = 0;
-    size_t frame_bytes = 0;   // Exact encoded size (header..trailer).
+    SliceCut cut;
     std::string frame_value;  // Pristine encoded slice while in flight.
     int sends = 0;
   };
-
-  /// The sizing pass: cuts `stream` into slices appended to `slices_` —
-  /// pair ranges and exact encoded sizes, computed from the pairs' lengths
-  /// without encoding anything. Returns the stream's encoded bytes.
-  uint64_t SizeStream(const Stream& stream);
-
-  /// Appends the encoded slice `id` (header, pairs, checksum) to `dst`.
-  void EncodeSlice(uint64_t id, std::string* dst) const;
 
   /// Ships slice `id` and returns the request id used (fresh each send),
   /// pacing against the stream's rate limiter. A slice is encoded when it
@@ -123,8 +95,8 @@ class BulkLoader {
   rpc::RpcClient* const client_;
   const BulkLoadOptions options_;
   uint64_t version_ = 0;
-  Stream summary_;
-  Stream inverted_;
+  SliceStream summary_;
+  SliceStream inverted_;
   std::vector<PendingSlice> slices_;
   BulkLoadReport report_;
   std::unique_ptr<WallRateLimiter> summary_limiter_;

@@ -2,6 +2,7 @@
 
 #include "common/coding.h"
 #include "common/crc32c.h"
+#include "common/logging.h"
 
 namespace directload::bifrost::wire {
 
@@ -67,7 +68,7 @@ Status CheckSliceFrame(const Slice& frame, SliceHeader* header) {
 }
 
 Status DecodeSlicePacket(const Slice& frame, SliceHeader* header,
-                         std::vector<PairView>* pairs) {
+                         std::vector<qindb::IngestOp>* pairs) {
   pairs->clear();
   if (Status s = CheckSliceFrame(frame, header); !s.ok()) return s;
   Slice rest(frame.data() + kSliceHeaderBytes,
@@ -80,7 +81,7 @@ Status DecodeSlicePacket(const Slice& frame, SliceHeader* header,
     if (rest.empty()) {
       return Status::Protocol("slice payload short of pair count");
     }
-    PairView pair;
+    qindb::IngestOp pair;
     const uint8_t flags = static_cast<uint8_t>(rest[0]);
     if ((flags & ~(kPairFlagDedup | kPairFlagTombstone)) != 0) {
       return Status::Protocol("bad slice pair flags");
@@ -106,6 +107,64 @@ Status DecodeSlicePacket(const Slice& frame, SliceHeader* header,
     return Status::Protocol("trailing bytes after slice pairs");
   }
   return Status::OK();
+}
+
+uint64_t CutSlices(const SliceStream& stream, uint64_t version,
+                   uint64_t slice_bytes, std::vector<SliceCut>* cuts) {
+  SliceCut cut;
+  cut.type = stream.type;
+  size_t payload = 0;
+  uint64_t stream_bytes = 0;
+  auto seal = [&](size_t next) {
+    cut.frame_bytes = kSliceHeaderBytes + payload + kSliceTrailerBytes;
+    stream_bytes += cut.frame_bytes;
+    cuts->push_back(cut);
+    cut.first = next;
+    cut.pair_count = 0;
+    payload = 0;
+  };
+  for (size_t i = 0; i < stream.pairs->size(); ++i) {
+    const ShippedPair& pair = (*stream.pairs)[i];
+    payload += WirePairBytes(pair.key.size(), version, pair.value.size(),
+                             pair.dedup, /*tombstone=*/false);
+    ++cut.pair_count;
+    if (payload >= slice_bytes) seal(i + 1);
+  }
+  for (size_t d = 0; d < stream.deletes->size(); ++d) {
+    payload += WirePairBytes((*stream.deletes)[d].key.size(),
+                             (*stream.deletes)[d].version, 0,
+                             /*dedup=*/false, /*tombstone=*/true);
+    ++cut.pair_count;
+    if (payload >= slice_bytes) seal(stream.pairs->size() + d + 1);
+  }
+  if (cut.pair_count > 0) seal(stream.size());
+  return stream_bytes;
+}
+
+void EncodeSlice(const SliceStream& stream, const SliceCut& cut,
+                 uint64_t version, uint64_t slice_id, std::string* dst) {
+  SliceHeader header;
+  header.slice_id = slice_id;
+  header.version = version;
+  header.type = cut.type;
+  header.pair_count = cut.pair_count;
+  const size_t start = dst->size();
+  dst->reserve(start + cut.frame_bytes);
+  AppendSliceHeader(header, dst);
+  const size_t end = cut.first + cut.pair_count;
+  for (size_t i = cut.first; i < end; ++i) {
+    if (i < stream.pairs->size()) {
+      const ShippedPair& pair = (*stream.pairs)[i];
+      AppendWirePair(dst, pair.key, version, pair.value, pair.dedup,
+                     /*tombstone=*/false);
+    } else {
+      const BulkDelete& del = (*stream.deletes)[i - stream.pairs->size()];
+      AppendWirePair(dst, del.key, del.version, Slice(), /*dedup=*/false,
+                     /*tombstone=*/true);
+    }
+  }
+  AppendSliceTrailer(start, dst);
+  DL_CHECK(dst->size() - start == cut.frame_bytes);
 }
 
 void EncodeBulkBegin(const BulkBeginInfo& info, std::string* dst) {

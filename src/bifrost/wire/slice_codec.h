@@ -5,9 +5,11 @@
 #include <string>
 #include <vector>
 
+#include "bifrost/dedup.h"
 #include "common/slice.h"
 #include "common/status.h"
 #include "index/builders.h"
+#include "qindb/qindb.h"
 
 namespace directload::bifrost::wire {
 
@@ -56,16 +58,6 @@ struct SliceHeader {
   uint32_t pair_count = 0;
 };
 
-/// One decoded pair. `key` and `value` alias the frame bytes handed to
-/// DecodeSlicePacket — the caller keeps that buffer alive while using them.
-struct PairView {
-  Slice key;
-  Slice value;
-  uint64_t version = 0;
-  bool dedup = false;
-  bool tombstone = false;
-};
-
 /// Appends one encoded pair to `payload`. Deduplicated pairs and tombstones
 /// ship value-less regardless of `value`.
 void AppendWirePair(std::string* payload, const Slice& key, uint64_t version,
@@ -93,11 +85,54 @@ void AppendSliceTrailer(size_t start, std::string* dst);
 /// never have been well-formed.
 Status CheckSliceFrame(const Slice& frame, SliceHeader* header);
 
-/// Full decode: CheckSliceFrame plus pair extraction. Pair views alias
-/// `frame`'s bytes. The payload must parse to exactly `pair_count` pairs
-/// with no trailing bytes.
+/// Full decode: CheckSliceFrame plus pair extraction, straight into the
+/// ops MintCluster::BulkIngest lands. The ops' key and value slices alias
+/// `frame`'s bytes — the caller keeps that buffer alive while using them.
+/// The payload must parse to exactly `pair_count` pairs with no trailing
+/// bytes.
 Status DecodeSlicePacket(const Slice& frame, SliceHeader* header,
-                         std::vector<PairView>* pairs);
+                         std::vector<qindb::IngestOp>* pairs);
+
+// -- Cutting a version into slices ------------------------------------------
+
+/// An explicit delete shipped with a bulk load (the paper's `d`-flagged
+/// pairs): at commit the named key's newest live version is marked deleted.
+struct BulkDelete {
+  std::string key;
+  uint64_t version = 0;  // The version being deleted (informational).
+};
+
+/// One pair stream of a version: `pairs` (Deduplicator output — `dedup`
+/// pairs travel value-less), then `deletes` as tombstones. Points into the
+/// caller's vectors.
+struct SliceStream {
+  webindex::IndexType type = webindex::IndexType::kInverted;
+  const std::vector<ShippedPair>* pairs = nullptr;
+  const std::vector<BulkDelete>* deletes = nullptr;
+
+  size_t size() const { return pairs->size() + deletes->size(); }
+};
+
+/// One slice of a stream, cut before anything is encoded.
+struct SliceCut {
+  webindex::IndexType type = webindex::IndexType::kInverted;  // Stream.
+  size_t first = 0;  // Stream index of the slice's first pair.
+  uint32_t pair_count = 0;
+  size_t frame_bytes = 0;  // Exact encoded size (header..trailer).
+};
+
+/// The sizing pass: cuts `stream` (shipped as `version`) into slices
+/// appended to `cuts` — a slice is sealed as soon as its pair payload
+/// reaches `slice_bytes` — with exact encoded sizes computed from the
+/// pairs' lengths, without encoding anything. Returns the stream's encoded
+/// bytes.
+uint64_t CutSlices(const SliceStream& stream, uint64_t version,
+                   uint64_t slice_bytes, std::vector<SliceCut>* cuts);
+
+/// Appends slice `cut` of `stream`, encoded as frame `slice_id` of
+/// `version` (header, pairs, checksum), to `dst`.
+void EncodeSlice(const SliceStream& stream, const SliceCut& cut,
+                 uint64_t version, uint64_t slice_id, std::string* dst);
 
 // -- kBulkBegin payload -----------------------------------------------------
 

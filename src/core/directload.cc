@@ -2,6 +2,9 @@
 
 #include <algorithm>
 
+#include "bifrost/wire/slice_codec.h"
+#include "common/logging.h"
+
 namespace directload::core {
 
 namespace {
@@ -12,6 +15,9 @@ constexpr uint64_t kMaxVersions = 4;
 
 /// The data center a new version activates at first (gray release).
 constexpr int kGrayDc = 0;
+
+/// DirectLoad ships no explicit deletes: old versions go by pruning.
+const std::vector<bifrost::wire::BulkDelete> kNoDeletes;
 
 }  // namespace
 
@@ -53,29 +59,31 @@ Result<UpdateReport> DirectLoad::RunUpdateCycle(double change_rate,
   report.version = corpus_->version();
   report.docs_changed = corpus_->docs_changed_last_round();
 
-  // 2. Index building (Figure 1's build engine). Each dataset is freed
-  //    once it is sliced.
-  std::vector<bifrost::SlicePacket> summary_slices;
-  std::vector<bifrost::SlicePacket> inverted_slices;
+  // 2. Index building (Figure 1's build engine). Each stream is cut and
+  //    encoded into wire slice frames exactly as BulkLoader ships them
+  //    (slice ids dense from 0 within the version), and each dataset is
+  //    freed once it is encoded.
+  const uint64_t version = report.version;
+  std::vector<bifrost::SliceFrame> summary_slices;
+  std::vector<bifrost::SliceFrame> inverted_slices;
+  uint64_t next_slice_id = 0;
   {
     webindex::IndexDataset summary = webindex::BuildSummaryIndex(*corpus_);
-    std::vector<bifrost::ShippedPair> shipped =
+    const std::vector<bifrost::ShippedPair> shipped =
         summary_dedup_.Process(summary, &report.dedup);
-    summary_slices =
-        bifrost::PackSlices(shipped, summary.type, summary.version,
-                            options_.slice_bytes, next_slice_id_);
-    next_slice_id_ += summary_slices.size();
+    bifrost::EncodeSliceFrames({summary.type, &shipped, &kNoDeletes}, version,
+                               options_.slice_bytes, &next_slice_id,
+                               &summary_slices);
   }
   {
     webindex::IndexDataset forward = webindex::BuildForwardIndex(*corpus_);
     webindex::IndexDataset inverted =
         webindex::BuildInvertedIndex(*corpus_, forward);
-    std::vector<bifrost::ShippedPair> shipped =
+    const std::vector<bifrost::ShippedPair> shipped =
         inverted_dedup_.Process(inverted, &report.dedup);
-    inverted_slices =
-        bifrost::PackSlices(shipped, inverted.type, inverted.version,
-                            options_.slice_bytes, next_slice_id_);
-    next_slice_id_ += inverted_slices.size();
+    bifrost::EncodeSliceFrames({inverted.type, &shipped, &kNoDeletes},
+                               version, options_.slice_bytes, &next_slice_id,
+                               &inverted_slices);
     if (options_.ship_forward) {
       // Forward indices travel with the inverted stream (Figure 1's blue
       // arrows) and land at all six data centers.
@@ -86,18 +94,18 @@ Result<UpdateReport> DirectLoad::RunUpdateCycle(double change_rate,
       for (bifrost::ShippedPair& pair : fwd_shipped) {
         pair.key = "fwd:" + pair.key;
       }
-      std::vector<bifrost::SlicePacket> fwd_slices = bifrost::PackSlices(
-          fwd_shipped, forward.type, forward.version, options_.slice_bytes,
-          next_slice_id_);
-      next_slice_id_ += fwd_slices.size();
-      inverted_slices.insert(inverted_slices.end(),
-                             std::make_move_iterator(fwd_slices.begin()),
-                             std::make_move_iterator(fwd_slices.end()));
+      bifrost::EncodeSliceFrames({forward.type, &fwd_shipped, &kNoDeletes},
+                                 version, options_.slice_bytes,
+                                 &next_slice_id, &inverted_slices);
     }
   }
 
   // 3. Cross-region delivery with on-arrival ingestion (transmission and
-  //    storage are pipelined; each storage node has its own clock).
+  //    storage are pipelined; each storage node has its own clock). Every
+  //    data center stages the version in a bulk session: each delivered
+  //    frame is decoded and landed with BulkIngest, exactly as a serving
+  //    node lands a kBulkSlice frame, and none of it is readable before the
+  //    commit below.
   std::vector<uint64_t> node_clock_before;
   for (auto& cluster : clusters_) {
     for (int n = 0; n < cluster->num_nodes(); ++n) {
@@ -105,26 +113,40 @@ Result<UpdateReport> DirectLoad::RunUpdateCycle(double change_rate,
     }
   }
 
-  Status ingest_error;
-  const uint64_t version = report.version;
-  report.delivery = delivery_->DeliverVersion(
-      summary_slices, inverted_slices,
-      [&](int dc, const bifrost::SlicePacket& slice) {
-        std::vector<bifrost::ShippedPair> pairs;
-        Status s = bifrost::UnpackSlice(slice, &pairs);
-        if (!s.ok()) {
-          if (ingest_error.ok()) ingest_error = s;
-          return;
-        }
-        for (const bifrost::ShippedPair& pair : pairs) {
-          s = clusters_[dc]->Put(pair.key, version, pair.value, pair.dedup);
-          if (!s.ok() && ingest_error.ok()) ingest_error = s;
-        }
-        report.pairs_ingested += pairs.size();
-      });
-  if (!ingest_error.ok()) return ingest_error;
-  if (!report.delivery.completed) {
-    return Status::TimedOut("delivery did not finish in time");
+  Status landed;
+  for (size_t dc = 0; landed.ok() && dc < clusters_.size(); ++dc) {
+    landed = clusters_[dc]->BulkBegin(version);
+  }
+  if (landed.ok()) {
+    bifrost::wire::SliceHeader header;
+    std::vector<qindb::IngestOp> ops;
+    report.delivery = delivery_->DeliverVersion(
+        summary_slices, inverted_slices,
+        [&](int dc, const bifrost::SliceFrame& frame) {
+          if (!landed.ok()) return;
+          landed = bifrost::wire::DecodeSlicePacket(frame.bytes, &header, &ops);
+          if (landed.ok()) {
+            landed = clusters_[dc]->BulkIngest(version, ops.data(), ops.size());
+          }
+          if (landed.ok()) report.pairs_ingested += ops.size();
+        });
+  }
+  if (landed.ok() && !report.delivery.completed) {
+    landed = Status::TimedOut("delivery did not finish in time");
+  }
+  // The version becomes readable one data center at a time (DESIGN.md §5
+  // says what a reader sees in between).
+  for (size_t dc = 0; landed.ok() && dc < clusters_.size(); ++dc) {
+    landed = clusters_[dc]->BulkCommit(version);
+  }
+  if (!landed.ok()) {
+    // An uncommitted version leaves no trace: every staged pair is rolled
+    // back. Data centers whose commit already succeeded keep the version.
+    for (auto& cluster : clusters_) {
+      DL_DISCARD_STATUS("best-effort rollback; the cycle already failed",
+                        cluster->BulkAbort(version));
+    }
+    return landed;
   }
 
   size_t idx = 0;

@@ -8,7 +8,6 @@
 
 #include "bifrost/dedup.h"
 #include "bifrost/delivery.h"
-#include "bifrost/slicer.h"
 #include "common/random.h"
 #include "common/result.h"
 #include "common/sim_clock.h"
@@ -119,7 +118,6 @@ class DirectLoad {
   std::vector<uint64_t> active_version_;
   std::vector<uint64_t> stored_versions_;  // Count per DC (pruning).
   uint64_t oldest_version_ = 1;
-  uint64_t next_slice_id_ = 0;
   Random rng_;
 };
 

@@ -133,34 +133,50 @@ Status MintCluster::Del(const Slice& key, uint64_t version) {
   return WriteMany(ops, &statuses);
 }
 
+template <typename TargetFn, typename EmitFn>
+void MintCluster::RouteWritesLocked(size_t count, const TargetFn& target,
+                                    const EmitFn& emit) const {
+  std::vector<std::pair<uint64_t, int>> ranked;
+  std::vector<int> replicas;
+  for (size_t i = 0; i < count; ++i) {
+    const auto [key, whole_group] = target(i);
+    const std::vector<int>* targets = &GroupNodesLocked(GroupOfLocked(key));
+    if (!whole_group) {
+      RendezvousReplicas(key, *targets, options_.replicas, &ranked,
+                         &replicas);
+      targets = &replicas;
+    }
+    for (int id : *targets) emit(id, i);
+  }
+}
+
 Status MintCluster::WriteMany(const std::vector<rpc::BatchOp>& ops,
                               std::vector<Status>* statuses) {
   ReaderLock cluster_guard(&cluster_mu_);
   statuses->assign(ops.size(), Status::OK());
   if (ops.empty()) return Status::OK();
 
-  // Bucket ops by target node, preserving op order inside each bucket.
-  // Puts go to the key's rendezvous replicas, Dels to the whole group.
+  // Bucket ops by target node id, preserving op order inside each bucket.
   struct NodePlan {
     qindb::WriteBatch batch;
     std::vector<size_t> op_index;  // Batch position -> ops index.
   };
-  std::map<int, NodePlan> plans;
-  for (size_t i = 0; i < ops.size(); ++i) {
-    const rpc::BatchOp& op = ops[i];
-    const std::vector<int> targets = op.is_del
-                                         ? GroupNodesLocked(GroupOfLocked(op.key))
-                                         : ReplicasOfLocked(op.key);
-    for (int id : targets) {
-      NodePlan& plan = plans[id];
-      if (op.is_del) {
-        plan.batch.Del(op.key, op.version);
-      } else {
-        plan.batch.Put(op.key, op.version, op.value, op.dedup);
-      }
-      plan.op_index.push_back(i);
-    }
-  }
+  std::vector<NodePlan> plans(nodes_.size());
+  RouteWritesLocked(
+      ops.size(),
+      [&](size_t i) {
+        return std::pair<Slice, bool>(ops[i].key, ops[i].is_del);
+      },
+      [&](int id, size_t i) {
+        const rpc::BatchOp& op = ops[i];
+        NodePlan& plan = plans[id];
+        if (op.is_del) {
+          plan.batch.Del(op.key, op.version);
+        } else {
+          plan.batch.Put(op.key, op.version, op.value, op.dedup);
+        }
+        plan.op_index.push_back(i);
+      });
 
   struct Agg {
     int applied = 0;
@@ -168,7 +184,9 @@ Status MintCluster::WriteMany(const std::vector<rpc::BatchOp>& ops,
     Status first_error;
   };
   std::vector<Agg> agg(ops.size());
-  for (auto& [id, plan] : plans) {
+  for (size_t id = 0; id < plans.size(); ++id) {
+    NodePlan& plan = plans[id];
+    if (plan.op_index.empty()) continue;
     StorageNode* node = nodes_[id].get();
     ReaderLock guard(node->lifecycle_mu());
     if (!node->up()) continue;  // Healed by recovery + re-replication.
@@ -256,21 +274,14 @@ Status MintCluster::BulkIngest(uint64_t version, const qindb::IngestOp* ops,
   ReaderLock cluster_guard(&cluster_mu_);
   // Bucket per node id, preserving run order inside each bucket: puts go to
   // the key's rendezvous replicas, tombstones to the whole group (matching
-  // Put/Del above). The ranking buffers are reused across pairs, so routing
-  // allocates nothing per pair.
+  // Put/Del above).
   std::vector<std::vector<qindb::IngestOp>> routed(nodes_.size());
-  std::vector<std::pair<uint64_t, int>> ranked;
-  std::vector<int> replicas;
-  for (size_t i = 0; i < count; ++i) {
-    const qindb::IngestOp& op = ops[i];
-    const std::vector<int>* targets = &GroupNodesLocked(GroupOfLocked(op.key));
-    if (!op.tombstone) {
-      RendezvousReplicas(op.key, *targets, options_.replicas, &ranked,
-                         &replicas);
-      targets = &replicas;
-    }
-    for (int id : *targets) routed[id].push_back(op);
-  }
+  RouteWritesLocked(
+      count,
+      [&](size_t i) {
+        return std::pair<Slice, bool>(ops[i].key, ops[i].tombstone);
+      },
+      [&](int id, size_t i) { routed[id].push_back(ops[i]); });
   size_t applied_nodes = 0;
   Status first_error;
   for (size_t id = 0; id < routed.size(); ++id) {

@@ -204,6 +204,17 @@ class MintCluster {
     return groups_[group];
   }
 
+  /// The one write router, shared by WriteMany and BulkIngest: calls
+  /// `emit(node_id, i)` for every target node of op i, in op order. Puts go
+  /// to the key's rendezvous replicas, deletes to its whole group;
+  /// `target(i)` returns op i's key and whether it is a delete. The
+  /// ranking buffers are reused across ops, so routing allocates nothing
+  /// per op.
+  template <typename TargetFn, typename EmitFn>
+  void RouteWritesLocked(size_t count, const TargetFn& target,
+                         const EmitFn& emit) const
+      REQUIRES_SHARED(cluster_mu_);
+
   template <typename Fn>
   Result<ReadResult> ParallelRead(const Slice& key, const Fn& fn)
       REQUIRES_SHARED(cluster_mu_);

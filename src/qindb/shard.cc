@@ -1304,26 +1304,30 @@ Status Shard::RecoverFromScan(uint32_t min_segment) {
       return;
     }
     const bool dedup = (flags & aof::kFlagDedup) != 0;
-    MemEntry* old = idx->FindExact(key, version);
-    if (old != nullptr && (flags & aof::kFlagRelocated) != 0) {
-      // A relocated copy is the same logical record the index already
-      // tracks, not a newer write: adopt the new address but preserve
-      // the deleted state an earlier tombstone established. A deleted
-      // entry's old record is already accounted dead.
-      if (!old->deleted) {
-        sink.MarkDead(aof::RecordAddress::Unpack(old->address),
-                      EntryExtent(old));
+    if ((flags & aof::kFlagRelocated) != 0) {
+      MemEntry* old = idx->FindExact(key, version);
+      if (old != nullptr) {
+        // A relocated copy is the same logical record the index already
+        // tracks, not a newer write: adopt the new address but preserve
+        // the deleted state an earlier tombstone established. A deleted
+        // entry's old record is already accounted dead.
+        if (!old->deleted) {
+          sink.MarkDead(aof::RecordAddress::Unpack(old->address),
+                        EntryExtent(old));
+        }
+        old->address.store(packed, std::memory_order_relaxed);
+        old->value_size.store(value_len, std::memory_order_relaxed);
+        old->dedup.store(dedup, std::memory_order_relaxed);
+        return;
       }
-      old->address.store(packed, std::memory_order_relaxed);
-      old->value_size.store(value_len, std::memory_order_relaxed);
-      old->dedup.store(dedup, std::memory_order_relaxed);
-      return;
     }
-    if (old != nullptr) {
-      sink.MarkDead(aof::RecordAddress::Unpack(old->address),
-                    EntryExtent(old));
+    // One seek places the entry and reports the record it supersedes.
+    MemIndex::Replaced old;
+    idx->Insert(key, version, packed, value_len, dedup, &old);
+    if (old.found) {
+      sink.MarkDead(aof::RecordAddress::Unpack(old.address),
+                    aof::RecordExtent(key.size(), old.value_size));
     }
-    idx->Insert(key, version, packed, value_len, dedup);
   };
 
   // Bulk-ingest replay state. A pending record may only be indexed once

@@ -63,11 +63,11 @@ enum class Opcode : uint8_t {
   /// connection's frame limit up to kMaxBulkBodyBytes — the client must not
   /// send a kBulkSlice larger than kMaxBodyBytes before the begin ack.
   kBulkBegin = 7,
-  /// One slice of a bulk session. The value field carries an encoded
-  /// SlicePacket (bifrost::wire::EncodeSlicePacket) whose payload checksum
-  /// is re-verified on this hop; version echoes the session version. A
-  /// checksum failure answers kCorruption for that slice only — the
-  /// session (and the connection) survives, and the client re-sends.
+  /// One slice of a bulk session. The value field carries one wire slice
+  /// frame (bifrost/wire/slice_codec.h) whose checksum is re-verified on
+  /// this hop; version echoes the session version. A checksum failure
+  /// answers kCorruption for that slice only — the session (and the
+  /// connection) survives, and the client re-sends.
   kBulkSlice = 8,
   /// Commits the session's version: every landed record becomes readable
   /// atomically, per shard. The value field carries the expected total

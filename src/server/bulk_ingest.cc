@@ -4,7 +4,6 @@
 
 #include "bifrost/wire/slice_codec.h"
 #include "common/logging.h"
-#include "qindb/qindb.h"
 
 namespace directload::server {
 
@@ -24,8 +23,8 @@ Status BulkIngestSession::HandleSlice(uint64_t frame_version,
         "slice version differs from the session version");
   }
   bifrost::wire::SliceHeader header;
-  std::vector<bifrost::wire::PairView> pairs;
-  if (Status s = bifrost::wire::DecodeSlicePacket(frame_value, &header, &pairs);
+  std::vector<qindb::IngestOp> ops;
+  if (Status s = bifrost::wire::DecodeSlicePacket(frame_value, &header, &ops);
       !s.ok()) {
     return s;
   }
@@ -46,19 +45,7 @@ Status BulkIngestSession::HandleSlice(uint64_t frame_version,
     }
   }
   // Engine call off the session lock: slices from different workers land in
-  // parallel. The pair views alias the request frame, which outlives this
-  // call.
-  std::vector<qindb::IngestOp> ops;
-  ops.reserve(pairs.size());
-  for (const bifrost::wire::PairView& pair : pairs) {
-    qindb::IngestOp op;
-    op.key = pair.key;
-    op.version = pair.version;
-    op.value = pair.value;
-    op.dedup = pair.dedup;
-    op.tombstone = pair.tombstone;
-    ops.push_back(op);
-  }
+  // parallel. The ops alias the request frame, which outlives this call.
   Status landed = cluster_->BulkIngest(version_, ops.data(), ops.size());
   MutexLock lock(&mu_);
   inflight_.erase(header.slice_id);

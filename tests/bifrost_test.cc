@@ -1,10 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <map>
 
 #include "bifrost/dedup.h"
 #include "bifrost/delivery.h"
-#include "bifrost/slicer.h"
+#include "bifrost/wire/slice_codec.h"
 #include "common/hash.h"
 #include "common/random.h"
 #include "common/sim_clock.h"
@@ -228,19 +229,39 @@ std::vector<ShippedPair> SamplePairs(int n) {
   return pairs;
 }
 
+/// Cuts and encodes `pairs` into wire slice frames of `version`, ids from
+/// `first_slice_id`.
+std::vector<SliceFrame> Frames(const std::vector<ShippedPair>& pairs,
+                               webindex::IndexType type, uint64_t version,
+                               uint64_t slice_bytes,
+                               uint64_t first_slice_id = 0) {
+  const std::vector<wire::BulkDelete> no_deletes;
+  std::vector<SliceFrame> frames;
+  EncodeSliceFrames({type, &pairs, &no_deletes}, version, slice_bytes,
+                    &first_slice_id, &frames);
+  return frames;
+}
+
 TEST(SlicerTest, PackUnpackRoundTrip) {
   const std::vector<ShippedPair> pairs = SamplePairs(50);
-  const std::vector<SlicePacket> slices =
-      PackSlices(pairs, webindex::IndexType::kSummary, 7, /*slice_bytes=*/4096);
+  const std::vector<SliceFrame> slices =
+      Frames(pairs, webindex::IndexType::kSummary, 7, /*slice_bytes=*/4096);
   EXPECT_GT(slices.size(), 1u);
-  std::vector<ShippedPair> unpacked;
+  std::vector<qindb::IngestOp> unpacked;
   std::vector<ShippedPair> all;
-  for (const SlicePacket& slice : slices) {
-    EXPECT_TRUE(VerifySlice(slice));
-    EXPECT_EQ(slice.version, 7u);
+  for (const SliceFrame& slice : slices) {
+    wire::SliceHeader header;
+    ASSERT_TRUE(wire::DecodeSlicePacket(slice.bytes, &header, &unpacked).ok());
+    EXPECT_EQ(header.slice_id, slice.slice_id);
+    EXPECT_EQ(header.version, 7u);
+    EXPECT_EQ(header.type, webindex::IndexType::kSummary);
     EXPECT_EQ(slice.type, webindex::IndexType::kSummary);
-    ASSERT_TRUE(UnpackSlice(slice, &unpacked).ok());
-    all.insert(all.end(), unpacked.begin(), unpacked.end());
+    for (const qindb::IngestOp& op : unpacked) {
+      EXPECT_EQ(op.version, 7u);
+      EXPECT_FALSE(op.tombstone);
+      all.push_back(ShippedPair{op.key.ToString(), op.value.ToString(),
+                                op.dedup});
+    }
   }
   ASSERT_EQ(all.size(), pairs.size());
   for (size_t i = 0; i < pairs.size(); ++i) {
@@ -251,27 +272,34 @@ TEST(SlicerTest, PackUnpackRoundTrip) {
 }
 
 TEST(SlicerTest, SliceIdsAreSequential) {
-  const std::vector<SlicePacket> slices =
-      PackSlices(SamplePairs(50), webindex::IndexType::kInverted, 1, 4096,
-                 /*first_slice_id=*/100);
+  const std::vector<SliceFrame> slices =
+      Frames(SamplePairs(50), webindex::IndexType::kInverted, 1, 4096,
+             /*first_slice_id=*/100);
+  ASSERT_GT(slices.size(), 1u);
   for (size_t i = 0; i < slices.size(); ++i) {
     EXPECT_EQ(slices[i].slice_id, 100 + i);
+    wire::SliceHeader header;
+    ASSERT_TRUE(wire::CheckSliceFrame(slices[i].bytes, &header).ok());
+    EXPECT_EQ(header.slice_id, 100 + i);
   }
 }
 
 TEST(SlicerTest, CorruptionDetectedByChecksum) {
-  std::vector<SlicePacket> slices =
-      PackSlices(SamplePairs(10), webindex::IndexType::kSummary, 1, 1 << 20);
+  std::vector<SliceFrame> slices =
+      Frames(SamplePairs(10), webindex::IndexType::kSummary, 1, 1 << 20);
   ASSERT_EQ(slices.size(), 1u);
   Random rng(1);
-  CorruptSlice(&slices[0], &rng);
-  EXPECT_FALSE(VerifySlice(slices[0]));
-  std::vector<ShippedPair> pairs;
-  EXPECT_TRUE(UnpackSlice(slices[0], &pairs).IsCorruption());
+  std::string& bytes = slices[0].bytes;
+  const size_t pos = rng.Uniform(bytes.size());
+  bytes[pos] = static_cast<char>(bytes[pos] ^ 0x20);
+  wire::SliceHeader header;
+  EXPECT_TRUE(wire::CheckSliceFrame(bytes, &header).IsCorruption());
+  std::vector<qindb::IngestOp> pairs;
+  EXPECT_TRUE(wire::DecodeSlicePacket(bytes, &header, &pairs).IsCorruption());
 }
 
 TEST(SlicerTest, EmptyInputYieldsNoSlices) {
-  EXPECT_TRUE(PackSlices({}, webindex::IndexType::kSummary, 1, 4096).empty());
+  EXPECT_TRUE(Frames({}, webindex::IndexType::kSummary, 1, 4096).empty());
 }
 
 // ---------------------------------------------------------------------------
@@ -297,16 +325,17 @@ DeliveryOptions FastDelivery() {
 TEST(DeliveryTest, DeliversEverySliceToEveryDestination) {
   SimClock clock;
   DeliveryService service(&clock, FastDelivery());
-  const std::vector<SlicePacket> summary =
-      PackSlices(SamplePairs(40), webindex::IndexType::kSummary, 1, 8192);
-  const std::vector<SlicePacket> inverted =
-      PackSlices(SamplePairs(40), webindex::IndexType::kInverted, 1, 8192);
+  const std::vector<SliceFrame> summary =
+      Frames(SamplePairs(40), webindex::IndexType::kSummary, 1, 8192);
+  const std::vector<SliceFrame> inverted =
+      Frames(SamplePairs(40), webindex::IndexType::kInverted, 1, 8192);
 
   std::map<int, int> arrivals;  // dc -> count
   DeliveryReport report = service.DeliverVersion(
       summary, inverted,
-      [&](int dc, const SlicePacket& slice) {
-        EXPECT_TRUE(VerifySlice(slice));
+      [&](int dc, const SliceFrame& slice) {
+        wire::SliceHeader header;
+        EXPECT_TRUE(wire::CheckSliceFrame(slice.bytes, &header).ok());
         ++arrivals[dc];
       });
   ASSERT_TRUE(report.completed);
@@ -328,8 +357,8 @@ TEST(DeliveryTest, CorruptionCausesRetransmissionButStillCompletes) {
   DeliveryOptions options = FastDelivery();
   options.corruption_prob = 0.1;
   DeliveryService service(&clock, options);
-  const std::vector<SlicePacket> inverted =
-      PackSlices(SamplePairs(40), webindex::IndexType::kInverted, 1, 8192);
+  const std::vector<SliceFrame> inverted =
+      Frames(SamplePairs(40), webindex::IndexType::kInverted, 1, 8192);
   DeliveryReport report = service.DeliverVersion({}, inverted, nullptr);
   ASSERT_TRUE(report.completed);
   EXPECT_GT(report.retransmissions, 0u);
@@ -345,25 +374,64 @@ TEST(DeliveryTest, CongestedBackboneTriggersDetours) {
   // should route region-0-bound slices through another relay group.
   service.SetBackboneBackground(0, 0.95);
   // Warm the monitor so predictions reflect the congestion.
-  const std::vector<SlicePacket> warmup =
-      PackSlices(SamplePairs(10), webindex::IndexType::kInverted, 1, 8192);
+  const std::vector<SliceFrame> warmup =
+      Frames(SamplePairs(10), webindex::IndexType::kInverted, 1, 8192);
   service.DeliverVersion({}, warmup, nullptr);
   const uint64_t detours_before = service.detours();
-  const std::vector<SlicePacket> inverted =
-      PackSlices(SamplePairs(60), webindex::IndexType::kInverted, 2, 8192);
+  const std::vector<SliceFrame> inverted =
+      Frames(SamplePairs(60), webindex::IndexType::kInverted, 2, 8192);
   DeliveryReport report = service.DeliverVersion({}, inverted, nullptr);
   ASSERT_TRUE(report.completed);
   EXPECT_GT(service.detours(), detours_before);
+}
+
+// Every relay re-verifies the checksum, so a slice is exposed to corruption
+// once per hop it crosses: two on the direct path, three on a detour. The
+// topology cannot detour every slice — the region with the most spare
+// backbone always goes direct — so region 0's backbone is congested and the
+// monitor samples only once, before any flow starts: every transfer bound
+// for region 0 detours and every other goes direct. The observed
+// retransmissions are held against the per-hop expectation over the
+// attempts actually made.
+TEST(DeliveryTest, DetouredSlicesDrawCorruptionOnEveryHop) {
+  constexpr double kCorruption = 0.5;
+  SimClock clock;
+  DeliveryOptions options = FastDelivery();
+  options.monitor_interval_seconds = 1e9;
+  options.corruption_prob = kCorruption;
+  options.seed = 23;
+  DeliveryService service(&clock, options);
+  service.SetBackboneBackground(0, 0.95);
+  const std::vector<SliceFrame> inverted =
+      Frames(SamplePairs(1000), webindex::IndexType::kInverted, 2, 1024);
+  DeliveryReport report = service.DeliverVersion({}, inverted, nullptr);
+  ASSERT_TRUE(report.completed);
+
+  // Every attempt completes (no repair), so attempts = deliveries + resends.
+  const double attempts =
+      static_cast<double>(report.deliveries_total + report.retransmissions);
+  const double detoured = static_cast<double>(service.detours());
+  // Region 0 holds a third of the destinations, and its slices need more
+  // attempts than the others.
+  ASSERT_GT(detoured, attempts / 3);
+  const double direct_loss = 1 - (1 - kCorruption) * (1 - kCorruption);
+  const double detour_loss = 1 - std::pow(1 - kCorruption, 3);
+  const double per_hop =
+      detoured * detour_loss + (attempts - detoured) * direct_loss;
+  const double two_hops_only = attempts * direct_loss;
+  const double sd = std::sqrt(attempts * direct_loss * (1 - direct_loss));
+  ASSERT_GT(per_hop - two_hops_only, 8 * sd);  // The check can tell them apart.
+  EXPECT_NEAR(static_cast<double>(report.retransmissions), per_hop, 4 * sd);
 }
 
 TEST(DeliveryTest, MoreDataTakesLonger) {
   SimClock clock1, clock2;
   DeliveryService small_service(&clock1, FastDelivery());
   DeliveryService large_service(&clock2, FastDelivery());
-  const std::vector<SlicePacket> small =
-      PackSlices(SamplePairs(20), webindex::IndexType::kInverted, 1, 8192);
-  const std::vector<SlicePacket> large =
-      PackSlices(SamplePairs(200), webindex::IndexType::kInverted, 1, 8192);
+  const std::vector<SliceFrame> small =
+      Frames(SamplePairs(20), webindex::IndexType::kInverted, 1, 8192);
+  const std::vector<SliceFrame> large =
+      Frames(SamplePairs(200), webindex::IndexType::kInverted, 1, 8192);
   DeliveryReport rs = small_service.DeliverVersion({}, small, nullptr);
   DeliveryReport rl = large_service.DeliverVersion({}, large, nullptr);
   ASSERT_TRUE(rs.completed);
@@ -401,8 +469,8 @@ TEST(DeliveryTest, RelayFailuresComposeWithBackgroundLoad) {
 }
 
 TEST(DeliveryTest, RelayFailuresSlowDeliveryToThatRegion) {
-  const std::vector<SlicePacket> inverted =
-      PackSlices(SamplePairs(200), webindex::IndexType::kInverted, 1, 8192);
+  const std::vector<SliceFrame> inverted =
+      Frames(SamplePairs(200), webindex::IndexType::kInverted, 1, 8192);
   DeliveryOptions options = FastDelivery();
   // Slow enough that transfers span many ticks, so derating is measurable.
   options.backbone_bytes_per_sec = 200e3;
@@ -427,8 +495,8 @@ TEST(DeliveryTest, GenerationWindowStaggersArrivals) {
   DeliveryOptions options = FastDelivery();
   options.generation_window_seconds = 10.0;
   DeliveryService service(&clock, options);
-  const std::vector<SlicePacket> inverted =
-      PackSlices(SamplePairs(40), webindex::IndexType::kInverted, 1, 8192);
+  const std::vector<SliceFrame> inverted =
+      Frames(SamplePairs(40), webindex::IndexType::kInverted, 1, 8192);
   DeliveryReport report = service.DeliverVersion({}, inverted, nullptr);
   ASSERT_TRUE(report.completed);
   // Even on a fast network the last slice cannot arrive before it was
@@ -467,14 +535,14 @@ TEST(DeliveryTest, StuckTransfersAreRepairedAndStillComplete) {
   DeliveryService service(&clock, options);
   service.network().SetBackground(0, 0.0);  // Seed spare snapshots fresh...
   DeliveryReport warmup = service.DeliverVersion(
-      {}, PackSlices(SamplePairs(2), webindex::IndexType::kInverted, 9, 16384),
+      {}, Frames(SamplePairs(2), webindex::IndexType::kInverted, 9, 16384),
       nullptr);
   ASSERT_TRUE(warmup.completed);  // ...so predictions now say "all healthy".
   // Region 0's backbone collapses: direct transfers to region 0 stall past
   // the repair timeout, get aborted, and the re-requests detour.
   service.network().SetBackground(0, 0.995);
-  const std::vector<SlicePacket> inverted =
-      PackSlices(SamplePairs(40), webindex::IndexType::kInverted, 1, 16384);
+  const std::vector<SliceFrame> inverted =
+      Frames(SamplePairs(40), webindex::IndexType::kInverted, 1, 16384);
   DeliveryReport report = service.DeliverVersion({}, inverted, nullptr);
   ASSERT_TRUE(report.completed);
   EXPECT_GT(report.repairs, 0u);
@@ -493,10 +561,10 @@ TEST(DeliveryTest, EmptyVersionCompletesInstantly) {
 TEST(DeliveryTest, BytesTransmittedScaleWithHopsAndDestinations) {
   SimClock clock;
   DeliveryService service(&clock, FastDelivery());
-  const std::vector<SlicePacket> inverted =
-      PackSlices(SamplePairs(20), webindex::IndexType::kInverted, 1, 1 << 20);
+  const std::vector<SliceFrame> inverted =
+      Frames(SamplePairs(20), webindex::IndexType::kInverted, 1, 1 << 20);
   uint64_t slice_bytes = 0;
-  for (const SlicePacket& s : inverted) slice_bytes += s.bytes();
+  for (const SliceFrame& s : inverted) slice_bytes += s.bytes.size();
   DeliveryReport report = service.DeliverVersion({}, inverted, nullptr);
   ASSERT_TRUE(report.completed);
   // 6 destinations x at least 2 hops each.
@@ -509,8 +577,8 @@ TEST(DeliveryTest, MissRatioReflectsDeadline) {
   DeliveryOptions options = FastDelivery();
   options.miss_deadline_seconds = 0.05;  // Absurdly tight: everything late.
   DeliveryService service(&clock, options);
-  const std::vector<SlicePacket> inverted =
-      PackSlices(SamplePairs(40), webindex::IndexType::kInverted, 1, 8192);
+  const std::vector<SliceFrame> inverted =
+      Frames(SamplePairs(40), webindex::IndexType::kInverted, 1, 8192);
   DeliveryReport report = service.DeliverVersion({}, inverted, nullptr);
   ASSERT_TRUE(report.completed);
   EXPECT_GT(report.miss_ratio, 0.5);

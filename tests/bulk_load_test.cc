@@ -49,7 +49,6 @@ using bifrost::wire::EncodeBulkBegin;
 using bifrost::wire::EncodeBulkCommit;
 using bifrost::wire::EncodeMissingSlices;
 using bifrost::wire::EncodeSlicePacket;
-using bifrost::wire::PairView;
 using bifrost::wire::SliceHeader;
 
 // ---------------------------------------------------------------------------
@@ -78,7 +77,7 @@ TEST(SliceCodecTest, PairPayloadRoundTrip) {
       MakeSlice(12, 7, webindex::IndexType::kSummary, 3, payload);
 
   SliceHeader header;
-  std::vector<PairView> pairs;
+  std::vector<qindb::IngestOp> pairs;
   ASSERT_TRUE(DecodeSlicePacket(frame, &header, &pairs).ok());
   EXPECT_EQ(header.slice_id, 12u);
   EXPECT_EQ(header.version, 7u);
@@ -125,7 +124,7 @@ TEST(SliceCodecTest, ForgedPairCountIsBoundedByThePayloadOnHand) {
   const std::string frame =
       MakeSlice(0, 1, webindex::IndexType::kInverted, 1u << 30, payload);
   SliceHeader header;
-  std::vector<PairView> pairs;
+  std::vector<qindb::IngestOp> pairs;
   Status s = DecodeSlicePacket(frame, &header, &pairs);
   EXPECT_TRUE(s.IsProtocol()) << s.ToString();
   EXPECT_NE(s.ToString().find("pair count exceeds payload"),
@@ -139,7 +138,7 @@ TEST(SliceCodecTest, PayloadMustMatchPairCountExactly) {
   // Declared two pairs, payload holds one (big enough to pass the
   // min-bytes bound): short.
   SliceHeader header;
-  std::vector<PairView> pairs;
+  std::vector<qindb::IngestOp> pairs;
   Status s = DecodeSlicePacket(
       MakeSlice(0, 1, webindex::IndexType::kInverted, 2, one_pair), &header,
       &pairs);
@@ -160,7 +159,7 @@ TEST(SliceCodecTest, BadPairFlagsAndValueOnValuelessPairRejected) {
   AppendWirePair(&payload, "k", 1, "v", false, false);
   payload[0] = static_cast<char>(0x80);  // Unknown flag bit.
   SliceHeader header;
-  std::vector<PairView> pairs;
+  std::vector<qindb::IngestOp> pairs;
   Status s = DecodeSlicePacket(
       MakeSlice(0, 1, webindex::IndexType::kInverted, 1, payload), &header,
       &pairs);

@@ -151,6 +151,36 @@ TEST_F(DirectLoadTest, VipOnlyCycleIsFasterAndHighlyDeduplicated) {
   EXPECT_TRUE(vip->gray_release_passed);
 }
 
+// A version lands through a bulk session per data center: a delivery that
+// runs out of time aborts it, and no node serves any pair of it — not even
+// the slices that arrived before the deadline.
+TEST(DirectLoadTimeoutTest, TimedOutDeliveryLeavesNoTraceOfTheVersion) {
+  DirectLoadOptions options = SmallPipeline();
+  options.delivery.max_seconds = options.delivery.tick_seconds;
+  DirectLoad dl(options);
+  ASSERT_TRUE(dl.Start().ok());
+  Result<UpdateReport> report = dl.RunUpdateCycle();
+  ASSERT_TRUE(report.status().IsTimedOut()) << report.status().ToString();
+
+  const webindex::IndexDataset summary =
+      webindex::BuildSummaryIndex(dl.corpus());
+  const webindex::IndexDataset inverted = webindex::BuildInvertedIndex(
+      dl.corpus(), webindex::BuildForwardIndex(dl.corpus()));
+  ASSERT_EQ(summary.version, 1u);
+  for (int dc = 0; dc < bifrost::kNumDataCenters; ++dc) {
+    mint::MintCluster* cluster = dl.data_center(dc);
+    for (int n = 0; n < cluster->num_nodes(); ++n) {
+      qindb::QinDb* db = cluster->node(n)->db();
+      for (const webindex::IndexDataset* dataset : {&summary, &inverted}) {
+        for (const webindex::KvPair& kv : dataset->pairs) {
+          EXPECT_TRUE(db->Get(kv.key, 1).status().IsNotFound())
+              << "dc " << dc << " node " << n << " key " << kv.key;
+        }
+      }
+    }
+  }
+}
+
 TEST(DirectLoadForwardShipTest, ForwardIndexReachesEveryDataCenter) {
   DirectLoadOptions options = SmallPipeline();
   options.ship_forward = true;

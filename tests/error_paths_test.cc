@@ -6,7 +6,7 @@
 #include <memory>
 
 #include "aof/aof_manager.h"
-#include "bifrost/slicer.h"
+#include "bifrost/wire/slice_codec.h"
 #include "common/failpoint.h"
 #include "common/sim_clock.h"
 #include "lsm/db.h"
@@ -331,10 +331,21 @@ TEST(LsmErrorTest, EmptyKeysAndEmptyStore) {
 // ---------------------------------------------------------------------------
 
 TEST(SliceErrorTest, DefaultSliceFailsVerification) {
-  bifrost::SlicePacket empty;
-  EXPECT_FALSE(bifrost::VerifySlice(empty));
-  std::vector<bifrost::ShippedPair> pairs;
-  EXPECT_TRUE(bifrost::UnpackSlice(empty, &pairs).IsCorruption());
+  bifrost::wire::SliceHeader header;
+  std::vector<qindb::IngestOp> pairs;
+  // No bytes at all: not even a header to check.
+  EXPECT_TRUE(bifrost::wire::CheckSliceFrame("", &header).IsProtocol());
+  EXPECT_TRUE(
+      bifrost::wire::DecodeSlicePacket("", &header, &pairs).IsProtocol());
+  // A zero-filled frame of the minimum size: its trailer does not vouch
+  // for its bytes.
+  const std::string zeros(bifrost::wire::kSliceHeaderBytes +
+                              bifrost::wire::kSliceTrailerBytes,
+                          '\0');
+  EXPECT_TRUE(bifrost::wire::CheckSliceFrame(zeros, &header).IsCorruption());
+  EXPECT_TRUE(
+      bifrost::wire::DecodeSlicePacket(zeros, &header, &pairs).IsCorruption());
+  EXPECT_TRUE(pairs.empty());
 }
 
 }  // namespace

@@ -10,7 +10,7 @@
 
 #include "bifrost/dedup.h"
 #include "bifrost/delivery.h"
-#include "bifrost/slicer.h"
+#include "bifrost/wire/slice_codec.h"
 #include "common/random.h"
 #include "common/sim_clock.h"
 #include "core/directload.h"
@@ -23,6 +23,8 @@
 
 namespace directload {
 namespace {
+
+const std::vector<bifrost::wire::BulkDelete> kNoDeletes;
 
 ssd::Geometry NodeGeometry() {
   ssd::Geometry g;
@@ -63,16 +65,20 @@ TEST(PipelineIntegrationTest, DedupedStreamReconstructsExactValues) {
     }
     std::vector<bifrost::ShippedPair> shipped =
         dedup.Process(summary, nullptr);
-    std::vector<bifrost::SlicePacket> slices = bifrost::PackSlices(
-        shipped, summary.type, version, /*slice_bytes=*/16 << 10);
-    for (const bifrost::SlicePacket& slice : slices) {
-      std::vector<bifrost::ShippedPair> pairs;
-      ASSERT_TRUE(bifrost::UnpackSlice(slice, &pairs).ok());
-      for (const bifrost::ShippedPair& pair : pairs) {
-        ASSERT_TRUE(
-            db->Put(pair.key, version, pair.value, pair.dedup).ok());
-      }
+    std::vector<bifrost::SliceFrame> slices;
+    uint64_t next_slice_id = 0;
+    bifrost::EncodeSliceFrames({summary.type, &shipped, &kNoDeletes}, version,
+                               /*slice_bytes=*/16 << 10, &next_slice_id,
+                               &slices);
+    ASSERT_TRUE(db->IngestBegin(version).ok());
+    for (const bifrost::SliceFrame& slice : slices) {
+      bifrost::wire::SliceHeader header;
+      std::vector<qindb::IngestOp> ops;
+      ASSERT_TRUE(
+          bifrost::wire::DecodeSlicePacket(slice.bytes, &header, &ops).ok());
+      ASSERT_TRUE(db->IngestRun(version, ops.data(), ops.size()).ok());
     }
+    ASSERT_TRUE(db->IngestCommit(version).ok());
   }
 
   // Every value of every version reconstructs exactly — deduplicated pairs
@@ -177,8 +183,12 @@ TEST(DeliveryIngestIntegrationTest, NodeCrashDuringIngestIsAbsorbed) {
     p.value = rnd.NextString(1500);
     pairs.push_back(std::move(p));
   }
-  std::vector<bifrost::SlicePacket> slices = bifrost::PackSlices(
-      pairs, webindex::IndexType::kInverted, 1, /*slice_bytes=*/16 << 10);
+  std::vector<bifrost::SliceFrame> slices;
+  uint64_t next_slice_id = 0;
+  bifrost::EncodeSliceFrames({webindex::IndexType::kInverted, &pairs,
+                              &kNoDeletes},
+                             1, /*slice_bytes=*/16 << 10, &next_slice_id,
+                             &slices);
 
   SimClock net_clock;
   bifrost::DeliveryOptions delivery_options;
@@ -190,22 +200,24 @@ TEST(DeliveryIngestIntegrationTest, NodeCrashDuringIngestIsAbsorbed) {
 
   size_t arrivals = 0;
   bool crashed = false;
+  ASSERT_TRUE(cluster.BulkBegin(1).ok());
   bifrost::DeliveryReport report = delivery.DeliverVersion(
-      {}, slices, [&](int dc, const bifrost::SlicePacket& slice) {
+      {}, slices, [&](int dc, const bifrost::SliceFrame& slice) {
         if (dc != 0) return;  // This test ingests at data center 0 only.
-        std::vector<bifrost::ShippedPair> got;
-        ASSERT_TRUE(bifrost::UnpackSlice(slice, &got).ok());
+        bifrost::wire::SliceHeader header;
+        std::vector<qindb::IngestOp> ops;
+        ASSERT_TRUE(
+            bifrost::wire::DecodeSlicePacket(slice.bytes, &header, &ops).ok());
         if (!crashed && ++arrivals == 2) {
           // A replica dies mid-version.
           ASSERT_TRUE(cluster.FailNode(0).ok());
           crashed = true;
         }
-        for (const bifrost::ShippedPair& pair : got) {
-          ASSERT_TRUE(cluster.Put(pair.key, 1, pair.value, pair.dedup).ok());
-        }
+        ASSERT_TRUE(cluster.BulkIngest(1, ops.data(), ops.size()).ok());
       });
   ASSERT_TRUE(report.completed);
   ASSERT_TRUE(crashed);
+  ASSERT_TRUE(cluster.BulkCommit(1).ok());
 
   // Every pair is readable from the surviving replicas.
   for (const bifrost::ShippedPair& pair : pairs) {

@@ -422,6 +422,46 @@ TEST_F(QinDbTest, RecoveryKeepsNewestDuplicate) {
   EXPECT_EQ(*db->Get("k", 1), "second");
 }
 
+// Re-PUTs turn the superseded records dead at write time; a recovery by
+// full scan must reach the same occupancy, segment by segment.
+TEST_F(QinDbTest, ScanRecoveryRebuildsPerSegmentLiveBytes) {
+  QinDbOptions options;
+  options.num_shards = 1;
+  options.auto_gc = false;  // Keep every segment for the comparison.
+  options.aof.segment_bytes = 64 << 10;
+  std::map<uint32_t, aof::SegmentMeta> before;
+  {
+    auto db = OpenDb(options);
+    Random rnd(41);
+    for (int i = 0; i < 60; ++i) {
+      ASSERT_TRUE(
+          db->Put("url" + std::to_string(i), 1, rnd.NextString(1500)).ok());
+    }
+    // Re-put a third of the pairs with other sizes, some twice, and some
+    // as deduplicated (value-less) records.
+    for (int i = 0; i < 60; i += 3) {
+      const std::string key = "url" + std::to_string(i);
+      ASSERT_TRUE(db->Put(key, 1, rnd.NextString(900 + i)).ok());
+      if (i % 2 == 0) {
+        ASSERT_TRUE(db->Put(key, 1, rnd.NextString(2100)).ok());
+      }
+      ASSERT_TRUE(db->Put(key, 2, rnd.NextString(700)).ok());
+      ASSERT_TRUE(db->Put(key, 2, Slice(), /*dedup=*/true).ok());
+    }
+    before = db->aof().SegmentMetas();
+    ASSERT_GT(before.size(), 2u);
+    // Crash: no checkpoint, so the reopen below scans every segment.
+  }
+  ASSERT_FALSE(env_->FileExists("s00_checkpoint.dat"));
+  auto db = OpenDb(options);
+  const std::map<uint32_t, aof::SegmentMeta> after = db->aof().SegmentMetas();
+  ASSERT_EQ(after.size(), before.size());
+  for (const auto& [id, meta] : before) {
+    ASSERT_EQ(after.count(id), 1u) << "segment " << id;
+    EXPECT_EQ(after.at(id).live_bytes, meta.live_bytes) << "segment " << id;
+  }
+}
+
 TEST_F(QinDbTest, LoggedDeletesSurviveRestart) {
   QinDbOptions options;
   options.num_shards = 1;
