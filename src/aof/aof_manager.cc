@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <utility>
 
+#include "common/coding.h"
 #include "common/failpoint.h"
 #include "common/logging.h"
 
@@ -535,14 +536,22 @@ Status AofManager::CollectSegment(uint32_t segment_id,
     if (!cur.Valid()) break;
     const RecordAddress addr = cur.address();
     const RecordView& rec = cur.record();
-    if (classify(addr, rec)) {
+    uint8_t copy_flags = 0;
+    if (classify(addr, rec, &copy_flags)) {
       // Crash point: mid-rewrite — some records already hold relocated
-      // copies, the victim still exists, and recovery must reconcile the
-      // duplicates via kFlagRelocated precedence.
+      // copies and the victim still exists; recovery lets each copy
+      // supersede its original.
       DIRECTLOAD_FAILPOINT(fp_aof_gc_rewrite_record);
+      std::string position;
+      Slice value = rec.value;
+      if (rec.is_marker() && value.empty()) {
+        PutFixed64(&position, addr.Pack());
+        value = position;
+      }
       Result<RecordAddress> new_addr = AppendRecordLocked(
           rec.key, rec.header.version,
-          static_cast<uint8_t>(rec.header.flags | kFlagRelocated), rec.value);
+          static_cast<uint8_t>(rec.header.flags | kFlagRelocated | copy_flags),
+          value);
       if (!new_addr.ok()) return new_addr.status();
       if (rec.is_tombstone()) {
         // Tombstones never hold live data; keep the relocated copy's
@@ -551,8 +560,7 @@ Status AofManager::CollectSegment(uint32_t segment_id,
             RecordExtent(rec.key.size(), rec.value.size());
       }
       ++gc().records_rewritten;
-      gc().bytes_rewritten +=
-          RecordExtent(rec.key.size(), rec.value.size());
+      gc().bytes_rewritten += RecordExtent(rec.key.size(), value.size());
       relocate(addr, *new_addr, rec);
     } else {
       ++gc().records_dropped;
@@ -565,8 +573,8 @@ Status AofManager::CollectSegment(uint32_t segment_id,
     // The rewrite did not reach the end of the victim's records: whatever
     // sits beyond the undecodable gap may be live, and erasing the segment
     // now would destroy it. Abandon the collection — the survivors already
-    // re-appended carry kFlagRelocated, so recovery reconciles the
-    // duplicates — and let the caller fail the GC pass.
+    // re-appended supersede their originals at recovery — and let the
+    // caller fail the GC pass.
     return Status::Corruption(
         "GC of segment " + std::to_string(segment_id) + " stopped at offset " +
         std::to_string(cur.offset()) + " of " + std::to_string(cur.limit()) +

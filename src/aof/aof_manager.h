@@ -27,11 +27,6 @@ struct AofOptions {
   /// to this ratio (the paper recycles at 25 %, Section 4.1.2).
   double gc_occupancy_threshold = 0.25;
 
-  /// When true, DELs append small tombstone records so deletions survive a
-  /// crash without a checkpoint. Off by default, matching the paper's
-  /// memory-only DEL.
-  bool log_deletes = false;
-
   /// Prepended to every file this manager creates ("s03_" gives segments
   /// named s03_aof_00000000.dat). A sharded engine gives each shard's
   /// manager a distinct prefix so N managers share one flat-namespace env
@@ -153,9 +148,11 @@ class AofManager {
   std::vector<uint32_t> GcVictims() const EXCLUDES(mu_);
 
   /// Decides a record's fate during collection: true keeps it (valid, or an
-  /// invalid record still referenced by a later deduplicated version).
-  using Classifier =
-      std::function<bool(const RecordAddress&, const RecordView&)>;
+  /// invalid record still referenced by a later deduplicated version). A
+  /// kept record's copy carries its own flags, kFlagRelocated, and any bits
+  /// the classifier sets in `*copy_flags` (the engine's kFlagDeleted).
+  using Classifier = std::function<bool(
+      const RecordAddress&, const RecordView&, uint8_t* copy_flags)>;
   /// Invoked for each kept record after it is re-appended.
   using RelocateFn = std::function<void(const RecordAddress& old_addr,
                                         const RecordAddress& new_addr,
@@ -166,9 +163,11 @@ class AofManager {
 
   /// Collects one sealed segment: live records are re-appended to the
   /// current end of the AOFs, the caller patches memtable offsets in
-  /// `relocate`, and the segment file is erased. Runs under the exclusive
-  /// lock, so concurrent readers observe either the victim file intact or
-  /// the fully patched state, never a half-erased segment. The callbacks run
+  /// `relocate`, and the segment file is erased. A marker's first copy
+  /// takes the marker's original address as its value (see
+  /// RecordView::MarkerPosition). Runs under the exclusive lock, so
+  /// concurrent readers observe either the victim file intact or the fully
+  /// patched state, never a half-erased segment. The callbacks run
   /// with mu_ held exclusively and must not re-enter the manager.
   Status CollectSegment(uint32_t segment_id, const Classifier& classify,
                         const RelocateFn& relocate, const DropFn& drop)

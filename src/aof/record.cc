@@ -27,6 +27,10 @@ void EncodeRecord(const Slice& key, uint64_t version, uint8_t flags,
   EncodeFixed32(h, crc32c::Mask(crc));
 }
 
+uint64_t RecordView::MarkerPosition(const RecordAddress& at) const {
+  return value.size() == 8 ? DecodeFixed64(value.data()) : at.Pack();
+}
+
 Status DecodeHeader(const Slice& data, RecordHeader* out) {
   if (data.size() < RecordHeader::kSize) {
     return Status::Corruption("truncated record header");

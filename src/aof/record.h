@@ -30,28 +30,41 @@ struct RecordAddress {
 };
 
 /// Record flags (the paper's Figure 2 datum: "a key carrying a value or
-/// NULL", plus tombstones when delete logging is enabled).
+/// NULL", plus the durable forms of the `d` flag: tombstones, drop markers
+/// and the deleted state of GC-relocated copies).
 enum RecordFlags : uint8_t {
   kFlagNone = 0,
   /// Value field removed by Bifrost's dedup; GETs traceback to resolve it.
   kFlagDedup = 1u << 0,
-  /// Delete marker (written only when AofOptions::log_deletes is on).
+  /// Delete record (empty value): (key, version) is deleted as of this point
+  /// of the log. Every DEL appends one.
   kFlagTombstone = 1u << 1,
-  /// Copy re-appended by segment collection. Recovery must not let such a
-  /// copy revive a pair an earlier tombstone deleted: relocation preserves
-  /// a record's bytes but not its position in operation order.
+  /// Copy re-appended by segment collection. Relocation preserves a record's
+  /// bytes but not its position in the log; the copy's deleted state rides
+  /// in kFlagDeleted, and a marker's position in its value (MarkerPosition).
   kFlagRelocated = 1u << 2,
   /// Staged by a bulk-ingest session (QinDb::IngestRun) and not yet
   /// committed. Recovery indexes such a record only if a matching
   /// kFlagIngestCommit marker for its version exists; otherwise the record
   /// is dead on arrival — an aborted or crashed load leaves no trace.
   kFlagIngestPending = 1u << 3,
-  /// Commit marker for a bulk-ingest version (zero-length key and value;
-  /// `version` names the committed ingest version). Written once per shard
-  /// at IngestCommit, after every pending record of the session is durable.
+  /// Commit marker for a bulk-ingest version (zero-length key; `version`
+  /// names the committed ingest version). Written once per shard at
+  /// IngestCommit, after every pending record of the session is durable.
   /// GC never collects markers: a relocated pending record may land after
   /// its marker in segment order, and the marker is what vouches for it.
   kFlagIngestCommit = 1u << 4,
+  /// Drop marker for a version (zero-length key; `version` names the dropped
+  /// version). Written once per shard by DropVersion: every pair of that
+  /// version whose record precedes the marker's position is dropped, and a
+  /// later re-PUT is not. Kept by GC like commit markers.
+  kFlagDropVersion = 1u << 5,
+  /// Set only on a relocated copy: the pair was deleted when GC moved it
+  /// (a deleted record survives collection only as a dedup referent).
+  /// Recovery takes the copy's deleted state from this bit, because the
+  /// copy's new position says nothing about the deletes and drops it
+  /// outlived.
+  kFlagDeleted = 1u << 6,
 };
 
 /// Fixed-size record header. A fixed layout (vs varints) lets the engine
@@ -92,6 +105,19 @@ struct RecordView {
   bool is_ingest_commit() const {
     return (header.flags & kFlagIngestCommit) != 0;
   }
+  bool is_drop_version() const {
+    return (header.flags & kFlagDropVersion) != 0;
+  }
+  /// Commit and drop markers: never indexed, kept by GC.
+  bool is_marker() const {
+    return (header.flags & (kFlagIngestCommit | kFlagDropVersion)) != 0;
+  }
+
+  /// Log position of the marker read at `at`: the packed address it was
+  /// first appended at. GC re-appends a marker with that address as its
+  /// value (AofManager::CollectSegment), so a moved marker still orders the
+  /// records around its original place.
+  uint64_t MarkerPosition(const RecordAddress& at) const;
 };
 
 /// Serializes a record (header + key + value) into `dst` (appended).

@@ -47,6 +47,21 @@ Status DirectLoad::Start() {
 
 Result<UpdateReport> DirectLoad::RunUpdateCycle(double change_rate,
                                                 bool vip_only) {
+  Result<UpdateReport> report = RunCycle(change_rate, vip_only);
+  if (!report.ok()) {
+    // The signature stores already describe the failed version, which some
+    // data centers never stored and others (those whose commit succeeded)
+    // keep. A pair deduplicated against it would resolve differently, or
+    // not at all, depending on the node. Forget every signature: the next
+    // cycle ships full values, correct everywhere.
+    summary_dedup_ = bifrost::Deduplicator(options_.dedup_enabled);
+    inverted_dedup_ = bifrost::Deduplicator(options_.dedup_enabled);
+    forward_dedup_ = bifrost::Deduplicator(options_.dedup_enabled);
+  }
+  return report;
+}
+
+Result<UpdateReport> DirectLoad::RunCycle(double change_rate, bool vip_only) {
   UpdateReport report;
 
   // 1. Crawl round. The corpus starts at version 1; the first cycle ships

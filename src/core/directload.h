@@ -78,7 +78,8 @@ class DirectLoad {
   /// Runs one full update cycle (one crawl round / index version). A
   /// negative change_rate uses the corpus default. `vip_only` runs the
   /// higher-frequency VIP-tier round (Section 3): only VIP documents
-  /// mutate; everything else ships deduplicated.
+  /// mutate; everything else ships deduplicated. After a failed cycle the
+  /// next one ships every value in full.
   Result<UpdateReport> RunUpdateCycle(double change_rate = -1.0,
                                       bool vip_only = false);
 
@@ -103,6 +104,9 @@ class DirectLoad {
   SimClock* network_clock() { return &net_clock_; }
 
  private:
+  /// RunUpdateCycle without the reset after a failure.
+  Result<UpdateReport> RunCycle(double change_rate, bool vip_only);
+
   /// Fraction of `probes` sample queries at `dc` whose stored results
   /// disagree with the corpus ground truth for `version`.
   Result<double> ProbeInconsistency(int dc, uint64_t version, int probes);

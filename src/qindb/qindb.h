@@ -130,12 +130,16 @@ class QinDb {
   /// The value of the newest non-deleted version of `key`.
   Result<std::string> GetLatest(const Slice& key);
 
-  /// DEL(k/t): flags the pair deleted; physical reclamation is lazy.
+  /// DEL(k/t): flags the pair deleted and logs a tombstone, so the delete
+  /// survives a restart; physical reclamation is lazy.
   Status Del(const Slice& key, uint64_t version);
 
   /// Flags every pair of `version` deleted (the paper's deletion thread
   /// dropping the oldest of the four retained versions), across all shards.
-  /// Returns the number of pairs flagged.
+  /// Each shard logs one drop marker, so after a crash a shard recovers all
+  /// of the drop or none of it. Returns the number of pairs flagged. Busy
+  /// while a bulk-ingest session for `version` is open on a shard (shards
+  /// without one still drop; a retry after the session ends is safe).
   Result<uint64_t> DropVersion(uint64_t version);
 
   /// Inventory of live (non-deleted) pairs per version — what the deletion

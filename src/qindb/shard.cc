@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <set>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -535,43 +534,18 @@ void Shard::CommitGroupLocked(const std::vector<PendingWrite*>& group) {
   MemIndex* idx = CurrentIndex();
   const uint32_t segment_before = aof_->active_segment();
 
-  // --- Plan: walk every op of every batch in order, deciding per-op
-  // validity and collecting the records the group will append. Del and
-  // DropVersion must observe the effect of earlier ops in the group whose
-  // records are not yet appended (hence not yet in the index); `overlay`
-  // carries that pending state keyed on (key, version). Planning and apply
-  // run inside one write_mutex_ critical section, so plan-time decisions
-  // are exact, not speculative.
-  enum class Action : uint8_t {
-    kSkip,  // Per-op status already final (invalid op, NotFound, no-op).
-    kPut,   // Insert the record at slot `slot`.
-    kDel,   // Flag (key, version) deleted; tombstone at `slot` if logged.
-    kDrop,  // Flag hits [hit_begin, hit_end); tombstones from `slot` on.
-  };
-  struct PlannedOp {
-    Action action = Action::kSkip;
-    size_t slot = SIZE_MAX;
-    size_t hit_begin = 0;
-    size_t hit_end = 0;
-  };
-  struct OverlayState {
-    bool live = false;
-  };
-
+  // --- Plan: walk every op of every batch in order, rejecting invalid ops
+  // and collecting the one record each valid op appends: a Put's record, a
+  // Del's tombstone, a DropVersion's marker. Whether a Del finds its pair
+  // is decided at apply time, in op order, so nothing here needs to see
+  // the effect of earlier ops of the group.
   std::vector<aof::AofManager::AppendOp> slots;
-  std::vector<Slice> drop_hits;  // Backing: memtable arena or batch ops.
-  std::map<std::pair<std::string_view, uint64_t>, OverlayState> overlay;
-  std::vector<std::vector<PlannedOp>> plans(group.size());
-
-  // The overlay only ever feeds Del/DropVersion decisions. Pure-Put groups
-  // — the hot path — skip its per-op node allocations entirely.
+  // slot_of[b][oi]: the op's record in `slots`, or SIZE_MAX when its
+  // per-op status is already final.
+  std::vector<std::vector<size_t>> slot_of(group.size());
   size_t total_ops = 0;
-  bool needs_overlay = false;
   for (const PendingWrite* member : group) {
     total_ops += member->batch->ops_.size();
-    for (const WriteOp& op : member->batch->ops_) {
-      needs_overlay |= op.kind != WriteOpKind::kPut;
-    }
   }
   slots.reserve(total_ops);
 
@@ -579,108 +553,54 @@ void Shard::CommitGroupLocked(const std::vector<PendingWrite*>& group) {
     WriteBatch& batch = *group[b]->batch;
     batch.statuses_.assign(batch.ops_.size(), Status::OK());
     batch.dropped_.assign(batch.ops_.size(), 0);
-    plans[b].resize(batch.ops_.size());
+    slot_of[b].assign(batch.ops_.size(), SIZE_MAX);
     for (size_t oi = 0; oi < batch.ops_.size(); ++oi) {
       const WriteOp& op = batch.ops_[oi];
-      PlannedOp& plan = plans[b][oi];
-      const std::string_view key_view(op.key);
+      Status& status = batch.statuses_[oi];
+      aof::AofManager::AppendOp slot{Slice(op.key), op.version, aof::kFlagNone,
+                                     Slice(), Slice()};
       switch (op.kind) {
         case WriteOpKind::kPut: {
-          if (op.key.empty()) {
-            batch.statuses_[oi] = Status::InvalidArgument("empty key");
-            break;
-          }
           // Pre-screen with the appender's own limits so one oversized op
           // fails alone instead of failing the group's vectored append.
-          if (op.key.size() > UINT16_MAX) {
-            batch.statuses_[oi] = Status::InvalidArgument("key too long");
-            break;
+          if (op.key.empty()) {
+            status = Status::InvalidArgument("empty key");
+          } else if (op.key.size() > UINT16_MAX) {
+            status = Status::InvalidArgument("key too long");
+          } else if (aof::RecordExtent(op.key.size(), op.value.size()) >
+                     options_.aof.segment_bytes) {
+            status = Status::InvalidArgument("record exceeds segment capacity");
           }
-          if (aof::RecordExtent(op.key.size(), op.value.size()) >
-              options_.aof.segment_bytes) {
-            batch.statuses_[oi] =
-                Status::InvalidArgument("record exceeds segment capacity");
-            break;
-          }
-          plan.action = Action::kPut;
-          plan.slot = slots.size();
-          aof::AofManager::AppendOp slot{
-              Slice(op.key), op.version,
-              op.dedup ? aof::kFlagDedup : aof::kFlagNone, Slice(op.value),
-              Slice()};
+          if (op.dedup) slot.flags = aof::kFlagDedup;
+          slot.value = Slice(op.value);
           const auto& span = group[b]->spans[oi];
           if (span.second != 0) {
             slot.preencoded =
                 Slice(group[b]->encoded.data() + span.first, span.second);
           }
-          slots.push_back(slot);
-          if (needs_overlay) overlay[{key_view, op.version}] = OverlayState{true};
           break;
         }
-        case WriteOpKind::kDel: {
-          bool exists = false;
-          bool live = false;
-          if (auto it = overlay.find({key_view, op.version});
-              it != overlay.end()) {
-            exists = true;
-            live = it->second.live;
-          } else if (MemEntry* e = idx->FindExact(op.key, op.version);
-                     e != nullptr) {
-            exists = true;
-            live = !e->deleted.load(std::memory_order_acquire);
+        case WriteOpKind::kDel:
+          // No pair is stored under such a key, and a key too long would
+          // fail the group's append.
+          if (op.key.empty() || op.key.size() > UINT16_MAX) {
+            status = Status::NotFound("no such key/version");
           }
-          if (!exists) {
-            batch.statuses_[oi] = Status::NotFound("no such key/version");
-            break;
-          }
-          if (!live) break;  // Already deleted: a successful no-op.
-          plan.action = Action::kDel;
-          if (options_.aof.log_deletes) {
-            plan.slot = slots.size();
-            slots.push_back({Slice(op.key), op.version, aof::kFlagTombstone,
-                             Slice(), Slice()});
-          }
-          overlay[{key_view, op.version}] = OverlayState{false};
+          slot.flags = aof::kFlagTombstone;
           break;
-        }
-        case WriteOpKind::kDropVersion: {
-          plan.action = Action::kDrop;
-          plan.hit_begin = drop_hits.size();
-          // Index pass: live pairs of this version the group has not
-          // already re-decided (the overlay pass covers those).
-          for (MemIndex::Iterator it = idx->NewIterator(); it.Valid();
-               it.Next()) {
-            MemEntry* entry = it.entry();
-            if (entry->version != op.version || entry->deleted) continue;
-            const Slice entry_key = entry->user_key();
-            if (overlay.count({std::string_view(entry_key.data(),
-                                                entry_key.size()),
-                               op.version}) != 0) {
-              continue;
-            }
-            drop_hits.push_back(entry_key);
+        case WriteOpKind::kDropVersion:
+          // The session's records are durable but unindexed: the drop could
+          // not flag them now, yet recovery would (they precede the
+          // marker). Retry once the session commits or aborts.
+          if (ingest_sessions_.count(op.version) != 0) {
+            status = Status::Busy("bulk-ingest session open for the version");
           }
-          for (const auto& [ov_key, state] : overlay) {
-            if (ov_key.second == op.version && state.live) {
-              drop_hits.push_back(Slice(ov_key.first));
-            }
-          }
-          plan.hit_end = drop_hits.size();
-          if (options_.aof.log_deletes) {
-            plan.slot = slots.size();
-            for (size_t h = plan.hit_begin; h < plan.hit_end; ++h) {
-              slots.push_back({drop_hits[h], op.version, aof::kFlagTombstone,
-                               Slice(), Slice()});
-            }
-          }
-          for (size_t h = plan.hit_begin; h < plan.hit_end; ++h) {
-            overlay[{std::string_view(drop_hits[h].data(),
-                                      drop_hits[h].size()),
-                     op.version}] = OverlayState{false};
-          }
+          slot.flags = aof::kFlagDropVersion;
           break;
-        }
       }
+      if (!status.ok()) continue;
+      slot_of[b][oi] = slots.size();
+      slots.push_back(slot);
     }
   }
 
@@ -697,7 +617,7 @@ void Shard::CommitGroupLocked(const std::vector<PendingWrite*>& group) {
       for (size_t b = 0; b < group.size(); ++b) {
         WriteBatch& batch = *group[b]->batch;
         for (size_t oi = 0; oi < batch.ops_.size(); ++oi) {
-          if (plans[b][oi].action != Action::kSkip) batch.statuses_[oi] = s;
+          if (slot_of[b][oi] != SIZE_MAX) batch.statuses_[oi] = s;
         }
         group[b]->overall = s;
       }
@@ -714,17 +634,25 @@ void Shard::CommitGroupLocked(const std::vector<PendingWrite*>& group) {
   bool any_applied_delete = false;
   std::vector<std::pair<aof::RecordAddress, uint64_t>> dead;
   const DeadSink sink{&dead, cache_.get()};
+  auto flag_deleted = [&](MemEntry* entry) {
+    if (entry->deleted.exchange(true, std::memory_order_acq_rel)) return false;
+    ++stats_->dels;
+    ++shard_dels_;
+    any_applied_delete = true;
+    ApplyDeleteAccounting(*idx, sink, entry);
+    return true;
+  };
   for (size_t b = 0; b < group.size(); ++b) {
     WriteBatch& batch = *group[b]->batch;
     for (size_t oi = 0; oi < batch.ops_.size(); ++oi) {
       const WriteOp& op = batch.ops_[oi];
-      const PlannedOp& plan = plans[b][oi];
-      switch (plan.action) {
-        case Action::kSkip:
-          break;
-        case Action::kPut: {
+      const size_t slot = slot_of[b][oi];
+      if (slot == SIZE_MAX) continue;
+      const aof::RecordAddress at = addresses[slot];
+      switch (op.kind) {
+        case WriteOpKind::kPut: {
           MemIndex::Replaced old;
-          idx->Insert(op.key, op.version, addresses[plan.slot].Pack(),
+          idx->Insert(op.key, op.version, at.Pack(),
                       static_cast<uint32_t>(op.value.size()), op.dedup, &old);
           if (old.found) {
             // Re-PUT of the same versioned key supersedes the previous
@@ -738,37 +666,31 @@ void Shard::CommitGroupLocked(const std::vector<PendingWrite*>& group) {
           ingested += op.key.size() + op.value.size();
           break;
         }
-        case Action::kDel: {
+        case WriteOpKind::kDel: {
+          // Tombstones are dead on arrival for occupancy purposes. Deleting
+          // a deleted pair is a successful no-op.
+          sink.MarkDead(at, aof::RecordExtent(op.key.size(), 0));
           MemEntry* entry = idx->FindExact(op.key, op.version);
-          if (entry != nullptr &&
-              !entry->deleted.exchange(true, std::memory_order_acq_rel)) {
-            ++stats_->dels;
-            ++shard_dels_;
-            any_applied_delete = true;
-            ApplyDeleteAccounting(*idx, sink, entry);
-          }
-          if (plan.slot != SIZE_MAX) {
-            // Tombstones are dead on arrival for occupancy purposes.
-            sink.MarkDead(addresses[plan.slot],
-                          aof::RecordExtent(op.key.size(), 0));
+          if (entry == nullptr) {
+            batch.statuses_[oi] = Status::NotFound("no such key/version");
+          } else {
+            flag_deleted(entry);
           }
           break;
         }
-        case Action::kDrop: {
+        case WriteOpKind::kDropVersion: {
+          // The rule recovery replays: a pair of the version is dropped iff
+          // its record precedes the marker. Puts earlier in the group are
+          // indexed by now and do; later ones do not.
+          const uint64_t marker = at.Pack();
           uint64_t flagged = 0;
-          for (size_t h = plan.hit_begin; h < plan.hit_end; ++h) {
-            MemEntry* entry = idx->FindExact(drop_hits[h], op.version);
-            if (entry != nullptr &&
-                !entry->deleted.exchange(true, std::memory_order_acq_rel)) {
-              ++stats_->dels;
-              ++shard_dels_;
+          for (MemIndex::Iterator it = idx->NewIterator(); it.Valid();
+               it.Next()) {
+            MemEntry* entry = it.entry();
+            if (entry->version == op.version &&
+                entry->address.load(std::memory_order_relaxed) < marker &&
+                flag_deleted(entry)) {
               ++flagged;
-              any_applied_delete = true;
-              ApplyDeleteAccounting(*idx, sink, entry);
-            }
-            if (plan.slot != SIZE_MAX) {
-              sink.MarkDead(addresses[plan.slot + (h - plan.hit_begin)],
-                            aof::RecordExtent(drop_hits[h].size(), 0));
             }
           }
           batch.dropped_[oi] = flagged;
@@ -969,7 +891,7 @@ Status Shard::IngestCommit(uint64_t version) {
     const Slice key(op.key);
     if (op.tombstone) {
       // The pending tombstone record is dead on arrival, like every
-      // logged delete; a missing target is a no-op, not an error.
+      // tombstone; a missing target is a no-op, not an error.
       sink.MarkDead(aof::RecordAddress::Unpack(op.address),
                     aof::RecordExtent(op.key.size(), 0));
       MemEntry* entry = idx->FindExact(key, op.version);
@@ -1139,6 +1061,7 @@ Status Shard::CollectVictimsLocked() {
   // because only this function retires indices, under write_mutex_.
   MemIndex* live = CurrentIndex();
   BlockCache* cache = cache_.get();
+  const uint32_t oldest = aof_->SegmentMetas().begin()->first;
 
   // Snapshot the retired indices still pinned by readers: relocations must
   // patch their entries too, or a pinned snapshot would keep chasing
@@ -1161,39 +1084,44 @@ Status Shard::CollectVictimsLocked() {
     Status s = aof_->CollectSegment(
         id,
         /*classify=*/
-        [live](const aof::RecordAddress& addr, const aof::RecordView& rec) {
-          if (rec.is_ingest_commit()) {
-            // Commit markers are kept forever: a relocated pending record
-            // can land after its marker in segment order, and the marker
-            // is what vouches for it at recovery. One 20-byte record per
-            // shard per bulk load.
+        [live, oldest](const aof::RecordAddress& addr,
+                       const aof::RecordView& rec, uint8_t* copy_flags) {
+          if (rec.is_marker()) {
+            // Markers are kept forever: a relocated pending record can land
+            // after its commit marker in segment order, and the marker is
+            // what vouches for it at recovery; a drop marker covers every
+            // record of its version before it, in segments not yet
+            // collected. One small record per shard per load or drop.
             return true;
           }
-          if (rec.is_tombstone()) {
-            // Keep the tombstone while the pair it deletes is still indexed:
-            // the dead record may survive in an uncollected segment (or as a
-            // relocated referent), and a recovery scan without the tombstone
-            // would resurrect it. Once the record's entry is purged the
-            // tombstone has nothing left to delete and can go.
-            MemEntry* entry = live->FindExact(rec.key, rec.header.version);
-            return entry != nullptr && entry->deleted;
-          }
           MemEntry* entry = live->FindExact(rec.key, rec.header.version);
+          if (rec.is_tombstone()) {
+            // Keep the tombstone while the pair is not live again and an
+            // older segment may hold one of its earlier records, which a
+            // recovery scan without the tombstone would resurrect. Records
+            // in this segment go with it, and copies elsewhere carry their
+            // own deleted state.
+            return addr.segment_id > oldest &&
+                   (entry == nullptr || entry->deleted);
+          }
           if (entry == nullptr ||
               aof::RecordAddress::Unpack(entry->address) != addr) {
             return false;  // Superseded copy or already purged.
           }
           if (!entry->deleted) return true;  // Live data.
           // Deleted but possibly still referenced by a newer deduplicated
-          // version (Figure 2, top right).
+          // version (Figure 2, top right). The copy lands after the
+          // tombstone or drop marker that deleted it, so it carries the
+          // deleted state itself.
+          *copy_flags = aof::kFlagDeleted;
           return IsReferentIn(*live, rec.key, rec.header.version);
         },
         /*relocate=*/
         [live, &retired, cache](const aof::RecordAddress& old_addr,
                                 const aof::RecordAddress& new_addr,
                                 const aof::RecordView& rec) {
-          if (rec.is_tombstone()) return;  // No memtable item to patch.
-          if (rec.is_ingest_commit()) return;  // Markers are never indexed.
+          // Tombstones and markers have no memtable item to patch.
+          if (rec.is_tombstone() || rec.is_marker()) return;
           const uint64_t old_packed = old_addr.Pack();
           const uint64_t new_packed = new_addr.Pack();
           if (cache != nullptr) {
@@ -1277,25 +1205,19 @@ Status Shard::RecoverFromScan(uint32_t min_segment) {
   // is invisible.
   std::vector<std::pair<aof::RecordAddress, uint64_t>> deferred;
   const DeadSink sink{&deferred};
-  // A tombstone can precede the record it deletes in scan order: GC
-  // relocates kept referents past their tombstones. Such a tombstone is
-  // remembered as a deleted placeholder so the relocated copy cannot
-  // resurrect the pair; placeholders no copy claimed are purged afterwards.
-  std::vector<std::pair<MemEntry*, uint64_t>> placeholders;
 
   // One record's replay, shared by the scan callback (normal records) and
-  // the commit-marker replay of buffered bulk-ingest records below.
-  auto apply_record = [idx, &sink, &placeholders](
-                          const Slice& key, uint64_t version,
-                          uint32_t value_len, uint8_t flags, uint64_t packed) {
+  // the commit-marker replay of buffered bulk-ingest records below. Records
+  // replay in log order, so a tombstone deletes the pair's records before
+  // it and a put supersedes them. A relocated copy is such a put: it
+  // replaces its original, and takes its deleted state from its own flags.
+  auto apply_record = [idx, &sink](const Slice& key, uint64_t version,
+                                   uint32_t value_len, uint8_t flags,
+                                   uint64_t packed) {
     if ((flags & aof::kFlagTombstone) != 0) {
+      // No entry: the pair was never put, or its records are collected.
       MemEntry* entry = idx->FindExact(key, version);
-      if (entry == nullptr) {
-        entry = idx->Insert(key, version, packed,
-                            /*value_size=*/0, /*dedup=*/false);
-        entry->deleted.store(true, std::memory_order_relaxed);
-        placeholders.emplace_back(entry, packed);
-      } else if (!entry->deleted) {
+      if (entry != nullptr && !entry->deleted) {
         entry->deleted = true;
         ApplyDeleteAccounting(*idx, sink, entry);
       }
@@ -1303,30 +1225,17 @@ Status Shard::RecoverFromScan(uint32_t min_segment) {
                     aof::RecordExtent(key.size(), 0));
       return;
     }
-    const bool dedup = (flags & aof::kFlagDedup) != 0;
-    if ((flags & aof::kFlagRelocated) != 0) {
-      MemEntry* old = idx->FindExact(key, version);
-      if (old != nullptr) {
-        // A relocated copy is the same logical record the index already
-        // tracks, not a newer write: adopt the new address but preserve
-        // the deleted state an earlier tombstone established. A deleted
-        // entry's old record is already accounted dead.
-        if (!old->deleted) {
-          sink.MarkDead(aof::RecordAddress::Unpack(old->address),
-                        EntryExtent(old));
-        }
-        old->address.store(packed, std::memory_order_relaxed);
-        old->value_size.store(value_len, std::memory_order_relaxed);
-        old->dedup.store(dedup, std::memory_order_relaxed);
-        return;
-      }
-    }
     // One seek places the entry and reports the record it supersedes.
     MemIndex::Replaced old;
-    idx->Insert(key, version, packed, value_len, dedup, &old);
+    MemEntry* entry = idx->Insert(key, version, packed, value_len,
+                                  (flags & aof::kFlagDedup) != 0, &old);
     if (old.found) {
       sink.MarkDead(aof::RecordAddress::Unpack(old.address),
                     aof::RecordExtent(key.size(), old.value_size));
+    }
+    if ((flags & aof::kFlagDeleted) != 0) {
+      entry->deleted = true;
+      ApplyDeleteAccounting(*idx, sink, entry);
     }
   };
 
@@ -1344,11 +1253,19 @@ Status Shard::RecoverFromScan(uint32_t min_segment) {
   };
   std::map<uint64_t, std::vector<PendingIngest>> pending_ingest;
   std::set<uint64_t> committed_versions;
+  // Drop markers: the latest log position at which each version was
+  // dropped, applied after the scan in one walk of the index.
+  std::map<uint64_t, uint64_t> dropped_at;
 
   Status s = aof_->Scan(
-      [&apply_record, &pending_ingest, &committed_versions, &sink](
+      [&apply_record, &pending_ingest, &committed_versions, &dropped_at](
           const aof::RecordAddress& addr, const aof::RecordView& rec) {
         const uint64_t packed = addr.Pack();
+        if (rec.is_drop_version()) {
+          uint64_t& at = dropped_at[rec.header.version];
+          at = std::max(at, rec.MarkerPosition(addr));
+          return true;  // Markers stay live and never index anything.
+        }
         if (rec.is_ingest_commit()) {
           committed_versions.insert(rec.header.version);
           if (auto it = pending_ingest.find(rec.header.version);
@@ -1392,15 +1309,22 @@ Status Shard::RecoverFromScan(uint32_t min_segment) {
                     aof::RecordExtent(p.key.size(), p.value_len));
     }
   }
-  for (const auto& [addr, extent] : deferred) {
-    aof_->MarkDead(addr, extent);
-  }
-  for (const auto& [entry, tomb_addr] : placeholders) {
-    if (entry->deleted &&
-        entry->address.load(std::memory_order_relaxed) == tomb_addr) {
-      idx->Purge(entry);  // The delete's record never showed up: drop both.
+  // The drop rule, as DropVersion applies it: a pair of a dropped version
+  // is dropped iff its current record precedes the marker. A re-PUT after
+  // the drop follows it, and so does a copy GC moved after the drop — one
+  // that was deleted then says so in its own flags.
+  if (!dropped_at.empty()) {
+    for (MemIndex::Iterator it = idx->NewIterator(); it.Valid(); it.Next()) {
+      MemEntry* entry = it.entry();
+      auto drop = dropped_at.find(entry->version);
+      if (drop != dropped_at.end() && !entry->deleted &&
+          entry->address.load(std::memory_order_relaxed) < drop->second) {
+        entry->deleted = true;
+        ApplyDeleteAccounting(*idx, sink, entry);
+      }
     }
   }
+  aof_->MarkDeadMany(deferred);
   return Status::OK();
 }
 

@@ -55,7 +55,7 @@ class WriteBatch {
     op.kind = WriteOpKind::kDel;
     op.key = key.ToString();
     op.version = version;
-    // Budget for the tombstone a delete may log.
+    // The tombstone every delete logs.
     approximate_bytes_ += aof::RecordExtent(op.key.size(), 0);
     ops_.push_back(std::move(op));
   }
@@ -78,9 +78,8 @@ class WriteBatch {
   size_t size() const { return ops_.size(); }
   bool empty() const { return ops_.empty(); }
 
-  /// Log-extent estimate, the input to the group-commit byte budget. An
-  /// estimate only: DropVersion appends one tombstone per flagged pair,
-  /// which is unknowable until commit time.
+  /// Log extent the batch appends (one record per op), the input to the
+  /// group-commit byte budget.
   uint64_t ApproximateBytes() const { return approximate_bytes_; }
 
   const std::vector<WriteOp>& ops() const { return ops_; }

@@ -251,7 +251,7 @@ TEST_F(AofTest, CollectSegmentRelocatesAndErases) {
   size_t dropped = 0;
   Status s = mgr->CollectSegment(
       victim,
-      [](const RecordAddress&, const RecordView& rec) {
+      [](const RecordAddress&, const RecordView& rec, uint8_t*) {
         // Keep even-numbered keys.
         return (rec.key.ToString().back() - '0') % 2 == 0;
       },
@@ -278,7 +278,9 @@ TEST_F(AofTest, CollectActiveSegmentRejected) {
   ASSERT_TRUE(mgr->AppendRecord("k", 1, kFlagNone, "v").ok());
   EXPECT_TRUE(mgr->CollectSegment(
                      mgr->active_segment(),
-                     [](const RecordAddress&, const RecordView&) { return true; },
+                     [](const RecordAddress&, const RecordView&, uint8_t*) {
+                       return true;
+                     },
                      [](const RecordAddress&, const RecordAddress&,
                         const RecordView&) {},
                      [](const RecordAddress&, const RecordView&) {})
@@ -400,7 +402,9 @@ TEST_F(AofTest, SealActiveMakesSegmentCollectable) {
   size_t dropped = 0;
   ASSERT_TRUE(mgr->CollectSegment(
                      victims[0],
-                     [](const RecordAddress&, const RecordView&) { return false; },
+                     [](const RecordAddress&, const RecordView&, uint8_t*) {
+                       return false;
+                     },
                      [](const RecordAddress&, const RecordAddress&,
                         const RecordView&) {},
                      [&](const RecordAddress&, const RecordView&) { ++dropped; })

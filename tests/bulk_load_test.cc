@@ -246,7 +246,6 @@ class BulkIngestEngineTest : public ::testing::Test {
                           ssd::LatencyModel(), clock_.get());
     options_.num_shards = num_shards;
     options_.aof.segment_bytes = 64 << 10;
-    options_.aof.log_deletes = true;
     options_.auto_gc = false;
     auto opened = qindb::QinDb::Open(env_.get(), options_);
     ASSERT_TRUE(opened.ok()) << opened.status().ToString();

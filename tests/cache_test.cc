@@ -224,7 +224,6 @@ TEST_F(CacheEngineTest, GcRelocationNeverServesStaleBytes) {
 TEST_F(CacheEngineTest, DelAndDropVersionLeaveNoGhostHits) {
   QinDbOptions options;
   options.cache_bytes = 1 << 20;
-  options.aof.log_deletes = true;  // Deletions must survive the reopen.
   auto db = OpenDb(options);
   for (int i = 0; i < 20; ++i) {
     ASSERT_TRUE(db->Put(KeyOf(i), 1, "v1-" + KeyOf(i)).ok());

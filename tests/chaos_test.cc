@@ -99,7 +99,6 @@ void RunCrashPoint(const std::string& point, uint32_t num_shards) {
   qindb::QinDbOptions options;
   options.num_shards = num_shards;
   options.aof.segment_bytes = 4 << 10;  // Tiny segments: many seals/victims.
-  options.aof.log_deletes = true;
   options.auto_gc = false;  // GC runs only when the test says so.
   auto opened = qindb::QinDb::Open(env.get(), options);
   ASSERT_TRUE(opened.ok()) << opened.status().ToString();

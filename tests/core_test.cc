@@ -29,6 +29,31 @@ DirectLoadOptions SmallPipeline() {
 class DirectLoadTest : public ::testing::Test {
  protected:
   DirectLoadTest() : dl_(SmallPipeline()) { EXPECT_TRUE(dl_.Start().ok()); }
+
+  /// Takes every node of data center 3 down (or back up), so that its
+  /// BulkBegin answers Unavailable after three data centers opened theirs.
+  void SetDc3Up(bool up) {
+    mint::MintCluster* dc3 = dl_.data_center(3);
+    for (int n = 0; n < dc3->num_nodes(); ++n) {
+      if (up) {
+        ASSERT_TRUE(dc3->RecoverNode(n).ok()) << n;
+      } else {
+        ASSERT_TRUE(dc3->FailNode(n).ok()) << n;
+      }
+    }
+  }
+
+  /// Every summary pair of `version` at data center 0 reads back as the
+  /// corpus says.
+  void ExpectSummariesServed(uint64_t version) {
+    for (const webindex::Document& doc : dl_.corpus().documents()) {
+      Result<mint::MintCluster::ReadResult> got =
+          dl_.data_center(0)->Get(doc.url, version);
+      ASSERT_TRUE(got.ok()) << doc.url << ": " << got.status().ToString();
+      EXPECT_EQ(got->value, dl_.corpus().AbstractOf(doc)) << doc.url;
+    }
+  }
+
   DirectLoad dl_;
 };
 
@@ -82,6 +107,35 @@ TEST_F(DirectLoadTest, QueriesServeSearchPath) {
       EXPECT_FALSE(abstract.empty());
     }
   }
+}
+
+// A failed cycle must not leave dedup state describing a version the data
+// centers do not all hold: the retry ships full values and reads back.
+TEST_F(DirectLoadTest, RetryOfFailedFirstCycleShipsFullValues) {
+  SetDc3Up(false);
+  Result<UpdateReport> failed = dl_.RunUpdateCycle();
+  ASSERT_TRUE(failed.status().IsUnavailable()) << failed.status().ToString();
+  SetDc3Up(true);
+  Result<UpdateReport> retry = dl_.RunUpdateCycle();
+  ASSERT_TRUE(retry.ok()) << retry.status().ToString();
+  EXPECT_EQ(retry->version, 1u);
+  EXPECT_EQ(retry->dedup.pairs_deduped, 0u);
+  EXPECT_DOUBLE_EQ(retry->gray_inconsistency, 0.0);
+  ExpectSummariesServed(1);
+}
+
+TEST_F(DirectLoadTest, CycleAfterAFailedLaterCycleShipsFullValues) {
+  ASSERT_TRUE(dl_.RunUpdateCycle().ok());
+  SetDc3Up(false);
+  Result<UpdateReport> failed = dl_.RunUpdateCycle(/*change_rate=*/0.5);
+  ASSERT_TRUE(failed.status().IsUnavailable()) << failed.status().ToString();
+  SetDc3Up(true);
+  Result<UpdateReport> next = dl_.RunUpdateCycle(/*change_rate=*/0.5);
+  ASSERT_TRUE(next.ok()) << next.status().ToString();
+  EXPECT_EQ(next->version, 3u);
+  EXPECT_EQ(next->dedup.pairs_deduped, 0u);
+  EXPECT_DOUBLE_EQ(next->gray_inconsistency, 0.0);
+  ExpectSummariesServed(3);
 }
 
 TEST_F(DirectLoadTest, VersionPruningKeepsAtMostFour) {

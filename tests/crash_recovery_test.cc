@@ -1,28 +1,33 @@
-// Randomized crash-recovery: a seeded workload (PUTs, dedup PUTs, DELs with
-// delete logging, re-PUTs, checkpoints, forced GC) is cut short by a hard
-// crash at a random op boundary, the engine is reopened, and the recovered
-// state must equal the model after some prefix of the ops. The env loses
-// the active segment's sub-page tail on a crash, so recovery legitimately
-// lands a few ops short of the crash point — but never on a state that is
-// not a prefix, never resurrecting a deleted pair, and never losing a pair
-// whose record the engine had already made durable (segment seals, GC
-// collections, and checkpoints are the durability barriers).
+// Randomized crash-recovery: a seeded workload (PUTs, dedup PUTs, DELs,
+// re-PUTs of live and of deleted pairs, version drops, checkpoints, forced
+// GC) is cut short by a hard crash at a random op boundary, the engine is
+// reopened, and the recovered state must equal the model after some prefix
+// of the ops. The env loses the active segment's sub-page tail on a crash,
+// so recovery legitimately lands a few ops short of the crash point — but
+// never on a state that is not a prefix, never resurrecting a deleted pair,
+// and never losing a pair whose record the engine had already made durable
+// (segment seals, GC collections, and checkpoints are the durability
+// barriers).
 //
 // The suite runs at num_shards ∈ {1, 4}. Sharded, the engine commits each
 // shard's ops through an independent AOF, so the global-prefix invariant
 // splits into a per-shard one: for EVERY shard, the recovered state of the
 // keys routed to it must equal some prefix of that shard's op subsequence —
 // gap-free per shard, even when the crash clipped the shards at different
-// depths. At num_shards=1 this degenerates to the original global check.
+// depths. At num_shards=1 this degenerates to the original global check. A
+// DropVersion is one op in EVERY shard's subsequence: each shard logs its
+// own drop marker and recovers all of the drop or none of it.
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "aof/record.h"
 #include "common/random.h"
 #include "common/sim_clock.h"
 #include "qindb/qindb.h"
@@ -112,7 +117,6 @@ TEST_P(CrashRecoveryTest, RandomCrashRecoversAPerShardPrefixOfTheWorkload) {
     QinDbOptions options;
     options.num_shards = num_shards;
     options.aof.segment_bytes = 4 << 10;  // Frequent seals and GC victims.
-    options.aof.log_deletes = true;       // DELs must survive the crash.
     options.auto_gc = false;              // GC only as an explicit op.
     auto opened = QinDb::Open(env.get(), options);
     ASSERT_TRUE(opened.ok()) << opened.status().ToString();
@@ -147,7 +151,36 @@ TEST_P(CrashRecoveryTest, RandomCrashRecoversAPerShardPrefixOfTheWorkload) {
       } else if (choice < 0.10) {
         ASSERT_TRUE(db->ForceGc().ok());
         mutated = false;
-      } else if (choice < 0.25 && newest != versions.end()) {
+      } else if (choice < 0.13 && newest != versions.end()) {
+        // Drop one of this key's versions on every shard.
+        auto pick = versions.begin();
+        std::advance(pick, rnd.Uniform(versions.size()));
+        const uint64_t v = pick->first;
+        ASSERT_TRUE(db->DropVersion(v).ok());
+        for (uint32_t s = 0; s < num_shards; ++s) {
+          for (auto& [k, states] : shard_models[s]) {
+            if (auto it = states.find(v); it != states.end()) {
+              it->second.deleted = true;
+            }
+          }
+          if (s != shard) shard_snapshots[s].push_back(shard_models[s]);
+        }
+      } else if (choice < 0.17 && newest != versions.end()) {
+        // Re-PUT of a deleted (or dropped) version, with a value: it must
+        // stay live across GC relocation and the crash.
+        std::vector<uint64_t> deleted;
+        for (const auto& [v, state] : versions) {
+          if (state.deleted) deleted.push_back(v);
+        }
+        if (!deleted.empty()) {
+          const uint64_t v = deleted[rnd.Uniform(deleted.size())];
+          const std::string value = rnd.NextString(kValuePadding);
+          ASSERT_TRUE(db->Put(key, v, value).ok());
+          versions[v] = ModelVersion{value, false, false};
+        } else {
+          mutated = false;
+        }
+      } else if (choice < 0.30 && newest != versions.end()) {
         // DEL a random live version (referents included).
         std::vector<uint64_t> live;
         for (const auto& [v, state] : versions) {
@@ -242,7 +275,6 @@ TEST_P(CrashRecoveryTest, CheckpointIsADurabilityFloor) {
     QinDbOptions options;
     options.num_shards = num_shards;
     options.aof.segment_bytes = 4 << 10;
-    options.aof.log_deletes = true;
     options.auto_gc = false;
     auto opened = QinDb::Open(env.get(), options);
     ASSERT_TRUE(opened.ok());
@@ -312,7 +344,6 @@ TEST_P(CrashRecoveryTest, MidBulkCrashLeavesNoTraceCommittedBulkSurvives) {
     QinDbOptions options;
     options.num_shards = num_shards;
     options.aof.segment_bytes = 4 << 10;
-    options.aof.log_deletes = true;
     options.auto_gc = false;
     auto opened = QinDb::Open(env.get(), options);
     ASSERT_TRUE(opened.ok()) << opened.status().ToString();
@@ -405,6 +436,150 @@ TEST_P(CrashRecoveryTest, MidBulkCrashLeavesNoTraceCommittedBulkSurvives) {
     EXPECT_TRUE(report->clean())
         << report->damaged_entries << " damaged, "
         << report->unresolvable_dedups << " unresolvable dedups";
+  }
+}
+
+// The first key, "<prefix>0", "<prefix>1", ..., that routes to `shard`.
+std::string KeyOnShard(const QinDb& db, const std::string& prefix,
+                       uint32_t shard) {
+  for (int i = 0;; ++i) {
+    std::string key = prefix + std::to_string(i);
+    if (db.ShardOf(key) == shard) return key;
+  }
+}
+
+// A drop is one CRC'd marker per shard, so a crash that tears it leaves the
+// version whole on that shard, and one that keeps it drops all of it. The
+// env persists whole pages only: a padding record per shard places the
+// marker so that exactly `torn` of its bytes reach the last whole page,
+// for every `torn` from 0 to the marker's extent. Shards get different
+// offsets, so one crash keeps some shards' markers and tears others'.
+TEST_P(CrashRecoveryTest, TornDropMarkerDropsAllOrNothingPerShard) {
+  const uint32_t num_shards = GetParam();
+  const uint64_t page = CrashGeometry().page_size;
+  const uint64_t marker = aof::RecordExtent(0, 0);
+  constexpr int kPairs = 24;
+  for (uint64_t torn = 0; torn <= marker; ++torn) {
+    SCOPED_TRACE("torn " + std::to_string(torn));
+    SimClock clock;
+    auto env = ssd::NewSsdEnv(ssd::InterfaceMode::kNativeBlock,
+                              CrashGeometry(), ssd::LatencyModel(), &clock);
+    QinDbOptions options;
+    options.num_shards = num_shards;
+    options.aof.segment_bytes = 64 << 10;
+    options.auto_gc = false;
+    auto opened = QinDb::Open(env.get(), options);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    std::unique_ptr<QinDb> db = std::move(opened).value();
+
+    for (int i = 0; i < kPairs; ++i) {
+      ASSERT_TRUE(db->Put(KeyOf(i), 1, "v1-" + std::to_string(i)).ok());
+    }
+    // Durability barrier: every shard's next record opens a new segment.
+    ASSERT_TRUE(db->Checkpoint().ok());
+    std::vector<uint64_t> shard_torn(num_shards);
+    for (uint32_t s = 0; s < num_shards; ++s) {
+      shard_torn[s] = (torn + 7 * s) % (marker + 1);
+      const std::string key = KeyOnShard(*db, "pad", s);
+      const uint64_t value_size =
+          page - shard_torn[s] - aof::RecordExtent(key.size(), 0);
+      ASSERT_TRUE(db->Put(key, 2, std::string(value_size, 'p')).ok());
+    }
+    ASSERT_TRUE(db->DropVersion(1).ok());
+
+    (void)db.release();
+    ssd::SsdEnv* raw_env = env.get();
+    raw_env->SimulateCrashForTesting();
+    auto reopened = QinDb::Open(raw_env, options);
+    ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+    std::unique_ptr<QinDb> recovered = std::move(reopened).value();
+
+    for (uint32_t s = 0; s < num_shards; ++s) {
+      SCOPED_TRACE("shard " + std::to_string(s) + " keeps " +
+                   std::to_string(shard_torn[s]) + " marker bytes");
+      const bool whole = shard_torn[s] == marker;
+      for (int i = 0; i < kPairs; ++i) {
+        if (recovered->ShardOf(KeyOf(i)) != s) continue;
+        Result<std::string> got = recovered->Get(KeyOf(i), 1);
+        if (whole) {
+          EXPECT_TRUE(got.status().IsNotFound()) << KeyOf(i);
+        } else {
+          ASSERT_TRUE(got.ok()) << KeyOf(i) << ": " << got.status().ToString();
+          EXPECT_EQ(*got, "v1-" + std::to_string(i));
+        }
+      }
+    }
+  }
+}
+
+// GC keeps drop markers and moves them like any record, so a relocated
+// marker lands after records that followed the drop. Its copy remembers
+// where the drop happened: a re-PUT made after the drop, in a segment GC
+// leaves alone, stays live, and the dropped pairs stay dropped — also those
+// whose records share a segment with live data and stay on disk.
+TEST_P(CrashRecoveryTest, RelocatedDropMarkerKeepsLaterRePutLive) {
+  const uint32_t num_shards = GetParam();
+  SimClock clock;
+  auto env = ssd::NewSsdEnv(ssd::InterfaceMode::kNativeBlock, CrashGeometry(),
+                            ssd::LatencyModel(), &clock);
+  QinDbOptions options;
+  options.num_shards = num_shards;
+  options.aof.segment_bytes = 32 << 10;
+  options.auto_gc = false;
+  auto opened = QinDb::Open(env.get(), options);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  std::unique_ptr<QinDb> db = std::move(opened).value();
+
+  // A live version-2 record keeps each shard's first segment from GC.
+  for (uint32_t s = 0; s < num_shards; ++s) {
+    ASSERT_TRUE(
+        db->Put(KeyOnShard(*db, "keeper", s), 2, std::string(12 << 10, 'k'))
+            .ok());
+  }
+  constexpr int kPairs = 40;
+  for (int i = 0; i < kPairs; ++i) {
+    ASSERT_TRUE(db->Put(KeyOf(i), 1, std::string(3000, 'a')).ok()) << i;
+  }
+  ASSERT_TRUE(db->DropVersion(1).ok());
+  std::vector<uint32_t> marker_segment(num_shards);
+  for (uint32_t s = 0; s < num_shards; ++s) {
+    marker_segment[s] = db->aof(s).active_segment();
+  }
+  // Dead fillers seal every shard's marker segment.
+  for (int i = 0; i < 24 * static_cast<int>(num_shards); ++i) {
+    const std::string key = "filler" + std::to_string(i);
+    ASSERT_TRUE(db->Put(key, 1, std::string(3000, 'f')).ok());
+    ASSERT_TRUE(db->Del(key, 1).ok());
+  }
+  for (uint32_t s = 0; s < num_shards; ++s) {
+    ASSERT_NE(db->aof(s).active_segment(), marker_segment[s]) << s;
+  }
+  // The re-PUT follows the drop, in a segment it keeps above the GC
+  // threshold.
+  const std::string again(12 << 10, 'b');
+  ASSERT_TRUE(db->Put(KeyOf(0), 1, again).ok());
+  ASSERT_TRUE(db->ForceGc().ok());
+  for (uint32_t s = 0; s < num_shards; ++s) {
+    ASSERT_EQ(db->aof(s).SegmentMetas().count(marker_segment[s]), 0u)
+        << "shard " << s << " kept its marker segment";
+  }
+  Result<std::string> before = db->Get(KeyOf(0), 1);
+  ASSERT_TRUE(before.ok()) << before.status().ToString();
+
+  // No barrier needed: GC seals the log before it erases a segment, so the
+  // re-PUT and the relocated markers are durable.
+  (void)db.release();
+  ssd::SsdEnv* raw_env = env.get();
+  raw_env->SimulateCrashForTesting();
+  auto reopened = QinDb::Open(raw_env, options);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  std::unique_ptr<QinDb> recovered = std::move(reopened).value();
+  Result<std::string> got = recovered->Get(KeyOf(0), 1);
+  ASSERT_TRUE(got.ok()) << "re-PUT after the drop lost: "
+                        << got.status().ToString();
+  EXPECT_EQ(*got, again);
+  for (int i = 1; i < kPairs; ++i) {
+    EXPECT_TRUE(recovered->Get(KeyOf(i), 1).status().IsNotFound()) << i;
   }
 }
 

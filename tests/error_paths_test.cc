@@ -114,7 +114,8 @@ TEST_F(AofErrorTest, UnknownSegmentOperations) {
   EXPECT_DOUBLE_EQ(mgr_->Occupancy(99), 1.0);  // Unknown = conservative.
   EXPECT_TRUE(mgr_->CollectSegment(
                       99,
-                      [](const aof::RecordAddress&, const aof::RecordView&) {
+                      [](const aof::RecordAddress&, const aof::RecordView&,
+                         uint8_t*) {
                         return true;
                       },
                       [](const aof::RecordAddress&, const aof::RecordAddress&,

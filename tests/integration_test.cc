@@ -350,9 +350,8 @@ TEST(RecoveryIntegrationTest, CheckpointGcCrashSequencePreservesData) {
     ASSERT_TRUE(got.ok()) << key;
     EXPECT_EQ(*got, value);
   }
-  // Note: without logged deletes or a post-GC checkpoint, the *deletes*
-  // themselves are only as durable as the GC that physically dropped the
-  // records — which ran here, so the deleted keys stay gone.
+  // Every delete logged a tombstone, so the deleted keys stay gone whether
+  // or not GC has already dropped their records.
   EXPECT_TRUE(db->Get("url:1", 1).status().IsNotFound());
   EXPECT_TRUE(db->Get("url:0", 1).ok());  // A survivor, relocated by GC.
 }

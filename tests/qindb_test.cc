@@ -422,8 +422,8 @@ TEST_F(QinDbTest, RecoveryKeepsNewestDuplicate) {
   EXPECT_EQ(*db->Get("k", 1), "second");
 }
 
-// Re-PUTs turn the superseded records dead at write time; a recovery by
-// full scan must reach the same occupancy, segment by segment.
+// Re-PUTs, deletes and a version drop turn records dead at write time; a
+// recovery by full scan must reach the same occupancy, segment by segment.
 TEST_F(QinDbTest, ScanRecoveryRebuildsPerSegmentLiveBytes) {
   QinDbOptions options;
   options.num_shards = 1;
@@ -448,6 +448,10 @@ TEST_F(QinDbTest, ScanRecoveryRebuildsPerSegmentLiveBytes) {
       ASSERT_TRUE(db->Put(key, 2, rnd.NextString(700)).ok());
       ASSERT_TRUE(db->Put(key, 2, Slice(), /*dedup=*/true).ok());
     }
+    // Drop version 1: where version 2 is deduplicated, the version-1 record
+    // stays live as its referent — until the delete below takes url3's.
+    ASSERT_TRUE(db->DropVersion(1).ok());
+    ASSERT_TRUE(db->Del("url3", 2).ok());
     before = db->aof().SegmentMetas();
     ASSERT_GT(before.size(), 2u);
     // Crash: no checkpoint, so the reopen below scans every segment.
@@ -465,7 +469,6 @@ TEST_F(QinDbTest, ScanRecoveryRebuildsPerSegmentLiveBytes) {
 TEST_F(QinDbTest, LoggedDeletesSurviveRestart) {
   QinDbOptions options;
   options.num_shards = 1;
-  options.aof.log_deletes = true;
   {
     auto db = OpenDb(options);
     ASSERT_TRUE(db->Put("k", 1, "v").ok());
@@ -475,18 +478,144 @@ TEST_F(QinDbTest, LoggedDeletesSurviveRestart) {
   EXPECT_TRUE(db->Get("k", 1).status().IsNotFound());
 }
 
-TEST_F(QinDbTest, UnloggedDeletesAreLostWithoutCheckpoint) {
-  // Documents the paper's tradeoff: DEL only touches memory.
+// A DEL survives a restart, and so does a later re-PUT of the pair: the
+// re-PUT's record follows the tombstone in the log, and the copy GC makes
+// of it is live by its own flags, wherever in the log it lands.
+TEST_F(QinDbTest, RePutOfDeletedPairSurvivesRelocationAndReopen) {
   QinDbOptions options;
   options.num_shards = 1;
-  options.aof.log_deletes = false;
+  options.aof.segment_bytes = 32 << 10;
+  options.auto_gc = false;
   {
     auto db = OpenDb(options);
-    ASSERT_TRUE(db->Put("k", 1, "v").ok());
+    // Keeps the tombstone's segment above the GC threshold, so the
+    // tombstone is still on disk at every reopen below.
+    ASSERT_TRUE(db->Put("keeper", 1, std::string(12 << 10, 'k')).ok());
+    ASSERT_TRUE(db->Put("k", 1, "a").ok());
     ASSERT_TRUE(db->Del("k", 1).ok());
   }
+  {
+    auto db = OpenDb(options);
+    EXPECT_TRUE(db->Get("k", 1).status().IsNotFound());
+    // The re-PUT opens this session's first segment; fillers that die fill
+    // and seal it, so GC moves the re-PUT to the end of the log.
+    ASSERT_TRUE(db->Put("k", 1, "b").ok());
+    const uint32_t reput_segment = db->aof().active_segment();
+    for (int i = 0; i < 20; ++i) {
+      const std::string key = "filler" + std::to_string(i);
+      ASSERT_TRUE(db->Put(key, 1, std::string(3000, 'f')).ok());
+      ASSERT_TRUE(db->Del(key, 1).ok());
+    }
+    ASSERT_NE(db->aof().active_segment(), reput_segment);
+    ASSERT_TRUE(db->ForceGc().ok());
+    ASSERT_EQ(db->aof().SegmentMetas().count(reput_segment), 0u);
+    Result<std::string> got = db->Get("k", 1);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(*got, "b");
+  }
   auto db = OpenDb(options);
-  EXPECT_EQ(*db->Get("k", 1), "v");
+  Result<std::string> got = db->Get("k", 1);
+  ASSERT_TRUE(got.ok()) << "acked re-PUT lost: " << got.status().ToString();
+  EXPECT_EQ(*got, "b");
+  EXPECT_TRUE(db->Get("filler0", 1).status().IsNotFound());
+}
+
+// A drop is one marker per shard, so it survives a restart at default
+// options. A dropped record GC keeps as the referent of a newer
+// deduplicated version moves past the marker, and its copy says it is
+// deleted.
+TEST_F(QinDbTest, DroppedVersionStaysDroppedAfterReopen) {
+  for (const uint32_t shards : {1u, 4u}) {
+    SCOPED_TRACE("shards " + std::to_string(shards));
+    ResetEnv();
+    QinDbOptions options;
+    options.num_shards = shards;
+    options.aof.segment_bytes = 32 << 10;
+    options.auto_gc = false;
+    constexpr int kRefs = 8;
+    constexpr int kPairs = 100;
+    auto referent = [](int i) { return "referent" + std::to_string(i); };
+    {
+      auto db = OpenDb(options);
+      // The referents come first, so they sit in each shard's oldest
+      // segment, which the drop leaves nearly empty.
+      for (int i = 0; i < kRefs; ++i) {
+        const std::string key = "ref" + std::to_string(i);
+        ASSERT_TRUE(db->Put(key, 1, referent(i)).ok());
+        ASSERT_TRUE(db->Put(key, 2, Slice(), /*dedup=*/true).ok());
+      }
+      for (int i = 0; i < kPairs; ++i) {
+        ASSERT_TRUE(
+            db->Put("url" + std::to_string(i), 1, std::string(3000, 'u'))
+                .ok());
+      }
+      std::vector<uint32_t> oldest(shards);
+      for (uint32_t s = 0; s < shards; ++s) {
+        ASSERT_GT(db->aof(s).segment_count(), 1u) << "shard " << s;
+        oldest[s] = db->aof(s).SegmentMetas().begin()->first;
+      }
+      Result<uint64_t> dropped = db->DropVersion(1);
+      ASSERT_TRUE(dropped.ok()) << dropped.status().ToString();
+      EXPECT_EQ(*dropped, static_cast<uint64_t>(kRefs + kPairs));
+      ASSERT_TRUE(db->ForceGc().ok());
+      for (uint32_t s = 0; s < shards; ++s) {
+        EXPECT_EQ(db->aof(s).SegmentMetas().count(oldest[s]), 0u)
+            << "shard " << s << " kept its oldest segment";
+      }
+      for (int i = 0; i < kRefs; ++i) {
+        const std::string key = "ref" + std::to_string(i);
+        EXPECT_TRUE(db->Get(key, 1).status().IsNotFound()) << key;
+        Result<std::string> got = db->Get(key, 2);
+        ASSERT_TRUE(got.ok()) << key << ": " << got.status().ToString();
+        EXPECT_EQ(*got, referent(i));
+      }
+    }
+    auto db = OpenDb(options);
+    for (int i = 0; i < kPairs; ++i) {
+      const std::string key = "url" + std::to_string(i);
+      EXPECT_TRUE(db->Get(key, 1).status().IsNotFound()) << key;
+    }
+    for (int i = 0; i < kRefs; ++i) {
+      const std::string key = "ref" + std::to_string(i);
+      EXPECT_TRUE(db->Get(key, 1).status().IsNotFound()) << key;
+      Result<std::string> got = db->Get(key, 2);
+      ASSERT_TRUE(got.ok()) << key << ": " << got.status().ToString();
+      EXPECT_EQ(*got, referent(i));
+    }
+    const std::map<uint64_t, uint64_t> counts = db->VersionCounts();
+    EXPECT_EQ(counts.count(1), 0u);
+    EXPECT_EQ(counts.at(2), static_cast<uint64_t>(kRefs));
+  }
+}
+
+// Nothing of a session is indexed before its commit, so a drop of the
+// session's version could not flag the staged pairs — yet recovery would,
+// since they precede the marker. The drop is refused instead.
+TEST_F(QinDbTest, DropVersionIsBusyWhileTheVersionIsBeingIngested) {
+  QinDbOptions options;
+  options.num_shards = 1;
+  {
+    auto db = OpenDb(options);
+    ASSERT_TRUE(db->Put("old", 3, "x").ok());
+    ASSERT_TRUE(db->Put("other", 2, "y").ok());
+    IngestOp op;
+    op.key = "bulk";
+    op.version = 3;
+    op.value = "z";
+    ASSERT_TRUE(db->IngestBegin(3).ok());
+    ASSERT_TRUE(db->IngestRun(3, &op, 1).ok());
+    EXPECT_TRUE(db->DropVersion(3).status().IsBusy());
+    EXPECT_EQ(*db->Get("old", 3), "x");
+    // Other versions drop as usual.
+    EXPECT_EQ(*db->DropVersion(2), 1u);
+    ASSERT_TRUE(db->IngestCommit(3).ok());
+    EXPECT_EQ(*db->Get("bulk", 3), "z");
+    EXPECT_EQ(*db->DropVersion(3), 2u);
+  }
+  auto db = OpenDb(options);
+  EXPECT_TRUE(db->Get("old", 3).status().IsNotFound());
+  EXPECT_TRUE(db->Get("bulk", 3).status().IsNotFound());
+  EXPECT_TRUE(db->Get("other", 2).status().IsNotFound());
 }
 
 TEST_F(QinDbTest, CheckpointSpeedsUpRecoveryAndPreservesState) {
@@ -518,7 +647,7 @@ TEST_F(QinDbTest, CheckpointSpeedsUpRecoveryAndPreservesState) {
     for (const auto& [key, value] : expect) {
       EXPECT_EQ(*db->Get(key, 1), value) << key;
     }
-    // The checkpointed delete survived even without logged deletes.
+    // The checkpointed delete survived.
     EXPECT_TRUE(db->Get("url0", 1).status().IsNotFound());
 
     // Wipe the checkpoint and compare recovery I/O: the full scan must read

@@ -361,7 +361,6 @@ TEST_F(ShardTest, ShardsRecoverIndependentlyAcrossReopen) {
   QinDbOptions options;
   options.num_shards = 4;
   options.checkpoint_interval_bytes = 8 << 10;  // Force some checkpoints.
-  options.aof.log_deletes = true;  // DELs must survive the reopen.
   {
     auto db = OpenDb(options);
     for (int i = 0; i < 300; ++i) {

@@ -111,10 +111,12 @@ TEST(WriteBatchTest, DropVersionCoversIndexAndSameBatchPairs) {
   WriteBatch batch;
   batch.Put("fresh", 7, "from inside the batch");
   batch.DropVersion(7);
+  batch.Put("late", 7, "after the drop");
   ASSERT_TRUE(h.db->Write(batch).ok());
   EXPECT_EQ(batch.dropped(1), 2u);  // Both the indexed and the in-batch pair.
   EXPECT_TRUE(h.db->Get("old", 7).status().IsNotFound());
   EXPECT_TRUE(h.db->Get("fresh", 7).status().IsNotFound());
+  EXPECT_EQ(*h.db->Get("late", 7), "after the drop");
 }
 
 TEST(WriteBatchTest, EmptyBatchIsANoOp) {
