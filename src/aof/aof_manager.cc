@@ -544,7 +544,8 @@ Status AofManager::CollectSegment(uint32_t segment_id,
       DIRECTLOAD_FAILPOINT(fp_aof_gc_rewrite_record);
       std::string position;
       Slice value = rec.value;
-      if (rec.is_marker() && value.empty()) {
+      if (rec.is_marker() && !rec.is_relocated()) {
+        position.assign(value.data(), value.size());
         PutFixed64(&position, addr.Pack());
         value = position;
       }

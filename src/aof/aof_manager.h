@@ -164,7 +164,7 @@ class AofManager {
   /// Collects one sealed segment: live records are re-appended to the
   /// current end of the AOFs, the caller patches memtable offsets in
   /// `relocate`, and the segment file is erased. A marker's first copy
-  /// takes the marker's original address as its value (see
+  /// appends the marker's original address to its value (see
   /// RecordView::MarkerPosition). Runs under the exclusive lock, so
   /// concurrent readers observe either the victim file intact or the fully
   /// patched state, never a half-erased segment. The callbacks run

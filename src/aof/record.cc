@@ -28,7 +28,18 @@ void EncodeRecord(const Slice& key, uint64_t version, uint8_t flags,
 }
 
 uint64_t RecordView::MarkerPosition(const RecordAddress& at) const {
-  return value.size() == 8 ? DecodeFixed64(value.data()) : at.Pack();
+  return is_relocated() && value.size() >= 8
+             ? DecodeFixed64(value.data() + value.size() - 8)
+             : at.Pack();
+}
+
+uint64_t RecordView::SessionStart() const {
+  return value.size() >= 8 ? DecodeFixed64(value.data()) : 0;
+}
+
+uint64_t RecordView::SessionVersion() const {
+  return is_tombstone() && value.size() == 8 ? DecodeFixed64(value.data())
+                                             : header.version;
 }
 
 Status DecodeHeader(const Slice& data, RecordHeader* out) {

@@ -41,18 +41,24 @@ enum RecordFlags : uint8_t {
   kFlagTombstone = 1u << 1,
   /// Copy re-appended by segment collection. Relocation preserves a record's
   /// bytes but not its position in the log; the copy's deleted state rides
-  /// in kFlagDeleted, and a marker's position in its value (MarkerPosition).
+  /// in kFlagDeleted, and a marker's position at the end of its value
+  /// (MarkerPosition).
   kFlagRelocated = 1u << 2,
   /// Staged by a bulk-ingest session (QinDb::IngestRun) and not yet
-  /// committed. Recovery indexes such a record only if a matching
-  /// kFlagIngestCommit marker for its version exists; otherwise the record
-  /// is dead on arrival — an aborted or crashed load leaves no trace.
+  /// committed. A put's header carries the session's version; a tombstone's
+  /// header names the pair it deletes, and its 8-byte value the session's
+  /// version (SessionVersion). Recovery indexes such a record only when the
+  /// commit marker of its own session vouches for it; otherwise the record
+  /// is dead on arrival — an aborted or crashed load leaves no trace, even
+  /// when a later session of the same version commits.
   kFlagIngestPending = 1u << 3,
-  /// Commit marker for a bulk-ingest version (zero-length key; `version`
-  /// names the committed ingest version). Written once per shard at
-  /// IngestCommit, after every pending record of the session is durable.
-  /// GC never collects markers: a relocated pending record may land after
-  /// its marker in segment order, and the marker is what vouches for it.
+  /// Commit marker for a bulk-ingest session (zero-length key; `version`
+  /// names the committed ingest version; the 8-byte value is the session's
+  /// start, the packed address of its first pending record, or ~0 for a
+  /// session that staged nothing). Written once per shard at IngestCommit,
+  /// after every pending record of the session is durable. It vouches for
+  /// exactly the pending records of its version from its start
+  /// (SessionStart) up to its own MarkerPosition. GC never collects markers.
   kFlagIngestCommit = 1u << 4,
   /// Drop marker for a version (zero-length key; `version` names the dropped
   /// version). Written once per shard by DropVersion: every pair of that
@@ -114,10 +120,14 @@ struct RecordView {
   }
 
   /// Log position of the marker read at `at`: the packed address it was
-  /// first appended at. GC re-appends a marker with that address as its
-  /// value (AofManager::CollectSegment), so a moved marker still orders the
-  /// records around its original place.
+  /// first appended at. GC's first copy of a marker appends that address to
+  /// its value (AofManager::CollectSegment), so a moved marker still orders
+  /// the records around its original place.
   uint64_t MarkerPosition(const RecordAddress& at) const;
+  /// Commit marker: the packed address of its session's first record.
+  uint64_t SessionStart() const;
+  /// Pending record: the version of the bulk-ingest session that wrote it.
+  uint64_t SessionVersion() const;
 };
 
 /// Serializes a record (header + key + value) into `dst` (appended).

@@ -137,7 +137,88 @@ void ApplyDeleteAccounting(const MemIndex& idx, const DeadSink& sink,
   }
 }
 
+/// Flags a pair deleted; false if it already was.
+bool FlagDeleted(const MemIndex& idx, const DeadSink& sink, MemEntry* entry) {
+  if (entry->deleted.exchange(true, std::memory_order_acq_rel)) return false;
+  ApplyDeleteAccounting(idx, sink, entry);
+  return true;
+}
+
+/// What applying one record did to the index.
+enum class Applied { kPut, kDeleted, kAlreadyDeleted, kNoPair };
+
+/// The one rule by which a record changes the index. Group commit, bulk
+/// commit and recovery replay all apply records through it, in log order.
+/// A put supersedes its pair, whose old record is dead; a copy GC relocated
+/// with kFlagDeleted arrives deleted. A tombstone is dead on arrival and
+/// flags its pair deleted.
+Applied ApplyRecord(MemIndex& idx, const DeadSink& sink, const Slice& key,
+                    uint64_t version, uint64_t packed, uint32_t value_size,
+                    uint8_t flags) {
+  if ((flags & aof::kFlagTombstone) != 0) {
+    sink.MarkDead(aof::RecordAddress::Unpack(packed),
+                  aof::RecordExtent(key.size(), value_size));
+    MemEntry* entry = idx.FindExact(key, version);
+    if (entry == nullptr) return Applied::kNoPair;
+    return FlagDeleted(idx, sink, entry) ? Applied::kDeleted
+                                         : Applied::kAlreadyDeleted;
+  }
+  // One seek places the entry and reports the record it supersedes.
+  MemIndex::Replaced old;
+  MemEntry* entry = idx.Insert(key, version, packed, value_size,
+                               (flags & aof::kFlagDedup) != 0, &old);
+  if (old.found) {
+    sink.MarkDead(aof::RecordAddress::Unpack(old.address),
+                  aof::RecordExtent(key.size(), old.value_size));
+  }
+  if ((flags & aof::kFlagDeleted) != 0) FlagDeleted(idx, sink, entry);
+  return Applied::kPut;
+}
+
+/// The drop rule: a pair of a dropped version is dropped iff its current
+/// record precedes the version's drop marker, whose position `dropped_at`
+/// maps the version to. A re-PUT after the drop follows the marker, and so
+/// does a copy GC moved after the drop — one that was deleted then says so
+/// in its own flags. Returns the number of pairs flagged.
+uint64_t ApplyDrops(const MemIndex& idx, const DeadSink& sink,
+                    const std::map<uint64_t, uint64_t>& dropped_at) {
+  uint64_t flagged = 0;
+  if (dropped_at.empty()) return flagged;
+  for (MemIndex::Iterator it = idx.NewIterator(); it.Valid(); it.Next()) {
+    MemEntry* entry = it.entry();
+    auto drop = dropped_at.find(entry->version);
+    if (drop != dropped_at.end() &&
+        entry->address.load(std::memory_order_relaxed) < drop->second &&
+        FlagDeleted(idx, sink, entry)) {
+      ++flagged;
+    }
+  }
+  return flagged;
+}
+
 }  // namespace
+
+/// What one live commit applied: the occupancy updates for its one
+/// MarkDeadMany and the counters FinishCommitLocked adds.
+struct Shard::CommitTally {
+  std::vector<std::pair<aof::RecordAddress, uint64_t>> dead;
+  uint64_t puts = 0;
+  uint64_t dedup_puts = 0;
+  uint64_t dels = 0;
+  uint64_t ingested = 0;  // User bytes of the applied puts.
+
+  Applied Count(Applied applied, const Slice& key, uint32_t value_size,
+                uint8_t flags) {
+    if (applied == Applied::kPut) {
+      ++puts;
+      if ((flags & aof::kFlagDedup) != 0) ++dedup_puts;
+      ingested += key.size() + value_size;
+    } else if (applied == Applied::kDeleted) {
+      ++dels;
+    }
+    return applied;
+  }
+};
 
 Shard::Shard(ssd::SsdEnv* env, const QinDbOptions& options, uint32_t shard_id,
              QinDbStats* stats, std::atomic<int>* reads_in_flight)
@@ -310,14 +391,21 @@ void Shard::Scanner::FindVisibleEntry() {
 Result<std::string> Shard::Scanner::value() const {
   if (!valid_) return Status::InvalidArgument("scanner not positioned");
   FlightGuard guard(shard_->reads_in_flight_);
-  MemEntry* source = current_;
-  if (current_->dedup) {
-    source = index_->TracebackValue(current_->user_key(), current_->version);
-    if (source == nullptr) {
-      return Status::Corruption("deduplicated pair with no value-bearing older version");
+  return shard_->ReadPairValue(*index_, current_);
+}
+
+Result<std::string> Shard::ReadPairValue(const MemIndex& index,
+                                         const MemEntry* entry) {
+  if (entry->dedup) {
+    // The value field was removed by Bifrost: traceback to the newest
+    // older version that still carries one (Figure 2, bottom right).
+    entry = index.TracebackValue(entry->user_key(), entry->version);
+    if (entry == nullptr) {
+      return Status::Corruption(
+          "deduplicated pair with no value-bearing older version");
     }
   }
-  return shard_->ReadEntryValue(source);
+  return ReadEntryValue(entry);
 }
 
 Result<std::string> Shard::ReadEntryValue(const MemEntry* entry) {
@@ -379,18 +467,8 @@ Result<std::string> Shard::Get(const Slice& key, uint64_t version) {
   if (entry == nullptr || entry->deleted) {
     return Status::NotFound("no such key/version");
   }
-  MemEntry* source = entry;
-  if (entry->dedup) {
-    // The value field was removed by Bifrost: traceback to the newest
-    // older version that still carries one (Figure 2, bottom right).
-    ++stats_->traceback_gets;
-    source = index->TracebackValue(key, entry->version);
-    if (source == nullptr) {
-      return Status::Corruption(
-          "deduplicated pair with no value-bearing older version");
-    }
-  }
-  return ReadEntryValue(source);
+  if (entry->dedup) ++stats_->traceback_gets;
+  return ReadPairValue(*index, entry);
 }
 
 Result<std::string> Shard::GetLatest(const Slice& key) {
@@ -399,16 +477,8 @@ Result<std::string> Shard::GetLatest(const Slice& key) {
   const std::shared_ptr<const MemIndex> index = PinIndex();
   MemEntry* entry = index->FindLatestLive(key);
   if (entry == nullptr) return Status::NotFound("no live version");
-  MemEntry* source = entry;
-  if (entry->dedup) {
-    ++stats_->traceback_gets;
-    source = index->TracebackValue(key, entry->version);
-    if (source == nullptr) {
-      return Status::Corruption(
-          "deduplicated pair with no value-bearing older version");
-    }
-  }
-  return ReadEntryValue(source);
+  if (entry->dedup) ++stats_->traceback_gets;
+  return ReadPairValue(*index, entry);
 }
 
 // ---------------------------------------------------------------------------
@@ -630,83 +700,41 @@ void Shard::CommitGroupLocked(const std::vector<PendingWrite*>& group) {
   // version chain with an op applied out of order (a dedup entry always
   // lands after the base value it tracebacks to). Occupancy updates are
   // deferred into one MarkDeadMany.
-  uint64_t ingested = 0;
-  bool any_applied_delete = false;
-  std::vector<std::pair<aof::RecordAddress, uint64_t>> dead;
-  const DeadSink sink{&dead, cache_.get()};
-  auto flag_deleted = [&](MemEntry* entry) {
-    if (entry->deleted.exchange(true, std::memory_order_acq_rel)) return false;
-    ++stats_->dels;
-    ++shard_dels_;
-    any_applied_delete = true;
-    ApplyDeleteAccounting(*idx, sink, entry);
-    return true;
-  };
+  CommitTally tally;
+  const DeadSink sink{&tally.dead, cache_.get()};
   for (size_t b = 0; b < group.size(); ++b) {
     WriteBatch& batch = *group[b]->batch;
     for (size_t oi = 0; oi < batch.ops_.size(); ++oi) {
-      const WriteOp& op = batch.ops_[oi];
       const size_t slot = slot_of[b][oi];
       if (slot == SIZE_MAX) continue;
-      const aof::RecordAddress at = addresses[slot];
-      switch (op.kind) {
-        case WriteOpKind::kPut: {
-          MemIndex::Replaced old;
-          idx->Insert(op.key, op.version, at.Pack(),
-                      static_cast<uint32_t>(op.value.size()), op.dedup, &old);
-          if (old.found) {
-            // Re-PUT of the same versioned key supersedes the previous
-            // record (possibly one from earlier in this very group).
-            sink.MarkDead(aof::RecordAddress::Unpack(old.address),
-                          aof::RecordExtent(op.key.size(), old.value_size));
-          }
-          ++stats_->puts;
-          ++shard_puts_;
-          if (op.dedup) ++stats_->dedup_puts;
-          ingested += op.key.size() + op.value.size();
-          break;
-        }
-        case WriteOpKind::kDel: {
-          // Tombstones are dead on arrival for occupancy purposes. Deleting
-          // a deleted pair is a successful no-op.
-          sink.MarkDead(at, aof::RecordExtent(op.key.size(), 0));
-          MemEntry* entry = idx->FindExact(op.key, op.version);
-          if (entry == nullptr) {
-            batch.statuses_[oi] = Status::NotFound("no such key/version");
-          } else {
-            flag_deleted(entry);
-          }
-          break;
-        }
-        case WriteOpKind::kDropVersion: {
-          // The rule recovery replays: a pair of the version is dropped iff
-          // its record precedes the marker. Puts earlier in the group are
-          // indexed by now and do; later ones do not.
-          const uint64_t marker = at.Pack();
-          uint64_t flagged = 0;
-          for (MemIndex::Iterator it = idx->NewIterator(); it.Valid();
-               it.Next()) {
-            MemEntry* entry = it.entry();
-            if (entry->version == op.version &&
-                entry->address.load(std::memory_order_relaxed) < marker &&
-                flag_deleted(entry)) {
-              ++flagged;
-            }
-          }
-          batch.dropped_[oi] = flagged;
-          break;
-        }
+      const aof::AofManager::AppendOp& rec = slots[slot];
+      const uint64_t at = addresses[slot].Pack();
+      if (batch.ops_[oi].kind == WriteOpKind::kDropVersion) {
+        // Puts earlier in the group are indexed by now and precede the
+        // marker; later ones do not.
+        batch.dropped_[oi] = ApplyDrops(*idx, sink, {{rec.version, at}});
+        tally.dels += batch.dropped_[oi];
+        continue;
+      }
+      // A Del of a missing pair fails; of a deleted one, it is a no-op.
+      const auto value_size = static_cast<uint32_t>(rec.value.size());
+      if (tally.Count(ApplyRecord(*idx, sink, rec.key, rec.version, at,
+                                  value_size, rec.flags),
+                      rec.key, value_size, rec.flags) == Applied::kNoPair) {
+        batch.statuses_[oi] = Status::NotFound("no such key/version");
       }
     }
   }
-  stats_->user_bytes_ingested += ingested;
-  shard_bytes_ingested_.fetch_add(ingested, std::memory_order_relaxed);
-  aof_->MarkDeadMany(dead);
 
-  // Per-batch overall: the first failing per-op status, like the return of
-  // the equivalent single-op call sequence.
+  // A failure of the commit's maintenance leaves the group's data committed
+  // but surfaces as every batch's overall status — exactly how a lone Put
+  // reports a failed interval checkpoint. Otherwise a batch's overall
+  // status is its first failing per-op status, like the return of the
+  // equivalent single-op call sequence.
+  const Status maintenance = FinishCommitLocked(tally, segment_before);
   for (PendingWrite* member : group) {
-    member->overall = Status::OK();
+    member->overall = maintenance;
+    if (!maintenance.ok()) continue;
     for (const Status& s : member->batch->statuses_) {
       if (!s.ok()) {
         member->overall = s;
@@ -714,30 +742,37 @@ void Shard::CommitGroupLocked(const std::vector<PendingWrite*>& group) {
       }
     }
   }
+}
 
-  // Maintenance runs once per group, at the same boundaries the single-op
-  // path used: the interval checkpoint on ingested bytes, the lazy GC when
-  // a segment sealed or a delete freed space. A maintenance failure leaves
-  // the group's data committed but surfaces as every batch's overall
-  // status — exactly how a lone Put reports a failed interval checkpoint.
-  Status maintenance;
+Status Shard::FinishCommitLocked(const CommitTally& tally,
+                                 uint32_t segment_before) {
+  // The shards commit in parallel: the engine-wide counters take one add
+  // each per commit, not one per pair.
+  stats_->puts += tally.puts;
+  stats_->dedup_puts += tally.dedup_puts;
+  stats_->dels += tally.dels;
+  stats_->user_bytes_ingested += tally.ingested;
+  shard_puts_ += tally.puts;
+  shard_dels_ += tally.dels;
+  shard_bytes_ingested_.fetch_add(tally.ingested, std::memory_order_relaxed);
+  aof_->MarkDeadMany(tally.dead);
+
+  // Maintenance at the commit's boundary: the interval checkpoint on
+  // ingested bytes, then the lazy GC when a segment sealed or a delete
+  // freed space.
   if (options_.checkpoint_interval_bytes > 0 &&
       shard_bytes_ingested_.load(std::memory_order_relaxed) -
               bytes_at_last_checkpoint_ >=
           options_.checkpoint_interval_bytes) {
-    maintenance = NoteWriteError(CheckpointLocked());
-    if (maintenance.ok()) {
-      bytes_at_last_checkpoint_ =
-          shard_bytes_ingested_.load(std::memory_order_relaxed);
-    }
+    if (Status s = NoteWriteError(CheckpointLocked()); !s.ok()) return s;
+    bytes_at_last_checkpoint_ =
+        shard_bytes_ingested_.load(std::memory_order_relaxed);
   }
-  if (maintenance.ok() && options_.auto_gc &&
-      (any_applied_delete || aof_->active_segment() != segment_before)) {
-    maintenance = MaybeGcLocked();  // Applies NoteWriteError internally.
+  if (options_.auto_gc &&
+      (tally.dels > 0 || aof_->active_segment() != segment_before)) {
+    return MaybeGcLocked();  // Applies NoteWriteError internally.
   }
-  if (!maintenance.ok()) {
-    for (PendingWrite* member : group) member->overall = maintenance;
-  }
+  return Status::OK();
 }
 
 // ---------------------------------------------------------------------------
@@ -761,20 +796,12 @@ Status Shard::IngestRun(uint64_t version, const IngestOp* ops, size_t count) {
   // group-commit enqueue path, the CRC over the values is the dominant cost
   // and must not serialize behind the committer. Unlike a WriteBatch, a run
   // fails whole on an invalid op: a slice is re-sent, never patched per-op.
-  std::string encoded;
-  std::vector<std::pair<size_t, size_t>> spans(count);
-  {
-    // One allocation for the whole run: growth reallocs would re-copy the
-    // already-encoded prefix, and runs are slice-sized.
-    size_t total = 0;
-    for (size_t i = 0; i < count; ++i) {
-      const size_t value_size = (ops[i].dedup || ops[i].tombstone)
-                                    ? 0
-                                    : ops[i].value.size();
-      total += aof::RecordExtent(ops[i].key.size(), value_size);
-    }
-    encoded.reserve(total);
-  }
+  // A pending tombstone's header names the pair it deletes, so its value
+  // carries the session's version (aof::kFlagIngestPending).
+  char session[8];
+  EncodeFixed64(session, version);
+  std::vector<aof::AofManager::AppendOp> slots(count);
+  size_t total = 0;
   for (size_t i = 0; i < count; ++i) {
     const IngestOp& op = ops[i];
     if (op.key.empty()) {
@@ -787,38 +814,42 @@ Status Shard::IngestRun(uint64_t version, const IngestOp* ops, size_t count) {
       return Status::InvalidArgument(
           "ingest put version differs from the session version");
     }
-    const Slice stored_value = (op.dedup || op.tombstone) ? Slice() : op.value;
-    if (aof::RecordExtent(op.key.size(), stored_value.size()) >
-        options_.aof.segment_bytes) {
+    aof::AofManager::AppendOp& slot = slots[i];
+    slot.key = op.key;
+    slot.version = op.version;
+    slot.flags = aof::kFlagIngestPending;
+    if (op.dedup) slot.flags |= aof::kFlagDedup;
+    if (op.tombstone) {
+      slot.flags |= aof::kFlagTombstone;
+      slot.value = Slice(session, sizeof(session));
+    } else if (!op.dedup) {
+      slot.value = op.value;
+    }
+    const uint64_t extent = aof::RecordExtent(op.key.size(), slot.value.size());
+    if (extent > options_.aof.segment_bytes) {
       return Status::InvalidArgument("record exceeds segment capacity");
     }
-    uint8_t flags = aof::kFlagIngestPending;
-    if (op.dedup) flags |= aof::kFlagDedup;
-    if (op.tombstone) flags |= aof::kFlagTombstone;
+    total += extent;
+  }
+  // One allocation for the whole run, so the spans taken below stay valid:
+  // growth reallocs would also re-copy the already-encoded prefix.
+  std::string encoded;
+  encoded.reserve(total);
+  for (aof::AofManager::AppendOp& slot : slots) {
     const size_t at = encoded.size();
-    aof::EncodeRecord(op.key, op.version, flags, stored_value, &encoded);
-    spans[i] = {at, encoded.size() - at};
+    aof::EncodeRecord(slot.key, slot.version, slot.flags, slot.value,
+                      &encoded);
+    slot.preencoded = Slice(encoded.data() + at, encoded.size() - at);
   }
 
   MutexLock lock(&write_mutex_);
   if (Status w = CheckWritable(); !w.ok()) return w;
-  auto session = ingest_sessions_.find(version);
-  if (session == ingest_sessions_.end()) {
+  auto session_it = ingest_sessions_.find(version);
+  if (session_it == ingest_sessions_.end()) {
     return Status::InvalidArgument("no bulk-ingest session for this version");
   }
   DIRECTLOAD_FAILPOINT(fp_qindb_ingest_append);
 
-  std::vector<aof::AofManager::AppendOp> slots;
-  slots.reserve(count);
-  for (size_t i = 0; i < count; ++i) {
-    const IngestOp& op = ops[i];
-    uint8_t flags = aof::kFlagIngestPending;
-    if (op.dedup) flags |= aof::kFlagDedup;
-    if (op.tombstone) flags |= aof::kFlagTombstone;
-    slots.push_back({op.key, op.version, flags,
-                     (op.dedup || op.tombstone) ? Slice() : op.value,
-                     Slice(encoded.data() + spans[i].first, spans[i].second)});
-  }
   std::vector<aof::RecordAddress> addresses;
   if (Status s = aof_->AppendMany(slots.data(), slots.size(), &addresses);
       !s.ok()) {
@@ -828,26 +859,16 @@ Status Shard::IngestRun(uint64_t version, const IngestOp* ops, size_t count) {
     return NoteWriteError(std::move(s));
   }
 
-  IngestSession& sess = session->second;
+  std::vector<IngestSession::Staged>& staged = session_it->second.staged;
   // Grow geometrically: an exact-size reserve per run would reallocate (and
   // copy every staged entry) on EVERY run — quadratic over a multi-run load.
-  if (sess.staged.capacity() < sess.staged.size() + count) {
-    sess.staged.reserve(
-        std::max(sess.staged.size() + count, sess.staged.capacity() * 2));
+  if (staged.capacity() < staged.size() + count) {
+    staged.reserve(std::max(staged.size() + count, staged.capacity() * 2));
   }
   for (size_t i = 0; i < count; ++i) {
-    const IngestOp& op = ops[i];
-    const Slice stored_value = (op.dedup || op.tombstone) ? Slice() : op.value;
-    IngestSession::Staged staged;
-    staged.key.assign(op.key.data(), op.key.size());
-    staged.version = op.version;
-    staged.address = addresses[i].Pack();
-    staged.value_size = static_cast<uint32_t>(stored_value.size());
-    staged.dedup = op.dedup;
-    staged.tombstone = op.tombstone;
-    sess.staged.push_back(std::move(staged));
-    sess.appended.emplace_back(
-        addresses[i], aof::RecordExtent(op.key.size(), stored_value.size()));
+    const aof::AofManager::AppendOp& slot = slots[i];
+    staged.push_back({slot.key.ToString(), slot.version, addresses[i].Pack(),
+                      static_cast<uint32_t>(slot.value.size()), slot.flags});
   }
   return Status::OK();
 }
@@ -866,81 +887,31 @@ Status Shard::IngestCommit(uint64_t version) {
   }
 
   const uint32_t segment_before = aof_->active_segment();
-  // The marker IS the commit point: once durable, recovery indexes every
-  // pending record of this version; before it, the version leaves no
-  // trace. The marker is never marked dead and GC keeps markers forever
-  // (the classify rule) — a relocated pending record can land after its
-  // marker in segment order, and the marker is what vouches for it.
-  Result<aof::RecordAddress> marker =
-      aof_->AppendRecord(Slice(), version, aof::kFlagIngestCommit, Slice());
+  const std::vector<IngestSession::Staged>& staged = it->second.staged;
+  // The marker IS the commit point: once durable, recovery indexes the
+  // pending records of this session — those of its version from the
+  // session's start (its value) to the marker; before it, the session
+  // leaves no trace. GC keeps markers forever (the classify rule).
+  char start[8];
+  EncodeFixed64(start, staged.empty() ? UINT64_MAX : staged.front().address);
+  Result<aof::RecordAddress> marker = aof_->AppendRecord(
+      Slice(), version, aof::kFlagIngestCommit, Slice(start, sizeof(start)));
   if (!marker.ok()) return NoteWriteError(marker.status());
 
-  // Apply the staged pairs to the memtable in run order: puts supersede
-  // any existing (key, version) entry exactly like a re-PUT; tombstones
-  // flag pairs (typically of older versions — the d-flag riding the load)
-  // deleted. Occupancy updates batch into one MarkDeadMany.
+  // Apply the staged records in run order, as recovery replays them.
   MemIndex* idx = CurrentIndex();
-  IngestSession& sess = it->second;
-  uint64_t ingested = 0;
-  uint64_t puts = 0;
-  uint64_t dedup_puts = 0;
-  bool any_applied_delete = false;
-  std::vector<std::pair<aof::RecordAddress, uint64_t>> dead;
-  const DeadSink sink{&dead, cache_.get()};
-  for (const IngestSession::Staged& op : sess.staged) {
-    const Slice key(op.key);
-    if (op.tombstone) {
-      // The pending tombstone record is dead on arrival, like every
-      // tombstone; a missing target is a no-op, not an error.
-      sink.MarkDead(aof::RecordAddress::Unpack(op.address),
-                    aof::RecordExtent(op.key.size(), 0));
-      MemEntry* entry = idx->FindExact(key, op.version);
-      if (entry != nullptr &&
-          !entry->deleted.exchange(true, std::memory_order_acq_rel)) {
-        ++stats_->dels;
-        ++shard_dels_;
-        any_applied_delete = true;
-        ApplyDeleteAccounting(*idx, sink, entry);
-      }
-      continue;
-    }
-    // One seek places the entry and reports the record it supersedes.
-    MemIndex::Replaced old;
-    idx->Insert(key, op.version, op.address, op.value_size, op.dedup, &old);
-    if (old.found) {
-      sink.MarkDead(aof::RecordAddress::Unpack(old.address),
-                    aof::RecordExtent(op.key.size(), old.value_size));
-    }
-    ++puts;
-    if (op.dedup) ++dedup_puts;
-    ingested += op.key.size() + op.value_size;
+  CommitTally tally;
+  const DeadSink sink{&tally.dead, cache_.get()};
+  for (const IngestSession::Staged& op : staged) {
+    tally.Count(ApplyRecord(*idx, sink, op.key, op.version, op.address,
+                            op.value_size, op.flags),
+                op.key, op.value_size, op.flags);
   }
-  // Shards commit in parallel: the engine-wide counters take one add each
-  // per commit, not one per pair.
-  stats_->puts += puts;
-  stats_->dedup_puts += dedup_puts;
-  shard_puts_ += puts;
-  stats_->user_bytes_ingested += ingested;
-  shard_bytes_ingested_.fetch_add(ingested, std::memory_order_relaxed);
-  aof_->MarkDeadMany(dead);
   ingest_sessions_.erase(it);
   ingest_committed_.insert(version);
-
-  // Maintenance at the write paths' boundaries — legal again now that the
-  // session is gone (unless a concurrent load still holds one).
-  if (options_.checkpoint_interval_bytes > 0 &&
-      shard_bytes_ingested_.load(std::memory_order_relaxed) -
-              bytes_at_last_checkpoint_ >=
-          options_.checkpoint_interval_bytes) {
-    if (Status s = CheckpointLocked(); !s.ok()) return NoteWriteError(s);
-    bytes_at_last_checkpoint_ =
-        shard_bytes_ingested_.load(std::memory_order_relaxed);
-  }
-  if (options_.auto_gc &&
-      (any_applied_delete || aof_->active_segment() != segment_before)) {
-    return MaybeGcLocked();
-  }
-  return Status::OK();
+  // Maintenance is legal again now that the session is gone (unless a
+  // concurrent load still holds one).
+  return FinishCommitLocked(tally, segment_before);
 }
 
 Status Shard::IngestAbort(uint64_t version) {
@@ -952,17 +923,18 @@ Status Shard::IngestAbort(uint64_t version) {
     return Status::InvalidArgument("no bulk-ingest session for this version");
   }
   // Roll back occupancy: every staged record becomes garbage in one
-  // vectored MarkDeadMany (the PR 5 rollback machinery). The bytes stay on
-  // disk until GC, but recovery never indexes them — there is no marker.
+  // vectored MarkDeadMany. The bytes stay on disk until GC, but recovery
+  // never indexes them — no marker of this session vouches for them.
   // Staged records were never indexed, hence never read, hence never
-  // cached; the purge below is belt-and-braces against any future path
-  // that reads staged bytes before commit.
-  if (cache_ != nullptr) {
-    for (const auto& [addr, extent] : it->second.appended) {
-      cache_->Erase(addr.Pack());
-    }
+  // cached; the sink's cache purge is belt-and-braces against any future
+  // path that reads staged bytes before commit.
+  std::vector<std::pair<aof::RecordAddress, uint64_t>> dead;
+  const DeadSink sink{&dead, cache_.get()};
+  for (const IngestSession::Staged& op : it->second.staged) {
+    sink.MarkDead(aof::RecordAddress::Unpack(op.address),
+                  aof::RecordExtent(op.key.size(), op.value_size));
   }
-  aof_->MarkDeadMany(it->second.appended);
+  aof_->MarkDeadMany(dead);
   ingest_sessions_.erase(it);
   if (!degraded() && options_.auto_gc) return MaybeGcLocked();
   return Status::OK();
@@ -1087,11 +1059,11 @@ Status Shard::CollectVictimsLocked() {
         [live, oldest](const aof::RecordAddress& addr,
                        const aof::RecordView& rec, uint8_t* copy_flags) {
           if (rec.is_marker()) {
-            // Markers are kept forever: a relocated pending record can land
-            // after its commit marker in segment order, and the marker is
-            // what vouches for it at recovery; a drop marker covers every
-            // record of its version before it, in segments not yet
-            // collected. One small record per shard per load or drop.
+            // Markers are kept forever: a commit marker vouches for its
+            // session's pending records still in older segments, and a
+            // drop marker covers every record of its version before it, in
+            // segments not yet collected. One small record per shard per
+            // load or drop.
             return true;
           }
           MemEntry* entry = live->FindExact(rec.key, rec.header.version);
@@ -1206,93 +1178,96 @@ Status Shard::RecoverFromScan(uint32_t min_segment) {
   std::vector<std::pair<aof::RecordAddress, uint64_t>> deferred;
   const DeadSink sink{&deferred};
 
-  // One record's replay, shared by the scan callback (normal records) and
-  // the commit-marker replay of buffered bulk-ingest records below. Records
-  // replay in log order, so a tombstone deletes the pair's records before
-  // it and a put supersedes them. A relocated copy is such a put: it
-  // replaces its original, and takes its deleted state from its own flags.
-  auto apply_record = [idx, &sink](const Slice& key, uint64_t version,
-                                   uint32_t value_len, uint8_t flags,
-                                   uint64_t packed) {
-    if ((flags & aof::kFlagTombstone) != 0) {
-      // No entry: the pair was never put, or its records are collected.
-      MemEntry* entry = idx->FindExact(key, version);
-      if (entry != nullptr && !entry->deleted) {
-        entry->deleted = true;
-        ApplyDeleteAccounting(*idx, sink, entry);
-      }
-      sink.MarkDead(aof::RecordAddress::Unpack(packed),
-                    aof::RecordExtent(key.size(), 0));
-      return;
-    }
-    // One seek places the entry and reports the record it supersedes.
-    MemIndex::Replaced old;
-    MemEntry* entry = idx->Insert(key, version, packed, value_len,
-                                  (flags & aof::kFlagDedup) != 0, &old);
-    if (old.found) {
-      sink.MarkDead(aof::RecordAddress::Unpack(old.address),
-                    aof::RecordExtent(key.size(), old.value_size));
-    }
-    if ((flags & aof::kFlagDeleted) != 0) {
-      entry->deleted = true;
-      ApplyDeleteAccounting(*idx, sink, entry);
-    }
-  };
-
-  // Bulk-ingest replay state. A pending record may only be indexed once
-  // the commit marker of its version is seen; until then it is buffered
-  // (copied — the scan's views do not outlive the callback) and replayed
-  // at the marker, which is exactly where the pairs became visible in the
-  // pre-crash process. Pending records whose marker never appears — the
-  // load crashed or aborted before kBulkCommit — are dead on arrival.
-  struct PendingIngest {
+  // Bulk-ingest replay state. A session's pending records are buffered
+  // (copied — the scan's views do not outlive the callback) under the
+  // session's version, in log order, until a commit marker of that version
+  // vouches for them: the marker replays the ones between its session's
+  // start and its own position, where the pre-crash commit made them
+  // visible. Pending records no marker vouches for — their session aborted
+  // or crashed before its marker — are dead on arrival, even when a later
+  // session of the same version commits. A relocated pending copy replays
+  // in place like any relocated record: GC keeps only a pending put its
+  // commit indexed, or a tombstone whose pair is not live.
+  struct PendingRecord {
     std::string key;
+    uint64_t version = 0;
+    uint64_t address = 0;
     uint32_t value_len = 0;
     uint8_t flags = 0;
-    uint64_t address = 0;
   };
-  std::map<uint64_t, std::vector<PendingIngest>> pending_ingest;
-  std::set<uint64_t> committed_versions;
+  std::map<uint64_t, std::vector<PendingRecord>> pending;
+  std::vector<uint64_t> committed_versions;
   // Drop markers: the latest log position at which each version was
   // dropped, applied after the scan in one walk of the index.
   std::map<uint64_t, uint64_t> dropped_at;
+  // The latest delete of each pair, kept while pending records wait: a
+  // marker GC moved past later records replays its session late, and a
+  // pair deleted after the commit must stay deleted.
+  std::map<std::pair<std::string, uint64_t>, uint64_t> deleted_at;
 
+  // Records replay in log order through the one apply rule, so a tombstone
+  // deletes the pair's records before it and a put supersedes them. `at` is
+  // the record's place in that order: its own, or its commit marker's.
+  auto replay = [idx, &sink, &pending, &deleted_at](
+                    const Slice& key, uint64_t version, uint64_t packed,
+                    uint32_t value_len, uint8_t flags, uint64_t at) {
+    ApplyRecord(*idx, sink, key, version, packed, value_len, flags);
+    if ((flags & aof::kFlagTombstone) != 0 && !pending.empty()) {
+      deleted_at[{key.ToString(), version}] = at;
+    }
+  };
   Status s = aof_->Scan(
-      [&apply_record, &pending_ingest, &committed_versions, &dropped_at](
-          const aof::RecordAddress& addr, const aof::RecordView& rec) {
-        const uint64_t packed = addr.Pack();
+      [idx, &sink, &replay, &pending, &committed_versions, &dropped_at,
+       &deleted_at](const aof::RecordAddress& addr,
+                    const aof::RecordView& rec) {
         if (rec.is_drop_version()) {
           uint64_t& at = dropped_at[rec.header.version];
           at = std::max(at, rec.MarkerPosition(addr));
           return true;  // Markers stay live and never index anything.
         }
         if (rec.is_ingest_commit()) {
-          committed_versions.insert(rec.header.version);
-          if (auto it = pending_ingest.find(rec.header.version);
-              it != pending_ingest.end()) {
-            for (const PendingIngest& p : it->second) {
-              apply_record(Slice(p.key), rec.header.version, p.value_len,
-                           p.flags, p.address);
+          committed_versions.push_back(rec.header.version);
+          auto session = pending.find(rec.header.version);
+          if (session == pending.end()) return true;
+          std::vector<PendingRecord>& records = session->second;
+          const uint64_t position = rec.MarkerPosition(addr);
+          const auto before = [](const PendingRecord& p, uint64_t at) {
+            return p.address < at;
+          };
+          auto first = std::lower_bound(records.begin(), records.end(),
+                                        rec.SessionStart(), before);
+          auto last = std::lower_bound(first, records.end(), position, before);
+          for (auto p = first; p != last; ++p) {
+            const Slice key(p->key);
+            // Replayed late, behind a moved marker: a later record of the
+            // pair supersedes this one, and a later delete still applies.
+            MemEntry* later =
+                rec.is_relocated() ? idx->FindExact(key, p->version) : nullptr;
+            if (later != nullptr && later->address > position) {
+              sink.MarkDead(aof::RecordAddress::Unpack(p->address),
+                            aof::RecordExtent(key.size(), p->value_len));
+              continue;
             }
-            pending_ingest.erase(it);
+            replay(key, p->version, p->address, p->value_len, p->flags,
+                   position);
+            auto del = deleted_at.find({p->key, p->version});
+            if ((p->flags & aof::kFlagTombstone) == 0 &&
+                del != deleted_at.end() && del->second > position) {
+              FlagDeleted(*idx, sink, idx->FindExact(key, p->version));
+            }
           }
-          return true;  // Markers stay live and never index anything.
-        }
-        if (rec.is_ingest_pending() &&
-            committed_versions.count(rec.header.version) == 0) {
-          // Marker not seen yet (it normally follows in append order; GC
-          // can also relocate a pending copy past a marker already seen —
-          // that case replays inline through apply_record below).
-          PendingIngest p;
-          p.key.assign(rec.key.data(), rec.key.size());
-          p.value_len = rec.header.value_len;
-          p.flags = rec.header.flags;
-          p.address = packed;
-          pending_ingest[rec.header.version].push_back(std::move(p));
+          records.erase(first, last);
+          if (records.empty()) pending.erase(session);
           return true;
         }
-        apply_record(rec.key, rec.header.version, rec.header.value_len,
-                     rec.header.flags, packed);
+        if (rec.is_ingest_pending() && !rec.is_relocated()) {
+          pending[rec.SessionVersion()].push_back(
+              {rec.key.ToString(), rec.header.version, addr.Pack(),
+               rec.header.value_len, rec.header.flags});
+          return true;
+        }
+        replay(rec.key, rec.header.version, addr.Pack(),
+               rec.header.value_len, rec.header.flags, addr.Pack());
         return true;
       },
       min_segment);
@@ -1301,29 +1276,15 @@ Status Shard::RecoverFromScan(uint32_t min_segment) {
   // arriving after a reopen still answers OK for these versions.
   ingest_committed_.insert(committed_versions.begin(),
                            committed_versions.end());
-  // Uncommitted pending records: the version leaves no trace — never
-  // indexed, and accounted garbage so GC reclaims the bytes.
-  for (const auto& [version, records] : pending_ingest) {
-    for (const PendingIngest& p : records) {
+  // Unvouched pending records: never indexed, and accounted garbage so GC
+  // reclaims the bytes.
+  for (const auto& [version, records] : pending) {
+    for (const PendingRecord& p : records) {
       sink.MarkDead(aof::RecordAddress::Unpack(p.address),
                     aof::RecordExtent(p.key.size(), p.value_len));
     }
   }
-  // The drop rule, as DropVersion applies it: a pair of a dropped version
-  // is dropped iff its current record precedes the marker. A re-PUT after
-  // the drop follows it, and so does a copy GC moved after the drop — one
-  // that was deleted then says so in its own flags.
-  if (!dropped_at.empty()) {
-    for (MemIndex::Iterator it = idx->NewIterator(); it.Valid(); it.Next()) {
-      MemEntry* entry = it.entry();
-      auto drop = dropped_at.find(entry->version);
-      if (drop != dropped_at.end() && !entry->deleted &&
-          entry->address.load(std::memory_order_relaxed) < drop->second) {
-        entry->deleted = true;
-        ApplyDeleteAccounting(*idx, sink, entry);
-      }
-    }
-  }
+  ApplyDrops(*idx, sink, dropped_at);
   aof_->MarkDeadMany(deferred);
   return Status::OK();
 }

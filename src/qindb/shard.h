@@ -108,8 +108,8 @@ class Shard {
   // and then indexes the staged pairs — the version appears atomically for
   // this shard. IngestAbort (or a crash before the marker) leaves no trace:
   // the staged records are marked dead and recovery never indexes a pending
-  // record without its marker. While any session is active, checkpoints and
-  // GC are deferred (pending records are invisible to both).
+  // record without its own session's marker. While any session is active,
+  // checkpoints and GC are deferred (pending records are invisible to both).
 
   /// Opens (idempotently) the session for `version`.
   Status IngestBegin(uint64_t version) EXCLUDES(write_mutex_);
@@ -122,9 +122,10 @@ class Shard {
   Status IngestRun(uint64_t version, const IngestOp* ops, size_t count)
       EXCLUDES(write_mutex_);
 
-  /// Appends the commit marker, then applies the staged pairs to the
-  /// memtable in run order: puts supersede like re-PUTs, tombstones flag
-  /// their target deleted (a missing target is a no-op).
+  /// Appends the commit marker, then applies the staged records to the
+  /// memtable in run order by the rule recovery replays them with: puts
+  /// supersede like re-PUTs, tombstones flag their target deleted (a
+  /// missing target is a no-op).
   Status IngestCommit(uint64_t version) EXCLUDES(write_mutex_);
 
   /// Drops the session: every staged record is marked dead in the
@@ -219,6 +220,10 @@ class Shard {
   /// Reads the value bytes of a memtable entry's record, retrying when the
   /// record was relocated by GC or superseded by a re-PUT mid-read.
   Result<std::string> ReadEntryValue(const MemEntry* entry);
+  /// The value of a pair in `index`: a deduplicated pair's comes from the
+  /// older version it traces back to.
+  Result<std::string> ReadPairValue(const MemIndex& index,
+                                    const MemEntry* entry);
 
   /// Routes a mutation-path status: failures that can leave the log or its
   /// accounting torn (kIOError/kCorruption/kInternal) trip degraded mode.
@@ -238,6 +243,14 @@ class Shard {
   /// and stamps per-op statuses + per-batch overall results into the group.
   void CommitGroupLocked(const std::vector<PendingWrite*>& group)
       REQUIRES(write_mutex_) EXCLUDES(batch_mu_);
+
+  /// What one group or bulk commit applied (defined in shard.cc).
+  struct CommitTally;
+  /// The tail of every live commit: adds its counters, lands its occupancy
+  /// updates, then runs the interval checkpoint and the lazy GC. A failure
+  /// leaves the commit's data committed.
+  Status FinishCommitLocked(const CommitTally& tally, uint32_t segment_before)
+      REQUIRES(write_mutex_);
 
   friend class QinDb;
 
@@ -317,20 +330,17 @@ class Shard {
   /// Deserialized entries awaiting apply.
   std::string pending_checkpoint_ GUARDED_BY(write_mutex_);
 
-  /// One open bulk-ingest session: the staged pairs (applied to the
-  /// memtable at commit) and the appended record extents (the rollback
-  /// list an abort feeds to MarkDeadMany).
+  /// One open bulk-ingest session: its appended records, in run order. The
+  /// commit applies them to the memtable; an abort marks them dead.
   struct IngestSession {
     struct Staged {
       std::string key;
       uint64_t version = 0;
       uint64_t address = 0;  // Packed RecordAddress.
-      uint32_t value_size = 0;
-      bool dedup = false;
-      bool tombstone = false;
+      uint32_t value_size = 0;  // Of the record as appended.
+      uint8_t flags = 0;        // As appended.
     };
     std::vector<Staged> staged;
-    std::vector<std::pair<aof::RecordAddress, uint64_t>> appended;
   };
   /// Open sessions keyed by version. Non-empty defers checkpoints and GC:
   /// pending records are durable but unindexed, so a checkpoint taken now

@@ -1,6 +1,7 @@
 // Randomized crash-recovery: a seeded workload (PUTs, dedup PUTs, DELs,
 // re-PUTs of live and of deleted pairs, version drops, checkpoints, forced
-// GC) is cut short by a hard crash at a random op boundary, the engine is
+// GC, and bulk-ingest sessions that commit, abort, or are cut by the crash)
+// is cut short by a hard crash at a random op boundary, the engine is
 // reopened, and the recovered state must equal the model after some prefix
 // of the ops. The env loses the active segment's sub-page tail on a crash,
 // so recovery legitimately lands a few ops short of the crash point — but
@@ -16,7 +17,9 @@
 // gap-free per shard, even when the crash clipped the shards at different
 // depths. At num_shards=1 this degenerates to the original global check. A
 // DropVersion is one op in EVERY shard's subsequence: each shard logs its
-// own drop marker and recovers all of the drop or none of it.
+// own drop marker and recovers all of the drop or none of it. So is a bulk
+// commit: each shard's commit marker makes the session's pairs on that
+// shard visible at once, and an aborted or cut session leaves no trace.
 
 #include <gtest/gtest.h>
 
@@ -24,6 +27,7 @@
 #include <iterator>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -36,7 +40,7 @@
 namespace directload::qindb {
 namespace {
 
-constexpr int kSeeds = 24;
+constexpr int kSeeds = 40;
 constexpr int kOpsPerSeed = 150;
 constexpr int kKeys = 16;
 constexpr size_t kValuePadding = 400;
@@ -123,6 +127,20 @@ TEST_P(CrashRecoveryTest, RandomCrashRecoversAPerShardPrefixOfTheWorkload) {
     std::unique_ptr<QinDb> db = std::move(opened).value();
 
     const int crash_at = static_cast<int>(rnd.UniformRange(1, kOpsPerSeed));
+    // The open bulk session, if any: its version and staged ops in run
+    // order, and the aborted versions no session has re-opened yet.
+    struct Staged {
+      std::string key;
+      uint64_t version = 0;
+      std::string value;
+      bool tombstone = false;
+    };
+    std::optional<std::pair<uint64_t, std::vector<Staged>>> session;
+    std::vector<uint64_t> aborted;
+    // Pairs staged by sessions that never committed: they must read back
+    // NotFound unless some committed op made them.
+    std::vector<std::pair<std::string, uint64_t>> uncommitted;
+    uint64_t newest_version = 0;
     // Per-shard histories: shard_snapshots[s][n] = the model of shard s's
     // keys after the first n ops ROUTED TO SHARD s. The workload itself is
     // sequential, but a crash cuts each shard's AOF independently, so the
@@ -146,18 +164,27 @@ TEST_P(CrashRecoveryTest, RandomCrashRecoversAPerShardPrefixOfTheWorkload) {
 
       if (choice < 0.05) {
         // Durability barrier on every shard; mutates none of the models.
+        // (Skipped while a bulk session is open.)
         ASSERT_TRUE(db->Checkpoint().ok());
         mutated = false;
       } else if (choice < 0.10) {
-        ASSERT_TRUE(db->ForceGc().ok());
+        const Status gc = db->ForceGc();
+        ASSERT_TRUE(session ? gc.IsBusy() : gc.ok()) << gc.ToString();
         mutated = false;
       } else if (choice < 0.13 && newest != versions.end()) {
         // Drop one of this key's versions on every shard.
         auto pick = versions.begin();
         std::advance(pick, rnd.Uniform(versions.size()));
         const uint64_t v = pick->first;
-        ASSERT_TRUE(db->DropVersion(v).ok());
-        for (uint32_t s = 0; s < num_shards; ++s) {
+        Result<uint64_t> dropped = db->DropVersion(v);
+        if (session && session->first == v) {
+          // Refused while the version's bulk session is open.
+          ASSERT_TRUE(dropped.status().IsBusy());
+          mutated = false;
+        } else {
+          ASSERT_TRUE(dropped.ok()) << dropped.status().ToString();
+        }
+        for (uint32_t s = 0; mutated && s < num_shards; ++s) {
           for (auto& [k, states] : shard_models[s]) {
             if (auto it = states.find(v); it != states.end()) {
               it->second.deleted = true;
@@ -206,6 +233,84 @@ TEST_P(CrashRecoveryTest, RandomCrashRecoversAPerShardPrefixOfTheWorkload) {
         const std::string value = rnd.NextString(kValuePadding);
         ASSERT_TRUE(db->Put(key, v, value).ok());
         versions[v].value = value;
+      } else if (choice >= 0.50 && choice < 0.55 && !session) {
+        // Open a bulk session: re-open the version an earlier session
+        // aborted (its records must stay dead when this one commits), or
+        // a fresh one.
+        uint64_t v = newest_version + 1;
+        if (!aborted.empty()) {
+          v = aborted.back();
+          aborted.pop_back();
+        }
+        ASSERT_TRUE(db->IngestBegin(v).ok());
+        session.emplace(v, std::vector<Staged>());
+        mutated = false;
+      } else if (choice >= 0.50 && choice < 0.70 && session) {
+        const uint64_t v = session->first;
+        std::vector<Staged>& staged = session->second;
+        const double action = rnd.NextDouble();
+        mutated = false;
+        if (action < (staged.empty() ? 0.9 : 0.4)) {
+          // Stage a run of bulk puts and tombstones. A tombstone targets
+          // some existing pair, most of them loaded by plain Puts.
+          const size_t first = staged.size();
+          const int run = 1 + static_cast<int>(rnd.Uniform(3));
+          for (int i = 0; i < run; ++i) {
+            Staged op;
+            op.key = KeyOf(static_cast<int>(rnd.Uniform(kKeys)));
+            const Model& target = shard_models[db->ShardOf(op.key)];
+            auto kit = target.find(op.key);
+            if (rnd.Uniform(10) < 3 && kit != target.end() &&
+                !kit->second.empty()) {
+              auto pick = kit->second.begin();
+              std::advance(pick, rnd.Uniform(kit->second.size()));
+              op.version = pick->first;
+              op.tombstone = true;
+            } else {
+              op.version = v;
+              op.value = rnd.NextString(kValuePadding);
+            }
+            staged.push_back(std::move(op));
+          }
+          std::vector<IngestOp> ops;
+          for (size_t i = first; i < staged.size(); ++i) {
+            IngestOp op;
+            op.key = staged[i].key;
+            op.version = staged[i].version;
+            op.value = staged[i].value;
+            op.tombstone = staged[i].tombstone;
+            ops.push_back(op);
+          }
+          ASSERT_TRUE(db->IngestRun(v, ops.data(), ops.size()).ok());
+        } else if (action < 0.75) {
+          // Commit: one op in every shard's subsequence, applying that
+          // shard's staged ops in run order.
+          ASSERT_TRUE(db->IngestCommit(v).ok());
+          for (const Staged& op : staged) {
+            Model& target = shard_models[db->ShardOf(op.key)];
+            if (!op.tombstone) {
+              target[op.key][v] = ModelVersion{op.value, false, false};
+              continue;
+            }
+            auto kit = target.find(op.key);
+            if (kit == target.end()) continue;
+            if (auto vit = kit->second.find(op.version);
+                vit != kit->second.end()) {
+              vit->second.deleted = true;
+            }
+          }
+          for (uint32_t s = 0; s < num_shards; ++s) {
+            shard_snapshots[s].push_back(shard_models[s]);
+          }
+          session.reset();
+        } else {
+          ASSERT_TRUE(db->IngestAbort(v).ok());
+          for (const Staged& op : staged) {
+            if (!op.tombstone) uncommitted.emplace_back(op.key, v);
+          }
+          aborted.push_back(v);
+          session.reset();
+        }
       } else {
         const uint64_t v =
             versions.empty() ? 1 : versions.rbegin()->first + 1;
@@ -215,6 +320,19 @@ TEST_P(CrashRecoveryTest, RandomCrashRecoversAPerShardPrefixOfTheWorkload) {
       }
       if (versions.empty()) model.erase(key);  // Keep untouched keys out.
       if (mutated) shard_snapshots[shard].push_back(model);
+      for (const Model& m : shard_models) {
+        for (const auto& [k, states] : m) {
+          if (!states.empty()) {
+            newest_version = std::max(newest_version, states.rbegin()->first);
+          }
+        }
+      }
+    }
+
+    if (session) {
+      for (const Staged& op : session->second) {
+        if (!op.tombstone) uncommitted.emplace_back(op.key, session->first);
+      }
     }
 
     // Hard crash: leak the engine so no destructor seals or pads anything;
@@ -227,8 +345,9 @@ TEST_P(CrashRecoveryTest, RandomCrashRecoversAPerShardPrefixOfTheWorkload) {
     ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
     std::unique_ptr<QinDb> recovered = std::move(reopened).value();
 
-    // Per shard: the (key, version) universe that shard's ops ever touched;
-    // states beyond the matched prefix must read back NotFound. Each shard
+    // Per shard: the (key, version) universe that shard's ops ever touched
+    // or an uncommitted session staged; states beyond the matched prefix
+    // must read back NotFound. Each shard
     // must land on SOME prefix of its own op subsequence — a gap (op k
     // recovered without op k-1 of the same shard) matches no prefix.
     for (uint32_t s = 0; s < num_shards; ++s) {
@@ -238,6 +357,9 @@ TEST_P(CrashRecoveryTest, RandomCrashRecoversAPerShardPrefixOfTheWorkload) {
         for (const auto& [version, state] : versions) {
           pairs.emplace_back(key, version);
         }
+      }
+      for (const auto& [key, version] : uncommitted) {
+        if (recovered->ShardOf(key) == s) pairs.emplace_back(key, version);
       }
       int matched = -1;
       const auto& snapshots = shard_snapshots[s];

@@ -165,9 +165,8 @@ TEST_F(QinDbTest, ReIngestSupersedesAndKillsOldBytes) {
     tombstone.tombstone = true;
     ingest(db.get(), 1, {put, tombstone});
   }
-  // A full-scan recovery replays the target-less tombstone as a deleted
-  // placeholder and purges it: ("ghost", 1) is now a purged entry that
-  // points at the tombstone's record, which is already dead.
+  // A full-scan recovery replays the target-less tombstone as a no-op:
+  // ("ghost", 1) has no entry, and the tombstone's record is dead.
   auto db = OpenDb(options);
   ASSERT_EQ(db->memtable()->FindExact("ghost", 1), nullptr);
   ASSERT_EQ(*db->GetLatest("url"), old_value);
@@ -616,6 +615,175 @@ TEST_F(QinDbTest, DropVersionIsBusyWhileTheVersionIsBeingIngested) {
   EXPECT_TRUE(db->Get("old", 3).status().IsNotFound());
   EXPECT_TRUE(db->Get("bulk", 3).status().IsNotFound());
   EXPECT_TRUE(db->Get("other", 2).status().IsNotFound());
+}
+
+// The ops alias `key` and `value`, which must outlive them.
+IngestOp BulkPut(const Slice& key, uint64_t version, const Slice& value) {
+  IngestOp op;
+  op.key = key;
+  op.version = version;
+  op.value = value;
+  return op;
+}
+
+IngestOp BulkTombstone(const Slice& key, uint64_t version) {
+  IngestOp op;
+  op.key = key;
+  op.version = version;
+  op.tombstone = true;
+  return op;
+}
+
+// The value of (key, version), or the failed read's status.
+std::string ReadOrStatus(QinDb* db, const Slice& key, uint64_t version) {
+  Result<std::string> got = db->Get(key, version);
+  return got.ok() ? *got : got.status().ToString();
+}
+
+// A bulk tombstone's header names the pair it deletes, not the session that
+// staged it: recovery must still replay it with its own session's commit.
+TEST_F(QinDbTest, CommittedBulkDeleteOfAPlainPairSurvivesReopen) {
+  for (const uint32_t shards : {1u, 4u}) {
+    SCOPED_TRACE("shards " + std::to_string(shards));
+    ResetEnv();
+    QinDbOptions options;
+    options.num_shards = shards;
+    {
+      auto db = OpenDb(options);
+      ASSERT_TRUE(db->Put("k", 1, "plain").ok());
+      const IngestOp del = BulkTombstone("k", 1);
+      ASSERT_TRUE(db->IngestBegin(2).ok());
+      ASSERT_TRUE(db->IngestRun(2, &del, 1).ok());
+      ASSERT_TRUE(db->IngestCommit(2).ok());
+      EXPECT_TRUE(db->Get("k", 1).status().IsNotFound());
+    }
+    auto db = OpenDb(options);
+    EXPECT_TRUE(db->Get("k", 1).status().IsNotFound());
+  }
+}
+
+// ... and a session that never commits deletes nothing, even when the
+// version its tombstone targets was committed by a bulk load.
+TEST_F(QinDbTest, UncommittedBulkDeleteOfABulkPairLeavesNoTrace) {
+  for (const uint32_t shards : {1u, 4u}) {
+    SCOPED_TRACE("shards " + std::to_string(shards));
+    ResetEnv();
+    QinDbOptions options;
+    options.num_shards = shards;
+    {
+      auto db = OpenDb(options);
+      const IngestOp put = BulkPut("k", 1, "bulk");
+      ASSERT_TRUE(db->IngestBegin(1).ok());
+      ASSERT_TRUE(db->IngestRun(1, &put, 1).ok());
+      ASSERT_TRUE(db->IngestCommit(1).ok());
+      const IngestOp del = BulkTombstone("k", 1);
+      ASSERT_TRUE(db->IngestBegin(2).ok());
+      ASSERT_TRUE(db->IngestRun(2, &del, 1).ok());
+      EXPECT_EQ(ReadOrStatus(db.get(), "k", 1), "bulk");
+    }
+    auto db = OpenDb(options);
+    EXPECT_EQ(ReadOrStatus(db.get(), "k", 1), "bulk");
+  }
+}
+
+// A commit marker vouches only for its own session's records: the pairs of
+// an earlier session of the same version that aborted, or was cut by a
+// crash, stay gone when a new session of that version commits.
+TEST_F(QinDbTest, LaterCommitOfAVersionDoesNotReviveAnEndedSession) {
+  for (const bool crash : {false, true}) {
+    for (const uint32_t shards : {1u, 4u}) {
+      SCOPED_TRACE(std::string(crash ? "crash" : "abort") + ", shards " +
+                   std::to_string(shards));
+      ResetEnv();
+      QinDbOptions options;
+      options.num_shards = shards;
+      options.aof.segment_bytes = 4 << 10;  // The ghosts fill and seal
+      options.auto_gc = false;              // segments, which GC keeps.
+      std::vector<std::string> ghosts;
+      for (int i = 0; i < 16; ++i) ghosts.push_back("ghost" + std::to_string(i));
+      const std::string ghost_value(3000, 'g');
+      std::vector<IngestOp> ops;
+      for (const std::string& key : ghosts) {
+        ops.push_back(BulkPut(key, 5, ghost_value));
+      }
+      std::unique_ptr<QinDb> db = OpenDb(options);
+      ASSERT_TRUE(db->IngestBegin(5).ok());
+      ASSERT_TRUE(db->IngestRun(5, ops.data(), ops.size()).ok());
+      if (crash) {
+        (void)db.release();  // No destructor seals anything.
+        env_->SimulateCrashForTesting();
+        db = OpenDb(options);
+      } else {
+        ASSERT_TRUE(db->IngestAbort(5).ok());
+      }
+      const IngestOp other = BulkPut("other", 5, "landed");
+      ASSERT_TRUE(db->IngestBegin(5).ok());
+      ASSERT_TRUE(db->IngestRun(5, &other, 1).ok());
+      ASSERT_TRUE(db->IngestCommit(5).ok());
+      for (const std::string& key : ghosts) {
+        EXPECT_TRUE(db->Get(key, 5).status().IsNotFound()) << key;
+      }
+      db.reset();
+      db = OpenDb(options);
+      EXPECT_EQ(ReadOrStatus(db.get(), "other", 5), "landed");
+      for (const std::string& key : ghosts) {
+        EXPECT_TRUE(db->Get(key, 5).status().IsNotFound()) << key;
+      }
+    }
+  }
+}
+
+// GC moves a commit marker to the log's end when it collects the marker's
+// segment, past records written after the commit, while the session's own
+// records stay behind in an older segment. Recovery must still replay the
+// session as of its commit: a later delete, re-PUT or bulk delete of a
+// loaded pair wins over the late replay.
+TEST_F(QinDbTest, MovedCommitMarkerReplaysItsSessionAsOfTheCommit) {
+  enum Later { kDel, kRePut, kBulkDel };
+  for (const Later later : {kDel, kRePut, kBulkDel}) {
+    SCOPED_TRACE("later op " + std::to_string(later));
+    ResetEnv();
+    QinDbOptions options;
+    options.num_shards = 1;
+    options.aof.segment_bytes = 4096;
+    options.auto_gc = false;
+    const std::string loaded(100, 'k');
+    const std::string live(3940, 'l');
+    {
+      auto db = OpenDb(options);
+      // The two records fill segment 0, so the marker opens segment 1.
+      const std::vector<IngestOp> ops{BulkPut("k", 1, loaded),
+                                      BulkPut("live", 1, live)};
+      ASSERT_TRUE(db->IngestBegin(1).ok());
+      ASSERT_TRUE(db->IngestRun(1, ops.data(), ops.size()).ok());
+      ASSERT_TRUE(db->IngestCommit(1).ok());
+      // Garbage fills the rest of segment 1, leaving the marker its only
+      // live record; the later op lands in segment 2.
+      ASSERT_TRUE(db->Put("junk", 1, std::string(3900, 'j')).ok());
+      ASSERT_TRUE(db->Del("junk", 1).ok());
+      ASSERT_TRUE(db->Put("pad", 1, std::string(3000, 'p')).ok());
+      if (later == kDel) {
+        ASSERT_TRUE(db->Del("k", 1).ok());
+      } else if (later == kRePut) {
+        ASSERT_TRUE(db->Put("k", 1, "again").ok());
+      } else {
+        const IngestOp del = BulkTombstone("k", 1);
+        ASSERT_TRUE(db->IngestBegin(2).ok());
+        ASSERT_TRUE(db->IngestRun(2, &del, 1).ok());
+        ASSERT_TRUE(db->IngestCommit(2).ok());
+      }
+      const uint32_t marker_segment = 1;
+      ASSERT_EQ(db->aof().GcVictims(), std::vector<uint32_t>{marker_segment});
+      ASSERT_TRUE(db->ForceGc().ok());
+      ASSERT_EQ(db->aof().SegmentMetas().count(0), 1u);
+    }
+    auto db = OpenDb(options);
+    EXPECT_EQ(ReadOrStatus(db.get(), "k", 1),
+              later == kRePut ? "again"
+                              : Status::NotFound("no such key/version")
+                                    .ToString());
+    EXPECT_EQ(ReadOrStatus(db.get(), "live", 1), live);
+  }
 }
 
 TEST_F(QinDbTest, CheckpointSpeedsUpRecoveryAndPreservesState) {
