@@ -244,28 +244,36 @@ Status MintCluster::WriteMany(const std::vector<rpc::BatchOp>& ops,
 
 Status MintCluster::DropVersion(uint64_t version) {
   ReaderLock cluster_guard(&cluster_mu_);
+  // Every live node drops, even past a failing one: stopping would leave
+  // the later nodes serving a version the earlier ones dropped.
+  Status first_error;
   for (auto& node : nodes_) {
     ReaderLock guard(node->lifecycle_mu());
     if (!node->up()) continue;
     Result<uint64_t> n = node->db()->DropVersion(version);
-    if (!n.ok()) return n.status();
+    if (!n.ok() && first_error.ok()) first_error = n.status();
   }
-  return Status::OK();
+  return first_error;
 }
 
 Status MintCluster::BulkBegin(uint64_t version) {
   ReaderLock cluster_guard(&cluster_mu_);
-  bool any_live = false;
+  Status s = Status::Unavailable("no live node to open the bulk session");
   for (auto& node : nodes_) {
-    ReaderLock guard(node->lifecycle_mu());
-    if (!node->up()) continue;
-    any_live = true;
-    if (Status s = node->db()->IngestBegin(version); !s.ok()) return s;
+    {
+      ReaderLock guard(node->lifecycle_mu());
+      if (!node->up()) continue;
+      s = node->db()->IngestBegin(version);
+    }
+    if (!s.ok()) {
+      // A refused begin leaves no session on the nodes it reached (the
+      // refusing engine already rolled back its own shards).
+      DL_DISCARD_STATUS("best-effort rollback; the begin already failed",
+                        BulkAbortLocked(version));
+      return s;
+    }
   }
-  if (!any_live) {
-    return Status::Unavailable("no live node to open the bulk session");
-  }
-  return Status::OK();
+  return s;  // OK once any live node opened the session.
 }
 
 Status MintCluster::BulkIngest(uint64_t version, const qindb::IngestOp* ops,
@@ -329,6 +337,10 @@ Status MintCluster::BulkCommit(uint64_t version) {
 
 Status MintCluster::BulkAbort(uint64_t version) {
   ReaderLock cluster_guard(&cluster_mu_);
+  return BulkAbortLocked(version);
+}
+
+Status MintCluster::BulkAbortLocked(uint64_t version) {
   Status first_error;
   for (auto& node : nodes_) {
     ReaderLock guard(node->lifecycle_mu());

@@ -129,7 +129,8 @@ class MintCluster {
   /// preserved. Returns the first non-OK per-op status.
   Status WriteMany(const std::vector<rpc::BatchOp>& ops,
                    std::vector<Status>* statuses);
-  /// Flags `version` deleted on every node (the oldest-version pruning).
+  /// Flags `version` deleted on every live node (the oldest-version
+  /// pruning), past any failing one; returns the lowest-id failure.
   Status DropVersion(uint64_t version);
 
   // -- Bulk-ingest fan-out (Bifrost over the wire) --------------------------
@@ -142,7 +143,8 @@ class MintCluster {
   // no session to commit (its engine answers InvalidArgument, which the
   // fan-out tolerates).
 
-  /// Opens the session on every live node.
+  /// Opens the session on every live node. A refusal aborts the version on
+  /// every node, so a failed begin leaves no session open anywhere.
   Status BulkBegin(uint64_t version);
 
   /// Lands one run of pre-decoded pairs: puts go to each key's rendezvous
@@ -218,6 +220,8 @@ class MintCluster {
   template <typename Fn>
   Result<ReadResult> ParallelRead(const Slice& key, const Fn& fn)
       REQUIRES_SHARED(cluster_mu_);
+
+  Status BulkAbortLocked(uint64_t version) REQUIRES_SHARED(cluster_mu_);
 
   MintOptions options_;
   /// Guards the node/group membership tables: shared across every serving

@@ -228,16 +228,21 @@ Status QinDb::Del(const Slice& key, uint64_t version) {
 }
 
 Result<uint64_t> QinDb::DropVersion(uint64_t version) {
-  WriteBatch batch;
-  batch.DropVersion(version);
-  Status s = Write(batch);
-  if (!s.ok()) return s;
-  return batch.dropped(0);
+  // Every shard drops, even past a failing one: a shard that refused keeps
+  // the version, and a retry re-drops the others harmlessly.
+  uint64_t dropped = 0;
+  Status first_error;
+  for (const auto& shard : shards_) {
+    Result<uint64_t> n = shard->DropVersion(version);
+    if (n.ok()) dropped += *n;
+    if (!n.ok() && first_error.ok()) first_error = n.status();
+  }
+  if (!first_error.ok()) return first_error;
+  return dropped;
 }
 
 Status QinDb::Write(WriteBatch& batch) {
   batch.statuses_.clear();
-  batch.dropped_.assign(batch.ops_.size(), 0);
   if (batch.ops_.empty()) return Status::OK();
 
 #if DIRECTLOAD_FAILPOINTS_COMPILED
@@ -265,29 +270,18 @@ Status QinDb::Write(WriteBatch& batch) {
   }
 #endif
 
-  // Route every op. A DropVersion fans out to all shards; at num_shards=1
-  // everything is trivially single-shard and the batch passes through to
-  // the shard untouched (no sub-batch copies on the hot path).
+  // Route every op. At num_shards=1, or when every op lands on one shard,
+  // the batch passes through to that shard untouched (no sub-batch copies
+  // on the hot path).
   const uint32_t n = num_shards();
-  bool single_shard = true;
-  uint32_t only_shard = 0;
   std::vector<uint32_t> routes(batch.ops_.size());
+  bool single_shard = true;
   for (size_t oi = 0; oi < batch.ops_.size(); ++oi) {
-    const WriteOp& op = batch.ops_[oi];
-    if (op.kind == WriteOpKind::kDropVersion) {
-      routes[oi] = UINT32_MAX;  // All shards.
-      if (n > 1) single_shard = false;
-      continue;
-    }
-    routes[oi] = op.key.empty() ? 0 : ShardOf(op.key);
-    if (oi == 0 || (single_shard && routes[oi] == only_shard)) {
-      only_shard = routes[oi];
-    } else {
-      single_shard = false;
-    }
+    const std::string& key = batch.ops_[oi].key;
+    routes[oi] = n == 1 || key.empty() ? 0 : ShardOf(key);
+    single_shard &= routes[oi] == routes[0];
   }
-  if (n == 1) single_shard = true, only_shard = 0;
-  if (single_shard) return shards_[only_shard]->Write(batch);
+  if (single_shard) return shards_[routes[0]]->Write(batch);
 
   // Split into per-shard sub-batches, remembering for each sub-op the
   // submission-order index it came from.
@@ -295,23 +289,11 @@ Status QinDb::Write(WriteBatch& batch) {
   std::vector<std::vector<size_t>> origin(n);
   for (size_t oi = 0; oi < batch.ops_.size(); ++oi) {
     const WriteOp& op = batch.ops_[oi];
-    if (routes[oi] == UINT32_MAX) {
-      for (uint32_t s = 0; s < n; ++s) {
-        subs[s].DropVersion(op.version);
-        origin[s].push_back(oi);
-      }
-      continue;
-    }
     WriteBatch& sub = subs[routes[oi]];
-    switch (op.kind) {
-      case WriteOpKind::kPut:
-        sub.Put(op.key, op.version, op.value, op.dedup);
-        break;
-      case WriteOpKind::kDel:
-        sub.Del(op.key, op.version);
-        break;
-      case WriteOpKind::kDropVersion:
-        break;  // Handled above.
+    if (op.kind == WriteOpKind::kDel) {
+      sub.Del(op.key, op.version);
+    } else {
+      sub.Put(op.key, op.version, op.value, op.dedup);
     }
     origin[routes[oi]].push_back(oi);
   }
@@ -331,7 +313,6 @@ Status QinDb::Write(WriteBatch& batch) {
   pending.reserve(involved.size());
   for (uint32_t s : involved) {
     subs[s].statuses_.clear();
-    subs[s].dropped_.assign(subs[s].ops_.size(), 0);
     pending.emplace_back(&subs[s]);
     shards_[s]->EnqueueWrite(&pending.back());
   }
@@ -341,20 +322,11 @@ Status QinDb::Write(WriteBatch& batch) {
                       shards_[involved[i]]->CompleteWrite(&pending[i]));
   }
 
-  // Stitch per-op statuses back into submission order; DropVersion counts
-  // sum across shards and surface the first shard failure.
-  batch.statuses_.assign(batch.ops_.size(), Status::OK());
+  // Stitch per-op statuses back into submission order.
+  batch.statuses_.resize(batch.ops_.size());
   for (uint32_t s : involved) {
     for (size_t j = 0; j < origin[s].size(); ++j) {
-      const size_t oi = origin[s][j];
-      if (routes[oi] == UINT32_MAX) {
-        batch.dropped_[oi] += subs[s].dropped_[j];
-        if (batch.statuses_[oi].ok() && !subs[s].statuses_[j].ok()) {
-          batch.statuses_[oi] = subs[s].statuses_[j];
-        }
-      } else {
-        batch.statuses_[oi] = subs[s].statuses_[j];
-      }
+      batch.statuses_[origin[s][j]] = subs[s].statuses_[j];
     }
   }
   for (const Status& s : batch.statuses_) {
@@ -368,7 +340,13 @@ Status QinDb::IngestBegin(uint64_t version) {
   // then writes a marker on every shard, which keeps the commit protocol
   // independent of the key distribution.
   for (const auto& shard : shards_) {
-    if (Status s = shard->IngestBegin(version); !s.ok()) return s;
+    if (Status s = shard->IngestBegin(version); !s.ok()) {
+      // A refused begin leaves no session behind: an orphan would defer GC
+      // and checkpoints, and make ForceGc and DropVersion Busy, for good.
+      DL_DISCARD_STATUS("best-effort rollback; the begin already failed",
+                        IngestAbort(version));
+      return s;
+    }
   }
   return Status::OK();
 }

@@ -88,8 +88,7 @@ class QinDb {
   /// submission order, but cross-shard inter-op order is unspecified and
   /// the batch is not atomic across shards: if one shard's append fails,
   /// only that shard's ops fail (their statuses say why), and a crash can
-  /// persist one shard's sub-batch without another's. DropVersion ops fan
-  /// out to every shard; their dropped() counts are summed.
+  /// persist one shard's sub-batch without another's.
   Status Write(WriteBatch& batch);
 
   // --- Bulk ingest (Bifrost over the wire) ------------------------------
@@ -135,11 +134,14 @@ class QinDb {
   Status Del(const Slice& key, uint64_t version);
 
   /// Flags every pair of `version` deleted (the paper's deletion thread
-  /// dropping the oldest of the four retained versions), across all shards.
-  /// Each shard logs one drop marker, so after a crash a shard recovers all
-  /// of the drop or none of it. Returns the number of pairs flagged. Busy
-  /// while a bulk-ingest session for `version` is open on a shard (shards
-  /// without one still drop; a retry after the session ends is safe).
+  /// dropping the oldest of the four retained versions). The shards drop
+  /// one after another, each under its write lock and outside any write
+  /// batch, and each logs one drop marker, so after a crash a shard
+  /// recovers all of the drop or none of it. Returns the number of pairs
+  /// flagged, summed over the shards, or the lowest failing shard's
+  /// status. Busy while a bulk-ingest session for `version` is open on a
+  /// shard (shards without one still drop; a retry after the session ends
+  /// is safe).
   Result<uint64_t> DropVersion(uint64_t version);
 
   /// Inventory of live (non-deleted) pairs per version — what the deletion

@@ -487,7 +487,6 @@ Result<std::string> Shard::GetLatest(const Slice& key) {
 
 Status Shard::Write(WriteBatch& batch) {
   batch.statuses_.clear();
-  batch.dropped_.assign(batch.ops_.size(), 0);
   if (batch.ops_.empty()) return Status::OK();
   if (Status w = CheckWritable(); !w.ok()) {
     batch.statuses_.assign(batch.ops_.size(), w);
@@ -605,10 +604,10 @@ void Shard::CommitGroupLocked(const std::vector<PendingWrite*>& group) {
   const uint32_t segment_before = aof_->active_segment();
 
   // --- Plan: walk every op of every batch in order, rejecting invalid ops
-  // and collecting the one record each valid op appends: a Put's record, a
-  // Del's tombstone, a DropVersion's marker. Whether a Del finds its pair
-  // is decided at apply time, in op order, so nothing here needs to see
-  // the effect of earlier ops of the group.
+  // and collecting the one record each valid op appends: a Put's record or
+  // a Del's tombstone. Whether a Del finds its pair is decided at apply
+  // time, in op order, so nothing here needs to see the effect of earlier
+  // ops of the group.
   std::vector<aof::AofManager::AppendOp> slots;
   // slot_of[b][oi]: the op's record in `slots`, or SIZE_MAX when its
   // per-op status is already final.
@@ -622,51 +621,37 @@ void Shard::CommitGroupLocked(const std::vector<PendingWrite*>& group) {
   for (size_t b = 0; b < group.size(); ++b) {
     WriteBatch& batch = *group[b]->batch;
     batch.statuses_.assign(batch.ops_.size(), Status::OK());
-    batch.dropped_.assign(batch.ops_.size(), 0);
     slot_of[b].assign(batch.ops_.size(), SIZE_MAX);
     for (size_t oi = 0; oi < batch.ops_.size(); ++oi) {
       const WriteOp& op = batch.ops_[oi];
       Status& status = batch.statuses_[oi];
       aof::AofManager::AppendOp slot{Slice(op.key), op.version, aof::kFlagNone,
                                      Slice(), Slice()};
-      switch (op.kind) {
-        case WriteOpKind::kPut: {
-          // Pre-screen with the appender's own limits so one oversized op
-          // fails alone instead of failing the group's vectored append.
-          if (op.key.empty()) {
-            status = Status::InvalidArgument("empty key");
-          } else if (op.key.size() > UINT16_MAX) {
-            status = Status::InvalidArgument("key too long");
-          } else if (aof::RecordExtent(op.key.size(), op.value.size()) >
-                     options_.aof.segment_bytes) {
-            status = Status::InvalidArgument("record exceeds segment capacity");
-          }
-          if (op.dedup) slot.flags = aof::kFlagDedup;
-          slot.value = Slice(op.value);
-          const auto& span = group[b]->spans[oi];
-          if (span.second != 0) {
-            slot.preencoded =
-                Slice(group[b]->encoded.data() + span.first, span.second);
-          }
-          break;
+      if (op.kind == WriteOpKind::kDel) {
+        // No pair is stored under such a key, and a key too long would fail
+        // the group's append.
+        if (op.key.empty() || op.key.size() > UINT16_MAX) {
+          status = Status::NotFound("no such key/version");
         }
-        case WriteOpKind::kDel:
-          // No pair is stored under such a key, and a key too long would
-          // fail the group's append.
-          if (op.key.empty() || op.key.size() > UINT16_MAX) {
-            status = Status::NotFound("no such key/version");
-          }
-          slot.flags = aof::kFlagTombstone;
-          break;
-        case WriteOpKind::kDropVersion:
-          // The session's records are durable but unindexed: the drop could
-          // not flag them now, yet recovery would (they precede the
-          // marker). Retry once the session commits or aborts.
-          if (ingest_sessions_.count(op.version) != 0) {
-            status = Status::Busy("bulk-ingest session open for the version");
-          }
-          slot.flags = aof::kFlagDropVersion;
-          break;
+        slot.flags = aof::kFlagTombstone;
+      } else {
+        // Pre-screen with the appender's own limits so one oversized op
+        // fails alone instead of failing the group's vectored append.
+        if (op.key.empty()) {
+          status = Status::InvalidArgument("empty key");
+        } else if (op.key.size() > UINT16_MAX) {
+          status = Status::InvalidArgument("key too long");
+        } else if (aof::RecordExtent(op.key.size(), op.value.size()) >
+                   options_.aof.segment_bytes) {
+          status = Status::InvalidArgument("record exceeds segment capacity");
+        }
+        if (op.dedup) slot.flags = aof::kFlagDedup;
+        slot.value = Slice(op.value);
+        const auto& span = group[b]->spans[oi];
+        if (span.second != 0) {
+          slot.preencoded =
+              Slice(group[b]->encoded.data() + span.first, span.second);
+        }
       }
       if (!status.ok()) continue;
       slot_of[b][oi] = slots.size();
@@ -708,18 +693,11 @@ void Shard::CommitGroupLocked(const std::vector<PendingWrite*>& group) {
       const size_t slot = slot_of[b][oi];
       if (slot == SIZE_MAX) continue;
       const aof::AofManager::AppendOp& rec = slots[slot];
-      const uint64_t at = addresses[slot].Pack();
-      if (batch.ops_[oi].kind == WriteOpKind::kDropVersion) {
-        // Puts earlier in the group are indexed by now and precede the
-        // marker; later ones do not.
-        batch.dropped_[oi] = ApplyDrops(*idx, sink, {{rec.version, at}});
-        tally.dels += batch.dropped_[oi];
-        continue;
-      }
       // A Del of a missing pair fails; of a deleted one, it is a no-op.
       const auto value_size = static_cast<uint32_t>(rec.value.size());
-      if (tally.Count(ApplyRecord(*idx, sink, rec.key, rec.version, at,
-                                  value_size, rec.flags),
+      if (tally.Count(ApplyRecord(*idx, sink, rec.key, rec.version,
+                                  addresses[slot].Pack(), value_size,
+                                  rec.flags),
                       rec.key, value_size, rec.flags) == Applied::kNoPair) {
         batch.statuses_[oi] = Status::NotFound("no such key/version");
       }
@@ -894,9 +872,9 @@ Status Shard::IngestCommit(uint64_t version) {
   // leaves no trace. GC keeps markers forever (the classify rule).
   char start[8];
   EncodeFixed64(start, staged.empty() ? UINT64_MAX : staged.front().address);
-  Result<aof::RecordAddress> marker = aof_->AppendRecord(
-      Slice(), version, aof::kFlagIngestCommit, Slice(start, sizeof(start)));
-  if (!marker.ok()) return NoteWriteError(marker.status());
+  Result<uint64_t> marker = AppendMarkerLocked(
+      version, aof::kFlagIngestCommit, Slice(start, sizeof(start)));
+  if (!marker.ok()) return marker.status();
 
   // Apply the staged records in run order, as recovery replays them.
   MemIndex* idx = CurrentIndex();
@@ -938,6 +916,35 @@ Status Shard::IngestAbort(uint64_t version) {
   ingest_sessions_.erase(it);
   if (!degraded() && options_.auto_gc) return MaybeGcLocked();
   return Status::OK();
+}
+
+Result<uint64_t> Shard::DropVersion(uint64_t version) {
+  MutexLock lock(&write_mutex_);
+  if (Status w = CheckWritable(); !w.ok()) return w;
+  // The session's records are durable but unindexed: the drop could not
+  // flag them now, yet recovery would (they precede the marker). Retry
+  // once the session commits or aborts.
+  if (ingest_sessions_.count(version) != 0) {
+    return Status::Busy("bulk-ingest session open for the version");
+  }
+  const uint32_t segment_before = aof_->active_segment();
+  // Every pair of the version indexed by now precedes the marker.
+  Result<uint64_t> marker =
+      AppendMarkerLocked(version, aof::kFlagDropVersion, Slice());
+  if (!marker.ok()) return marker.status();
+  CommitTally tally;
+  tally.dels = ApplyDrops(*CurrentIndex(), DeadSink{&tally.dead, cache_.get()},
+                          {{version, *marker}});
+  if (Status s = FinishCommitLocked(tally, segment_before); !s.ok()) return s;
+  return tally.dels;
+}
+
+Result<uint64_t> Shard::AppendMarkerLocked(uint64_t version, uint8_t flag,
+                                           const Slice& value) {
+  Result<aof::RecordAddress> marker =
+      aof_->AppendRecord(Slice(), version, flag, value);
+  if (!marker.ok()) return NoteWriteError(marker.status());
+  return marker->Pack();
 }
 
 std::map<uint64_t, uint64_t> Shard::VersionCounts() const {

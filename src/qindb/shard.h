@@ -132,6 +132,11 @@ class Shard {
   /// occupancy table (the PR 5 vectored rollback) and never indexed.
   Status IngestAbort(uint64_t version) EXCLUDES(write_mutex_);
 
+  /// Like IngestCommit, a marker op beside the group-commit queue: appends
+  /// the version's drop marker, then flags every indexed pair of it deleted.
+  /// Busy while a session of the version is open. Returns the pairs flagged.
+  Result<uint64_t> DropVersion(uint64_t version) EXCLUDES(write_mutex_);
+
   /// GET(k/t): the value of `key` at exactly `version`, tracing back through
   /// older versions when the pair was deduplicated.
   Result<std::string> Get(const Slice& key, uint64_t version);
@@ -244,7 +249,13 @@ class Shard {
   void CommitGroupLocked(const std::vector<PendingWrite*>& group)
       REQUIRES(write_mutex_) EXCLUDES(batch_mu_);
 
-  /// What one group or bulk commit applied (defined in shard.cc).
+  /// Appends a commit or drop marker (empty key) and returns its packed
+  /// address; a failed append trips degraded mode.
+  Result<uint64_t> AppendMarkerLocked(uint64_t version, uint8_t flag,
+                                      const Slice& value)
+      REQUIRES(write_mutex_);
+
+  /// What one group, bulk or drop commit applied (defined in shard.cc).
   struct CommitTally;
   /// The tail of every live commit: adds its counters, lands its occupancy
   /// updates, then runs the interval checkpoint and the lazy GC. A failure

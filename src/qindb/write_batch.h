@@ -18,24 +18,24 @@ namespace directload::qindb {
 enum class WriteOpKind : uint8_t {
   kPut = 0,
   kDel = 1,
-  kDropVersion = 2,
 };
 
 struct WriteOp {
   WriteOpKind kind = WriteOpKind::kPut;
-  std::string key;    // Unused for kDropVersion.
+  std::string key;
   uint64_t version = 0;
   std::string value;  // kPut only; empty when dedup is set.
   bool dedup = false;
 };
 
-/// An ordered sequence of Put/Del/DropVersion operations committed together
-/// by QinDb::Write. Ops are applied strictly in insertion order, so an op
+/// An ordered sequence of Put/Del operations committed together by
+/// QinDb::Write. Ops are applied strictly in insertion order, so an op
 /// observes the effects of every earlier op in the same batch (a Del can
 /// delete a Put that precedes it). After Write returns, statuses() holds one
 /// status per op — a bad op (empty key, oversized record, Del of a missing
 /// pair) fails alone without poisoning its neighbors, exactly as the
-/// equivalent single-op call would.
+/// equivalent single-op call would. Retiring a whole version is not a batch
+/// op but a per-shard marker (QinDb::DropVersion).
 class WriteBatch {
  public:
   void Put(const Slice& key, uint64_t version, const Slice& value,
@@ -60,18 +60,9 @@ class WriteBatch {
     ops_.push_back(std::move(op));
   }
 
-  void DropVersion(uint64_t version) {
-    WriteOp op;
-    op.kind = WriteOpKind::kDropVersion;
-    op.version = version;
-    approximate_bytes_ += aof::RecordHeader::kSize;
-    ops_.push_back(std::move(op));
-  }
-
   void Clear() {
     ops_.clear();
     statuses_.clear();
-    dropped_.clear();
     approximate_bytes_ = 0;
   }
 
@@ -88,19 +79,12 @@ class WriteBatch {
   /// Write has run over this batch.
   const std::vector<Status>& statuses() const { return statuses_; }
 
-  /// For kDropVersion ops: the number of pairs flagged, parallel to ops()
-  /// (zero for other kinds). Valid after Write.
-  uint64_t dropped(size_t op_index) const {
-    return op_index < dropped_.size() ? dropped_[op_index] : 0;
-  }
-
  private:
   friend class QinDb;
   friend class Shard;
 
   std::vector<WriteOp> ops_;
   std::vector<Status> statuses_;
-  std::vector<uint64_t> dropped_;
   uint64_t approximate_bytes_ = 0;
 };
 

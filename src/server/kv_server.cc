@@ -317,19 +317,20 @@ void KvServer::ServeReady(Connection* tagged,
   if (alive) Arm(EPOLL_CTL_MOD, conn->socket.fd(), conn.get());
 
   // Group commit at the front end: each run of consecutive single-op
-  // writes executes as one cluster batch, in arrival order.
+  // writes — a lone one too — executes as one cluster batch, in arrival
+  // order.
   for (size_t i = 0, end; i < frames->size(); i = end) {
     end = i + 1;
-    while (end < frames->size() && end - i < kMaxWriteBatch &&
-           IsWriteOp((*frames)[i]) && IsWriteOp((*frames)[end])) {
-      ++end;
-    }
-    if (end - i == 1) {
+    if (!IsWriteOp((*frames)[i])) {
       conn->Write(Execute(*conn, (*frames)[i]));
       counters_.requests_served.fetch_add(1);
-    } else {
-      ExecuteWriteRun(*conn, std::span(frames->data() + i, end - i));
+      continue;
     }
+    while (end < frames->size() && end - i < kMaxWriteBatch &&
+           IsWriteOp((*frames)[end])) {
+      ++end;
+    }
+    ExecuteWriteRun(*conn, std::span(frames->data() + i, end - i));
   }
   if (!alive) {
     // This worker owns the read side and did not re-arm it, so no event
@@ -386,7 +387,7 @@ void KvServer::ExecuteWriteRun(Connection& conn, std::span<rpc::Frame> run) {
     conn.Write(rpc::MakeResponse(run[i], statuses[i]));
   }
   counters_.requests_served.fetch_add(run.size());
-  counters_.writes_batched.fetch_add(run.size());
+  if (run.size() > 1) counters_.writes_batched.fetch_add(run.size());
 }
 
 rpc::Frame KvServer::Execute(Connection& conn, const rpc::Frame& request) {
@@ -399,13 +400,6 @@ rpc::Frame KvServer::Execute(Connection& conn, const rpc::Frame& request) {
       return rpc::MakeResponse(request, Status::OK(),
                                std::move(read->value));
     }
-    case rpc::Opcode::kPut:
-      return rpc::MakeResponse(
-          request, cluster_->Put(request.key, request.version, request.value,
-                                 request.dedup));
-    case rpc::Opcode::kDel:
-      return rpc::MakeResponse(request,
-                               cluster_->Del(request.key, request.version));
     case rpc::Opcode::kStats:
       return rpc::MakeResponse(request, Status::OK(), StatsText());
     case rpc::Opcode::kPing:
@@ -612,6 +606,9 @@ rpc::Frame KvServer::Execute(Connection& conn, const rpc::Frame& request) {
     case rpc::Opcode::kBulkAbort:
       conn.AbortBulk();
       return rpc::MakeResponse(request, Status::OK());  // Idempotent.
+    case rpc::Opcode::kPut:
+    case rpc::Opcode::kDel:
+      break;  // Every write runs through ExecuteWriteRun.
   }
   return rpc::MakeResponse(request, Status::Protocol("unknown opcode"));
 }

@@ -120,8 +120,8 @@ class KvServer {
   /// session state.
   rpc::Frame Execute(Connection& conn, const rpc::Frame& request);
 
-  /// Executes a run of single-op write requests as one cluster write batch
-  /// and answers each request with its own status.
+  /// Executes a run of single-op write requests (a lone one too) as one
+  /// cluster write batch and answers each request with its own status.
   void ExecuteWriteRun(Connection& conn, std::span<rpc::Frame> run);
 
   std::string StatsText();

@@ -260,6 +260,103 @@ TEST_F(ConcurrencyTest, WritersReadersAndGcRace) {
   EXPECT_EQ(db->reads_in_flight(), 0);
 }
 
+// DropVersion takes each shard's write lock itself, beside the group-commit
+// queue the writers ride. Writers Put fresh pairs of the dropped version to
+// every shard while the drop runs: a pair acked before the drop started is
+// gone, a pair written after it returned is live, a pair in between is one
+// or the other — and a reopen (scan recovery) agrees with all of it.
+TEST_F(ConcurrencyTest, DropVersionRacesWritersOnEveryShard) {
+  constexpr uint64_t kVersion = 1;
+  constexpr int kSeeded = 200;
+  constexpr int kPutsBeforeDrop = 40;  // Per writer, before the drop starts.
+  constexpr int kPutsAfterDrop = 40;   // Per writer, after it returned.
+  QinDbOptions options;
+  options.num_shards = 4;
+  auto db = OpenDb(options);
+
+  // When a pair was acked relative to the drop.
+  enum Phase { kBefore, kDuring, kAfter };
+  struct Written {
+    std::string key;
+    std::string value;
+    Phase phase;
+  };
+  std::vector<std::vector<Written>> written(kWriters + 1);
+  Random seed_rnd(7);
+  for (int i = 0; i < kSeeded; ++i) {
+    const std::string key = KeyFor(kWriters, i);
+    const std::string value = ValueFor(key, kVersion, &seed_rnd);
+    ASSERT_TRUE(db->Put(key, kVersion, value).ok());
+    written[kWriters].push_back({key, value, kBefore});
+  }
+
+  std::atomic<int> puts_before_drop{0};
+  std::atomic<bool> drop_started{false};
+  std::atomic<bool> drop_returned{false};
+  std::vector<std::thread> writers;
+  for (int w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&, w] {
+      Random rnd(3000 + w);
+      int after = 0;
+      for (int i = 0; after < kPutsAfterDrop; ++i) {
+        const std::string key = KeyFor(w, i);
+        const std::string value = ValueFor(key, kVersion, &rnd);
+        const bool issued_after = drop_returned.load();
+        ASSERT_TRUE(db->Put(key, kVersion, value).ok());
+        const bool acked_before = !drop_started.load();
+        written[w].push_back({key, value,
+                              issued_after   ? kAfter
+                              : acked_before ? kBefore
+                                             : kDuring});
+        if (issued_after) ++after;
+        if (acked_before) puts_before_drop.fetch_add(1);
+      }
+    });
+  }
+  while (puts_before_drop.load() < kWriters * kPutsBeforeDrop) {
+    std::this_thread::yield();
+  }
+  drop_started.store(true);
+  Result<uint64_t> dropped = db->DropVersion(kVersion);
+  drop_returned.store(true);
+  for (std::thread& t : writers) t.join();
+  ASSERT_TRUE(dropped.ok()) << dropped.status().ToString();
+
+  // Checks every pair against its phase and returns how many are live; a
+  // pair written during the drop must keep the state `live_during` holds
+  // for it (filled on the first pass).
+  std::map<std::string, bool> live_during;
+  auto check = [&](QinDb* engine) {
+    uint64_t live = 0;
+    for (const std::vector<Written>& pairs : written) {
+      for (const Written& pair : pairs) {
+        Result<std::string> got = engine->Get(pair.key, kVersion);
+        ASSERT_TRUE(got.ok() || got.status().IsNotFound())
+            << pair.key << ": " << got.status().ToString();
+        if (got.ok()) {
+          EXPECT_EQ(*got, pair.value) << pair.key;
+          ++live;
+        }
+        if (pair.phase == kBefore) {
+          EXPECT_FALSE(got.ok()) << pair.key << " acked before the drop";
+        } else if (pair.phase == kAfter) {
+          EXPECT_TRUE(got.ok()) << pair.key << " written after the drop";
+        } else if (!live_during.try_emplace(pair.key, got.ok()).second) {
+          EXPECT_EQ(got.ok(), live_during[pair.key]) << pair.key;
+        }
+      }
+    }
+    EXPECT_EQ(engine->VersionCounts()[kVersion], live);
+    uint64_t total = 0;
+    for (const std::vector<Written>& pairs : written) total += pairs.size();
+    EXPECT_EQ(*dropped, total - live);
+  };
+  check(db.get());
+  db.reset();
+  db = OpenDb(options);
+  check(db.get());
+}
+
 // Regression: reads_in_flight_ was a plain int mutated by ReadGuard from
 // multiple threads; increments could be lost and GC deferral would then
 // consult a corrupt count. Guards taken concurrently — nested, as Get

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
 #include "aof/aof_manager.h"
 #include "bifrost/wire/slice_codec.h"
@@ -272,6 +273,44 @@ TEST_F(QinDbErrorTest, NoSpaceDoesNotDegrade) {
   EXPECT_TRUE(db_->Put("k1", 1, "v1").ok());
 }
 
+TEST(QinDbBulkErrorTest, FailedBeginLeavesNoSessionOnAnyShard) {
+  if (!failpoint::kCompiledIn) {
+    GTEST_SKIP() << "failpoint sites not compiled in (DIRECTLOAD_FAILPOINTS)";
+  }
+  failpoint::Registry& reg = failpoint::Registry::Instance();
+  SimClock clock;
+  auto env = NewSsdEnv(ssd::InterfaceMode::kNativeBlock, SmallGeometry(),
+                       ssd::LatencyModel(), &clock);
+  qindb::QinDbOptions options;
+  options.num_shards = 2;
+  auto db = std::move(qindb::QinDb::Open(env.get(), options)).value();
+  std::string keys[2];
+  for (int i = 0; keys[0].empty() || keys[1].empty(); ++i) {
+    const std::string key = "k" + std::to_string(i);
+    keys[db->ShardOf(key)] = key;
+  }
+
+  // Degrade shard 1 only: one injected append failure under its Put.
+  ASSERT_TRUE(reg.Activate("ssd_file_append", "1*return(io)").ok());
+  Status s = db->Put(keys[1], 1, "v");
+  reg.DeactivateAll();
+  ASSERT_TRUE(s.IsIOError()) << s.ToString();
+  ASSERT_TRUE(db->Put(keys[0], 1, "v").ok());
+
+  // Shard 0 opens its session before shard 1 refuses; the refused begin
+  // must take it back.
+  EXPECT_TRUE(db->IngestBegin(2).IsIOError());
+  qindb::IngestOp op;
+  op.key = keys[0];
+  op.version = 2;
+  op.value = "bulk";
+  EXPECT_TRUE(db->IngestRun(2, &op, 1).IsInvalidArgument());
+  // No session defers shard 0's GC: ForceGc passes it and stops at the
+  // degraded shard 1.
+  Status gc = db->ForceGc();
+  EXPECT_TRUE(gc.IsIOError()) << gc.ToString();
+}
+
 // ---------------------------------------------------------------------------
 // Mint
 // ---------------------------------------------------------------------------
@@ -306,6 +345,59 @@ TEST(MintErrorTest, GuardsAndUnavailability) {
   Status del = cluster.Del("k", 1);
   EXPECT_TRUE(del.IsUnavailable()) << del.ToString();
   EXPECT_NE(del.ToString().find("group"), std::string::npos) << del.ToString();
+}
+
+mint::MintOptions TwoReplicaOptions() {
+  mint::MintOptions options;
+  options.num_groups = 1;
+  options.nodes_per_group = 2;
+  options.replicas = 2;
+  options.node_geometry = SmallGeometry();
+  options.engine.num_shards = 1;
+  return options;
+}
+
+// Degrades one node's engine with one injected device append failure.
+void DegradeNode(mint::MintCluster* cluster, int id) {
+  failpoint::Registry& reg = failpoint::Registry::Instance();
+  ASSERT_TRUE(reg.Activate("ssd_file_append", "1*return(io)").ok());
+  Status s = cluster->node(id)->db()->Put("poison", 1, "v");
+  reg.DeactivateAll();
+  ASSERT_TRUE(s.IsIOError()) << s.ToString();
+}
+
+TEST(MintErrorTest, FailedBulkBeginLeavesNoSessionOnAnyNode) {
+  if (!failpoint::kCompiledIn) {
+    GTEST_SKIP() << "failpoint sites not compiled in (DIRECTLOAD_FAILPOINTS)";
+  }
+  mint::MintCluster cluster(TwoReplicaOptions());
+  ASSERT_TRUE(cluster.Start().ok());
+  ASSERT_NO_FATAL_FAILURE(DegradeNode(&cluster, 1));
+
+  // Node 0 opens its session before node 1 refuses; the refused begin must
+  // take it back.
+  EXPECT_TRUE(cluster.BulkBegin(2).IsIOError());
+  qindb::QinDb* healthy = cluster.node(0)->db();
+  qindb::IngestOp op;
+  op.key = "k";
+  op.version = 2;
+  op.value = "bulk";
+  EXPECT_TRUE(healthy->IngestRun(2, &op, 1).IsInvalidArgument());
+  Status gc = healthy->ForceGc();
+  EXPECT_TRUE(gc.ok()) << gc.ToString();
+}
+
+TEST(MintErrorTest, DropVersionVisitsEveryNodePastAFailure) {
+  if (!failpoint::kCompiledIn) {
+    GTEST_SKIP() << "failpoint sites not compiled in (DIRECTLOAD_FAILPOINTS)";
+  }
+  mint::MintCluster cluster(TwoReplicaOptions());
+  ASSERT_TRUE(cluster.Start().ok());
+  ASSERT_TRUE(cluster.Put("k", 1, "v").ok());  // On both nodes.
+  ASSERT_NO_FATAL_FAILURE(DegradeNode(&cluster, 0));
+
+  EXPECT_TRUE(cluster.DropVersion(1).IsIOError());
+  EXPECT_EQ(cluster.node(1)->db()->VersionCounts().count(1), 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 // Sharding battery: routing determinism and manifest validation, per-shard
 // file layout and stats, cross-shard WriteBatch splitting/stitching (under
-// concurrent readers), DropVersion fan-out, merged scans, per-shard
-// recovery, and degraded-mode isolation.
+// concurrent readers), DropVersion fan-out and summed counts (also after
+// reopen), merged scans, per-shard recovery, and degraded-mode isolation.
 
 #include <gtest/gtest.h>
 
@@ -305,25 +305,39 @@ TEST_F(ShardTest, CrossShardBatchesCommitUnderConcurrentReaders) {
 }
 
 TEST_F(ShardTest, DropVersionFansOutAndSumsCounts) {
-  QinDbOptions options;
-  options.num_shards = 4;
-  auto db = OpenDb(options);
-  for (int i = 0; i < 80; ++i) {
-    ASSERT_TRUE(db->Put(KeyOf(i), 1, "v1").ok());
-    ASSERT_TRUE(db->Put(KeyOf(i), 2, "v2").ok());
-  }
-  Result<uint64_t> dropped = db->DropVersion(1);
-  ASSERT_TRUE(dropped.ok());
-  EXPECT_EQ(*dropped, 80u);
-  EXPECT_EQ(db->VersionCounts().count(1), 0u);
-  EXPECT_EQ(db->VersionCounts()[2], 80u);
+  for (uint32_t shards : {1u, 4u}) {
+    SCOPED_TRACE("num_shards=" + std::to_string(shards));
+    ResetEnv();
+    QinDbOptions options;
+    options.num_shards = shards;
+    auto db = OpenDb(options);
+    for (int i = 0; i < 80; ++i) {
+      ASSERT_TRUE(db->Put(KeyOf(i), 1, "v1").ok());
+      ASSERT_TRUE(db->Put(KeyOf(i), 2, "v2").ok());
+    }
+    Result<uint64_t> dropped = db->DropVersion(1);
+    ASSERT_TRUE(dropped.ok()) << dropped.status().ToString();
+    EXPECT_EQ(*dropped, 80u);  // Summed over the shards.
+    // A Put of the version after the drop follows every shard's marker.
+    ASSERT_TRUE(db->Put("late", 1, "after the drop").ok());
 
-  // Mixed batch: the DropVersion rides with puts and reports its count.
-  WriteBatch batch;
-  batch.Put("after", 3, "v3");
-  batch.DropVersion(2);
-  ASSERT_TRUE(db->Write(batch).ok());
-  EXPECT_EQ(batch.dropped(1), 80u);
+    for (int pass = 0; pass < 2; ++pass) {
+      SCOPED_TRACE(pass == 0 ? "live" : "after reopen");
+      for (int i = 0; i < 80; ++i) {
+        EXPECT_TRUE(db->Get(KeyOf(i), 1).status().IsNotFound()) << i;
+        EXPECT_EQ(*db->Get(KeyOf(i), 2), "v2") << i;
+      }
+      EXPECT_EQ(*db->Get("late", 1), "after the drop");
+      std::map<uint64_t, uint64_t> counts = db->VersionCounts();
+      EXPECT_EQ(counts[1], 1u);
+      EXPECT_EQ(counts[2], 80u);
+      db.reset();
+      db = OpenDb(options);
+    }
+    dropped = db->DropVersion(2);
+    ASSERT_TRUE(dropped.ok()) << dropped.status().ToString();
+    EXPECT_EQ(*dropped, 80u);
+  }
 }
 
 TEST_F(ShardTest, MergedScannerYieldsGloballySortedStream) {

@@ -1,10 +1,9 @@
 // WriteBatch + group commit: ordering and per-op status semantics of
 // QinDb::Write, batch-internal visibility (a Del can target a Put from the
-// same batch), DropVersion inside a batch, a single-shard batch mixing a
-// same-batch dedup base with a failing Del, and a concurrency property —
-// readers racing multi-op batches never observe a torn version chain (a
-// dedup version resolvable before its base value landed, a Corruption
-// status, or wrong bytes).
+// same batch), a single-shard batch mixing a same-batch dedup base with a
+// failing Del, and a concurrency property — readers racing multi-op batches
+// never observe a torn version chain (a dedup version resolvable before its
+// base value landed, a Corruption status, or wrong bytes).
 
 #include <gtest/gtest.h>
 
@@ -103,20 +102,6 @@ TEST(WriteBatchTest, DelOfMissingPairReportsNotFoundAlone) {
   EXPECT_TRUE(batch.statuses()[0].ok());
   EXPECT_TRUE(batch.statuses()[1].IsNotFound());
   EXPECT_TRUE(h.db->Get("present", 1).ok());
-}
-
-TEST(WriteBatchTest, DropVersionCoversIndexAndSameBatchPairs) {
-  Harness h;
-  ASSERT_TRUE(h.db->Put("old", 7, "from before the batch").ok());
-  WriteBatch batch;
-  batch.Put("fresh", 7, "from inside the batch");
-  batch.DropVersion(7);
-  batch.Put("late", 7, "after the drop");
-  ASSERT_TRUE(h.db->Write(batch).ok());
-  EXPECT_EQ(batch.dropped(1), 2u);  // Both the indexed and the in-batch pair.
-  EXPECT_TRUE(h.db->Get("old", 7).status().IsNotFound());
-  EXPECT_TRUE(h.db->Get("fresh", 7).status().IsNotFound());
-  EXPECT_EQ(*h.db->Get("late", 7), "after the drop");
 }
 
 TEST(WriteBatchTest, EmptyBatchIsANoOp) {
