@@ -75,12 +75,6 @@ void DeliveryService::SetBackboneBackground(int region, double fraction) {
   ReapplyBackgrounds();
 }
 
-void DeliveryService::SetInterRegionBackground(int from_region, int to_region,
-                                               double fraction) {
-  user_background_[interregion_link_[from_region][to_region]] = fraction;
-  ReapplyBackgrounds();
-}
-
 Status DeliveryService::FailRelayNodes(int region, int count) {
   if (region < 0 || region >= kNumRegions || count < 0) {
     return Status::InvalidArgument("bad region/count");

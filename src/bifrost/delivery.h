@@ -121,10 +121,8 @@ class DeliveryService {
                                 const SinkFn& sink = nullptr);
 
   /// Fault injection: background load on the build-center -> relay backbone
-  /// of `region`, and between relay groups.
+  /// of `region`.
   void SetBackboneBackground(int region, double fraction);
-  void SetInterRegionBackground(int from_region, int to_region,
-                                double fraction);
 
   /// Fails `count` additional relay nodes of a region's group; every
   /// channel touching the group loses a proportional share of its pooled

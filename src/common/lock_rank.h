@@ -43,6 +43,12 @@ enum class LockRank : int {
   /// than every engine rank: a worker may take an engine lock while the
   /// server is mid-drain, never the reverse.
   kServerState = 2,
+  /// Lock: `RpcClient::call_mu_` — one call at a time on a client, so a
+  /// call never takes another call's response off the connection.
+  ///
+  /// Held across the whole call; the call takes kRpcClient beneath it for
+  /// each send and receive.
+  kRpcCall = 3,
   /// Lock: `Connection::read_mu` — a connection's frame decoder, used by
   /// the worker that owns its read side.
   ///
@@ -55,9 +61,10 @@ enum class LockRank : int {
   /// Lock: `RpcClient::mu_` — the client-side socket, frame decoder and
   /// reconnect backoff state.
   ///
-  /// Taken standalone (no other ranked lock is ever held across a client
-  /// call), so its exact position is free; it sits with the other
-  /// client-side ranks, below the per-connection server locks.
+  /// Taken under kRpcCall by a call and standalone by the pipelined
+  /// surface; no other ranked lock is ever held across a client call. It
+  /// sits with the other client-side ranks, below the per-connection
+  /// server locks.
   kRpcClient = 5,
   /// Lock: `Connection::write_mu` — response frame serialization on one
   /// client socket, so pipelined replies cannot interleave bytes.

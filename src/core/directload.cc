@@ -19,6 +19,9 @@ constexpr int kGrayDc = 0;
 /// DirectLoad ships no explicit deletes: old versions go by pruning.
 const std::vector<bifrost::wire::BulkDelete> kNoDeletes;
 
+/// Seed of `rng_`, which picks the gray-release probe queries.
+constexpr uint64_t kProbeSeed = 99;
+
 }  // namespace
 
 DirectLoad::DirectLoad(const DirectLoadOptions& options)
@@ -26,7 +29,7 @@ DirectLoad::DirectLoad(const DirectLoadOptions& options)
       summary_dedup_(options.dedup_enabled),
       inverted_dedup_(options.dedup_enabled),
       forward_dedup_(options.dedup_enabled),
-      rng_(options.seed) {
+      rng_(kProbeSeed) {
   corpus_ = std::make_unique<webindex::Corpus>(options_.corpus);
   delivery_ =
       std::make_unique<bifrost::DeliveryService>(&net_clock_, options_.delivery);

@@ -38,8 +38,6 @@ struct DirectLoadOptions {
   /// activating everywhere (Section 3 reports < 0.1 %).
   int gray_probe_queries = 50;
   double gray_max_inconsistency = 0.001;
-
-  uint64_t seed = 99;
 };
 
 /// Everything measured about one index-update cycle.

@@ -116,11 +116,8 @@ MemEntry* MemIndex::TracebackValue(const Slice& key, uint64_t version) const {
   for (it.Seek(probe_ptr); it.Valid(); it.Next()) {
     MemEntry* entry = it.key();
     if (entry->user_key() != key) return nullptr;
-    if (entry->purged.load(std::memory_order_acquire) ||
-        entry->dedup.load(std::memory_order_acquire)) {
-      continue;  // No value bytes here.
-    }
-    return entry;
+    if (entry->dedup.load(std::memory_order_acquire)) continue;
+    return entry->purged.load(std::memory_order_acquire) ? nullptr : entry;
   }
   return nullptr;
 }

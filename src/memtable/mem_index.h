@@ -86,9 +86,11 @@ class MemIndex {
   /// Newest non-purged version of `key`, or nullptr.
   MemEntry* FindLatest(const Slice& key) const;
 
-  /// Newest non-purged entry with version strictly below `version` whose
-  /// value field exists (not deduplicated). This is the GET traceback of
-  /// Figure 2. Returns nullptr when no value-bearing older version exists.
+  /// Newest entry with version strictly below `version` whose value field
+  /// exists (not deduplicated). This is the GET traceback of Figure 2.
+  /// Returns nullptr when no value-bearing older version exists, or when
+  /// that entry is purged: its bytes are gone, and an older version's
+  /// bytes are not the pair's value.
   MemEntry* TracebackValue(const Slice& key, uint64_t version) const;
 
   /// Newest entry of `key` that is neither purged nor deleted, or nullptr.

@@ -27,10 +27,8 @@ DIRECTLOAD_FAILPOINT_DEFINE(fp_coord_read_attempt, "coord_read_attempt");
 
 /// Sends per replica for a write that fails retryably (kBusy or a transport
 /// error), on top of the RPC client's own reconnect handling. The resend
-/// waits kWriteBackoffMs, jittered to [base/2, base] like the client's
-/// reconnect backoff.
+/// waits the client's first jittered backoff step.
 constexpr int kWriteAttempts = 2;
-constexpr int kWriteBackoffMs = 5;
 
 /// A read hedges after the primary's rolling p95 latency ("Tail-Tolerant
 /// Distributed Search"), never sooner than the floor.
@@ -55,12 +53,6 @@ constexpr rpc::RpcClient::Options kDataPathClient = [] {
 /// data, not a dead one.
 bool IsTransportError(const Status& s) {
   return s.IsUnavailable() || s.IsIOError() || s.IsTimedOut();
-}
-
-/// A broken connection, worth a re-dial and resend as RpcClient::Call
-/// would; distinct from an expired deadline or a broken byte stream.
-bool IsReconnectable(const Status& s) {
-  return s.IsUnavailable() || s.IsIOError();
 }
 
 /// A failed read's status, folded over its attempts the way Del folds its
@@ -101,97 +93,21 @@ std::string InventoryToken(const Slice& key, uint64_t version) {
 
 }  // namespace
 
-/// One request to one node over a client popped from the node's pool,
-/// driven by the calling thread: sent by Begin, advanced by Poll, finished
-/// with the node's answer or a transport failure.
-struct MintCoordinator::Exchange {
+/// One request to one node over a client popped from the node's pool; the
+/// client's exchange runs it. A pooled connection the node has since closed
+/// is re-dialed and resent by the exchange itself, so staleness costs
+/// neither a failed attempt nor a detector miss.
+struct MintCoordinator::Attempt {
   int node = -1;
   int slot = -1;  // The caller's index: read ladder rung or write target.
-  std::unique_ptr<rpc::RpcClient> client;
-  rpc::Frame request;
-  int timeout_ms = 0;  // Per send, as RpcClient::Call's request timeout.
-  /// Re-dials and resends left after a broken connection, as
-  /// RpcClient::Call allows (`max_reconnects`).
-  int resends_left = 0;
   SteadyClock::time_point start;
-  SteadyClock::time_point deadline;  // Of the latest send.
-  bool done = false;
-  Status status;      // The node's answer, or the transport failure.
-  std::string value;  // The answer's value when `status` is OK.
-
-  /// Sends the request with a fresh deadline.
-  void Transmit() {
-    deadline = SteadyClock::now() + std::chrono::milliseconds(timeout_ms);
-    const Status s = client->Send(request);
-    if (!s.ok()) Fail(s);
-  }
-
-  /// Ends the exchange with `s`, unless `s` is a broken connection and a
-  /// resend is left. That is most often a pooled connection the node has
-  /// since closed: dial again and resend, so staleness costs neither a
-  /// failed attempt nor a detector miss.
-  void Fail(const Status& s) {
-    if (IsReconnectable(s) && resends_left > 0) {
-      --resends_left;
-      client->Close();
-      Transmit();
-      return;
-    }
-    done = true;
-    status = s;
-  }
-
-  /// Takes what the connection has already received.
-  void Poll() {
-    while (!done) {
-      Result<rpc::Frame> response = client->Receive(/*timeout_ms=*/0);
-      if (!response.ok()) {
-        // kTimedOut: nothing whole has arrived yet; the stream is intact.
-        if (!response.status().IsTimedOut()) Fail(response.status());
-        return;
-      }
-      // Match the id, as Call does: only our own answer ends the exchange.
-      if (response->request_id != request.request_id) continue;
-      done = true;
-      status = rpc::StatusFromWire(response->status, response->value);
-      if (status.ok()) value = std::move(response->value);
-    }
-  }
-
-  /// Waits until `until`, or until one of the unfinished `exchanges` can
-  /// make progress; polls those and times out those past their deadline.
-  static void WaitAndPoll(std::vector<Exchange>* exchanges,
-                          SteadyClock::time_point until) {
-    std::vector<Exchange*> open;
-    std::vector<rpc::RpcClient*> clients;
-    for (Exchange& x : *exchanges) {
-      if (x.done) continue;
-      open.push_back(&x);
-      clients.push_back(x.client.get());
-      until = std::min(until, x.deadline);
-    }
-    if (open.empty()) return;
-    // Rounded up, so a wait that times out has reached `until`.
-    const int64_t wait_ms = std::chrono::ceil<std::chrono::milliseconds>(
-                                until - SteadyClock::now())
-                                .count();
-    for (size_t i : rpc::RpcClient::WaitReadable(
-             clients, static_cast<int>(std::max<int64_t>(0, wait_ms)))) {
-      open[i]->Poll();
-    }
-    const SteadyClock::time_point now = SteadyClock::now();
-    for (Exchange* x : open) {
-      if (!x->done && now >= x->deadline) {
-        x->done = true;
-        x->status = Status::TimedOut("request deadline expired");
-      }
-    }
-  }
+  std::unique_ptr<rpc::RpcClient> client;
+  rpc::RpcClient::Exchange exchange;
 };
 
 MintCoordinator::MintCoordinator(std::vector<std::vector<NodeEndpoint>> groups,
                                  CoordinatorOptions options)
-    : options_(options), backoff_rng_(options.seed) {
+    : options_(options) {
   // Probe clients are deliberately impatient: no reconnects, short
   // deadlines — a probe that needs a retry *is* a miss.
   rpc::RpcClient::Options probe_opts = kDataPathClient;
@@ -349,39 +265,30 @@ std::vector<int> MintCoordinator::ReadOrder(int group) const {
   return order;
 }
 
-int MintCoordinator::JitteredBackoffMs() {
-  uint64_t jitter;
-  {
-    MutexLock lock(&mu_);
-    jitter = backoff_rng_.Uniform(kWriteBackoffMs / 2 + 1);
-  }
-  return kWriteBackoffMs - kWriteBackoffMs / 2 + static_cast<int>(jitter);
-}
-
 // ---------------------------------------------------------------------------
 // Exchanges with the pool and the detector
 // ---------------------------------------------------------------------------
 
-MintCoordinator::Exchange MintCoordinator::Begin(int node_id,
-                                                 const rpc::Frame& request,
-                                                 int slot) {
-  Exchange x;
-  x.node = node_id;
-  x.slot = slot;
-  x.client = AcquireClient(node_id);
-  x.request = request;
-  x.request.request_id = x.client->NextRequestId();
-  x.timeout_ms = kDataPathClient.request_timeout_ms;
-  x.resends_left = kDataPathClient.max_reconnects;
-  x.start = SteadyClock::now();
-  x.Transmit();
-  return x;
+MintCoordinator::Attempt MintCoordinator::Begin(int node_id,
+                                                const rpc::Frame& request,
+                                                int slot) {
+  const SteadyClock::time_point start = SteadyClock::now();
+  std::unique_ptr<rpc::RpcClient> client = AcquireClient(node_id);
+  rpc::RpcClient::Exchange exchange(client.get(), request);
+  return Attempt{node_id, slot, start, std::move(client), std::move(exchange)};
 }
 
-void MintCoordinator::Finish(Exchange* x) {
-  const bool answered = !IsTransportError(x->status);
-  ReleaseClient(x->node, std::move(x->client), answered);
-  ReportNodeOutcome(x->node, answered);
+void MintCoordinator::Await(std::vector<Attempt>* attempts,
+                            SteadyClock::time_point until) {
+  std::vector<rpc::RpcClient::Exchange*> exchanges;
+  for (Attempt& a : *attempts) exchanges.push_back(&a.exchange);
+  rpc::RpcClient::Exchange::Await(exchanges, until);
+}
+
+void MintCoordinator::Finish(Attempt* a, const Status& answer) {
+  const bool answered = !IsTransportError(answer);
+  ReleaseClient(a->node, std::move(a->client), answered);
+  ReportNodeOutcome(a->node, answered);
 }
 
 // ---------------------------------------------------------------------------
@@ -410,29 +317,35 @@ std::vector<Status> MintCoordinator::FanOut(const std::vector<int>& targets,
     round.push_back(static_cast<int>(i));
   }
 
+  int backoff_ms = 0;
   for (int attempt = 1; !round.empty(); ++attempt) {
     if (attempt > 1) {
-      std::this_thread::sleep_for(
-          std::chrono::milliseconds(JitteredBackoffMs()));
+      std::this_thread::sleep_for(std::chrono::milliseconds(backoff_ms));
     }
-    std::vector<Exchange> exchanges;
-    exchanges.reserve(round.size());
-    for (int i : round) exchanges.push_back(Begin(targets[i], request, i));
+    std::vector<Attempt> attempts;
+    attempts.reserve(round.size());
+    for (int i : round) attempts.push_back(Begin(targets[i], request, i));
     if (sends != nullptr) *sends += static_cast<int>(round.size());
-    while (std::any_of(exchanges.begin(), exchanges.end(),
-                       [](const Exchange& x) { return !x.done; })) {
-      Exchange::WaitAndPoll(&exchanges, SteadyClock::time_point::max());
+    while (std::any_of(attempts.begin(), attempts.end(), [](const Attempt& a) {
+      return !a.exchange.done();
+    })) {
+      Await(&attempts, SteadyClock::time_point::max());
     }
     round.clear();
-    for (Exchange& x : exchanges) {
-      Finish(&x);
-      statuses[x.slot] = x.status;
+    for (Attempt& a : attempts) {
       // Retry what waiting can fix: admission-control pushback and
-      // transport failures. A definitive server answer is final.
-      const bool retryable = x.status.IsBusy() || IsTransportError(x.status);
-      if (retryable && attempt < kWriteAttempts &&
-          health(x.node) != NodeHealth::kDown) {
-        round.push_back(x.slot);
+      // transport failures, after the client's first backoff step. A
+      // definitive server answer is final.
+      Status& s = statuses[a.slot];
+      s = rpc::Unwrap(a.exchange.TakeResponse()).status();
+      const bool retryable =
+          (s.IsBusy() || IsTransportError(s)) && attempt < kWriteAttempts;
+      if (retryable) {
+        backoff_ms = std::max(backoff_ms, a.client->BackoffDelayMs(1));
+      }
+      Finish(&a, s);
+      if (retryable && health(a.node) != NodeHealth::kDown) {
+        round.push_back(a.slot);
       }
     }
   }
@@ -536,7 +449,7 @@ Result<MintCoordinator::ReadResult> MintCoordinator::ReadInternal(
       std::chrono::duration_cast<SteadyClock::duration>(
           std::chrono::duration<double, std::milli>(
               HedgeDelayMsFor(order[0])));
-  std::vector<Exchange> in_flight;
+  std::vector<Attempt> in_flight;
   ReadFailure failure;
   size_t next = 0;      // The next rung of the ladder.
   int hedge_slot = -1;  // The rung the hedge timer launched, if it fired.
@@ -563,25 +476,26 @@ Result<MintCoordinator::ReadResult> MintCoordinator::ReadInternal(
   while (true) {
     // The first OK answer wins; a failed attempt is noted and dropped.
     for (size_t i = 0; i < in_flight.size();) {
-      Exchange& x = in_flight[i];
-      if (!x.done) {
+      Attempt& a = in_flight[i];
+      if (!a.exchange.done()) {
         ++i;
         continue;
       }
-      if (x.status.ok()) {
-        nodes_[x.node]->latency_ms.Record(ElapsedMs(x.start));
+      Result<std::string> answer = rpc::Unwrap(a.exchange.TakeResponse());
+      if (answer.ok()) {
+        nodes_[a.node]->latency_ms.Record(ElapsedMs(a.start));
       }
-      Finish(&x);
-      if (x.status.ok()) {
-        if (x.slot == hedge_slot) ++hedge_wins_;
+      Finish(&a, answer.status());
+      if (answer.ok()) {
+        if (a.slot == hedge_slot) ++hedge_wins_;
         ReadResult result;
-        result.value = std::move(x.value);
-        result.served_by = x.node;
+        result.value = std::move(answer).value();
+        result.served_by = a.node;
         result.hedged = hedge_slot >= 0;
         result.latency_ms = ElapsedMs(start);
         return result;  // A loser still in flight closes with `in_flight`.
       }
-      failure.Add(x.status);
+      failure.Add(answer.status());
       in_flight.erase(in_flight.begin() + static_cast<ptrdiff_t>(i));
     }
     if (in_flight.empty()) {
@@ -601,8 +515,8 @@ Result<MintCoordinator::ReadResult> MintCoordinator::ReadInternal(
       launch();
       continue;
     }
-    Exchange::WaitAndPoll(
-        &in_flight, can_hedge ? hedge_at : SteadyClock::time_point::max());
+    Await(&in_flight,
+          can_hedge ? hedge_at : SteadyClock::time_point::max());
   }
 }
 

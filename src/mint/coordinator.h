@@ -2,6 +2,7 @@
 #define DIRECTLOAD_MINT_COORDINATOR_H_
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -11,7 +12,6 @@
 #include <vector>
 
 #include "common/latency_estimator.h"
-#include "common/random.h"
 #include "common/result.h"
 #include "common/slice.h"
 #include "common/status.h"
@@ -63,8 +63,6 @@ struct CoordinatorOptions {
 
   /// Pairs requested per kRepairScan page.
   uint32_t repair_page_pairs = 512;
-
-  uint64_t seed = 1;
 };
 
 /// The coordinator half of distributed Mint: speaks DLP1 to a fleet of
@@ -161,10 +159,6 @@ class MintCoordinator {
   };
   Counters counters() const;
 
-  /// The hedge delay the next read of this node's group would use; exposed
-  /// for tests and the load generator's reporting.
-  double HedgeDelayMsFor(int node_id);
-
  private:
   struct Node {
     NodeEndpoint endpoint;
@@ -180,7 +174,7 @@ class MintCoordinator {
     LatencyEstimator latency_ms;
   };
 
-  struct Exchange;
+  struct Attempt;
 
   Result<ReadResult> ReadInternal(const Slice& key, uint64_t version,
                                   bool latest);
@@ -188,17 +182,24 @@ class MintCoordinator {
   /// Sends `request` to every node in `targets` at once, then collects the
   /// answers, so a write costs its slowest replica rather than the sum.
   /// Per target: a down node is routed around, `coord_replica_write` fires,
-  /// and a kBusy or transport failure is sent once more after a jittered
-  /// backoff. Returns one status per target; `sends`
-  /// counts every send, retries included.
+  /// and a kBusy or transport failure is sent once more after the client's
+  /// jittered backoff. Returns one status per target; `sends` counts every
+  /// send, retries included.
   std::vector<Status> FanOut(const std::vector<int>& targets,
                              const rpc::Frame& request, int* sends);
 
-  /// Pops a pooled client for `node_id` and sends `request` on it.
-  Exchange Begin(int node_id, const rpc::Frame& request, int slot);
-  /// Pools a finished exchange's client if it got an answer and feeds the
+  /// Pops a pooled client for `node_id` and starts an exchange of
+  /// `request` on it.
+  Attempt Begin(int node_id, const rpc::Frame& request, int slot);
+  /// Waits on the attempts' exchanges together (RpcClient::Exchange::Await).
+  static void Await(std::vector<Attempt>* attempts,
+                    std::chrono::steady_clock::time_point until);
+  /// Pools a finished attempt's client if the node answered, and feeds the
   /// failure detector.
-  void Finish(Exchange* x);
+  void Finish(Attempt* a, const Status& answer) EXCLUDES(mu_);
+
+  /// The hedge delay the next read of this node's group would use.
+  double HedgeDelayMsFor(int node_id);
 
   std::unique_ptr<rpc::RpcClient> AcquireClient(int node_id) EXCLUDES(mu_);
   void ReleaseClient(int node_id, std::unique_ptr<rpc::RpcClient> client,
@@ -211,8 +212,6 @@ class MintCoordinator {
   /// first), then suspects, then down nodes as a last resort — a down node
   /// may have restarted before the detector noticed.
   std::vector<int> ReadOrder(int group) const EXCLUDES(mu_);
-
-  int JitteredBackoffMs() EXCLUDES(mu_);
 
   void DetectorLoop();
 
@@ -238,7 +237,6 @@ class MintCoordinator {
   mutable Mutex mu_{LockRank::kMintCoord, "MintCoordinator::mu_"};
   CondVar cv_{&mu_};  // Detector sleep.
   bool stopping_ GUARDED_BY(mu_) = false;
-  Random backoff_rng_ GUARDED_BY(mu_);
   std::thread detector_;
   bool started_ = false;
 

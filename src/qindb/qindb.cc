@@ -504,14 +504,6 @@ uint64_t QinDb::LiveBytes() const {
   return total;
 }
 
-uint64_t QinDb::ApproximateMemtableBytes() const {
-  uint64_t total = 0;
-  for (const auto& shard : shards_) {
-    total += shard->PinIndex()->ApproximateMemoryUsage();
-  }
-  return total;
-}
-
 Status QinDb::SealActive() {
   for (const auto& shard : shards_) {
     if (Status s = shard->aof_->SealActive(); !s.ok()) return s;

@@ -285,8 +285,6 @@ class QinDb {
   uint64_t LiveEntryCount() const;
   /// Live AOF bytes per the GC occupancy tables, summed over shards.
   uint64_t LiveBytes() const;
-  /// Memtable arena bytes, summed over shards.
-  uint64_t ApproximateMemtableBytes() const;
   /// Seals every shard's active segment (testing hook: makes all appended
   /// records durable-on-crash in one call).
   Status SealActive();

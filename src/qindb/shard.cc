@@ -47,6 +47,13 @@ constexpr uint64_t kGroupMaxBytes = 1ull << 20;
 constexpr uint8_t kCkptDedup = 1u << 0;
 constexpr uint8_t kCkptDeleted = 1u << 1;
 
+// Lookups per Get/GetLatest. A version dropped while a read of it runs can
+// lose its record, or its referent's, to GC, and a lookup that a commit and
+// a drop overtake can miss every live version; so a failed lookup or read
+// looks the pair up again in the current index, which finds it gone or the
+// version that replaced it.
+constexpr int kMaxLookups = 3;
+
 std::string ShardLockName(const char* base, uint32_t shard_id) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%s/s%02u", base, shard_id);
@@ -462,23 +469,36 @@ Result<std::string> Shard::ReadEntryValue(const MemEntry* entry) {
 Result<std::string> Shard::Get(const Slice& key, uint64_t version) {
   ++stats_->gets;
   FlightGuard guard(reads_in_flight_);
-  const std::shared_ptr<const MemIndex> index = PinIndex();
-  MemEntry* entry = index->FindExact(key, version);
-  if (entry == nullptr || entry->deleted) {
-    return Status::NotFound("no such key/version");
+  Result<std::string> value = Status::NotFound("no such key/version");
+  for (int lookup = 0; lookup < kMaxLookups; ++lookup) {
+    const std::shared_ptr<const MemIndex> index = PinIndex();
+    MemEntry* entry = index->FindExact(key, version);
+    if (entry == nullptr || entry->deleted) {
+      return Status::NotFound("no such key/version");
+    }
+    if (entry->dedup) ++stats_->traceback_gets;
+    value = ReadPairValue(*index, entry);
+    if (value.ok()) break;
   }
-  if (entry->dedup) ++stats_->traceback_gets;
-  return ReadPairValue(*index, entry);
+  return value;
 }
 
 Result<std::string> Shard::GetLatest(const Slice& key) {
   ++stats_->gets;
   FlightGuard guard(reads_in_flight_);
-  const std::shared_ptr<const MemIndex> index = PinIndex();
-  MemEntry* entry = index->FindLatestLive(key);
-  if (entry == nullptr) return Status::NotFound("no live version");
-  if (entry->dedup) ++stats_->traceback_gets;
-  return ReadPairValue(*index, entry);
+  Result<std::string> value = Status::NotFound("no live version");
+  for (int lookup = 0; lookup < kMaxLookups; ++lookup) {
+    const std::shared_ptr<const MemIndex> index = PinIndex();
+    MemEntry* entry = index->FindLatestLive(key);
+    if (entry == nullptr) {
+      value = Status::NotFound("no live version");
+      continue;
+    }
+    if (entry->dedup) ++stats_->traceback_gets;
+    value = ReadPairValue(*index, entry);
+    if (value.ok()) break;
+  }
+  return value;
 }
 
 // ---------------------------------------------------------------------------

@@ -10,9 +10,10 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-int RemainingMs(Clock::time_point deadline) {
-  const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-      deadline - Clock::now());
+/// Rounded up, so a wait that times out has reached `until`.
+int RemainingMs(Clock::time_point until) {
+  const auto left =
+      std::chrono::ceil<std::chrono::milliseconds>(until - Clock::now());
   return left.count() <= 0 ? 0 : static_cast<int>(left.count());
 }
 
@@ -20,6 +21,14 @@ int RemainingMs(Clock::time_point deadline) {
 /// the server *answering* with an error, and from a broken byte stream.
 bool Reconnectable(const Status& s) {
   return s.IsUnavailable() || s.IsIOError();
+}
+
+Frame Request(Opcode op, const Slice& key = Slice(), uint64_t version = 0) {
+  Frame request;
+  request.op = op;
+  request.version = version;
+  request.key = key.ToString();
+  return request;
 }
 
 }  // namespace
@@ -143,105 +152,140 @@ int RpcClient::BackoffDelayMs(int attempt) {
   return static_cast<int>(base - base / 2 + static_cast<int64_t>(jitter));
 }
 
-Result<Frame> RpcClient::Call(Frame request) {
-  request.request_id = NextRequestId();
-  const Clock::time_point budget =
-      Clock::now() + std::chrono::milliseconds(options_.retry_budget_ms);
-  Status last = Status::Unavailable("no attempt made");
-  for (int attempt = 0; attempt <= options_.max_reconnects; ++attempt) {
-    if (attempt > 0) {
-      // A previous attempt failed at the connection level: back off before
-      // hammering the server again, unless the call's retry budget cannot
-      // cover the delay — then surface the last error rather than sleep
-      // past the caller's patience.
-      const int delay = BackoffDelayMs(attempt);
-      if (RemainingMs(budget) <= delay) return last;
-      std::this_thread::sleep_for(std::chrono::milliseconds(delay));
+RpcClient::Exchange::Exchange(RpcClient* client, Frame request)
+    : client_(client),
+      request_(std::move(request)),
+      budget_(Clock::now() +
+              std::chrono::milliseconds(client->options_.retry_budget_ms)) {
+  request_.request_id = client_->NextRequestId();
+  Transmit();
+}
+
+void RpcClient::Exchange::Transmit() {
+  resend_pending_ = false;
+  due_ = Clock::now() +
+         std::chrono::milliseconds(client_->options_.request_timeout_ms);
+  const Status s = client_->Send(request_);
+  if (!s.ok()) Fail(s);
+}
+
+void RpcClient::Exchange::Poll(Clock::time_point until) {
+  while (!done_) {
+    Result<Frame> response = client_->Receive(RemainingMs(until));
+    if (!response.ok()) {
+      // kTimedOut: nothing whole has arrived yet; the stream is intact.
+      if (!response.status().IsTimedOut()) Fail(response.status());
+      return;
     }
-    MutexLock lock(&mu_);
-    last = EnsureConnectedLocked();
-    if (!last.ok()) continue;  // Reconnect on the next attempt.
-    last = SendLocked(request, options_.request_timeout_ms);
-    if (!last.ok()) {
-      if (Reconnectable(last)) {
-        CloseLocked();
-        continue;
-      }
-      return last;
-    }
-    // Drain responses until ours: a reconnect may leave stale responses to
-    // abandoned requests ahead of it in the stream.
-    while (true) {
-      Result<Frame> response = ReceiveLocked(options_.request_timeout_ms);
-      if (!response.ok()) {
-        last = response.status();
-        break;
-      }
-      if (response->request_id == request.request_id) return response;
-    }
-    if (last.IsTimedOut()) return last;  // The deadline is spent; stop.
-    if (Reconnectable(last)) {
-      CloseLocked();
-      continue;
-    }
-    return last;
+    // Only its own answer ends the exchange.
+    if (response->request_id != request_.request_id) continue;
+    done_ = true;
+    response_ = std::move(response).value();
   }
-  return last;
+}
+
+void RpcClient::Exchange::Fail(const Status& s) {
+  if (Reconnectable(s)) {
+    client_->Close();
+    if (resends_ < client_->options_.max_reconnects) {
+      // The first resend dials at once: most often the server closed an
+      // idle connection, and a fresh one is all it takes. Later ones back
+      // off first, unless the retry budget cannot cover the delay: then
+      // surface the failure rather than sleep past the caller's patience.
+      const int delay = resends_ == 0 ? 0 : client_->BackoffDelayMs(resends_);
+      ++resends_;
+      if (RemainingMs(budget_) > delay) {
+        resend_pending_ = true;
+        due_ = Clock::now() + std::chrono::milliseconds(delay);
+        return;
+      }
+    }
+  }
+  done_ = true;
+  status_ = s;
+}
+
+Result<Frame> RpcClient::Exchange::TakeResponse() {
+  if (!status_.ok()) return status_;
+  return std::move(response_);
+}
+
+void RpcClient::Exchange::Await(const std::vector<Exchange*>& exchanges,
+                                Clock::time_point until) {
+  std::vector<Exchange*> sent;  // Sent and waiting for their responses.
+  std::vector<RpcClient*> clients;
+  bool open = false;
+  for (Exchange* x : exchanges) {
+    if (x->done_) continue;
+    open = true;
+    until = std::min(until, x->due_);
+    if (x->resend_pending_) continue;
+    sent.push_back(x);
+    clients.push_back(x->client_);
+  }
+  if (!open) return;
+  if (sent.size() == 1) {
+    sent[0]->Poll(until);  // One connection: its receive is the wait.
+  } else if (!sent.empty()) {
+    for (size_t i : WaitReadable(clients, RemainingMs(until))) {
+      sent[i]->Poll(Clock::now());
+    }
+  } else {
+    std::this_thread::sleep_until(until);
+  }
+  const Clock::time_point now = Clock::now();
+  for (Exchange* x : exchanges) {
+    if (x->done_ || now < x->due_) continue;
+    if (x->resend_pending_) {
+      x->Transmit();
+    } else {
+      x->done_ = true;
+      x->status_ = Status::TimedOut("request deadline expired");
+    }
+  }
+}
+
+Result<std::string> Unwrap(Result<Frame> response) {
+  if (!response.ok()) return response.status();
+  Status s = StatusFromWire(response->status, response->value);
+  if (!s.ok()) return s;
+  return std::move(response->value);
+}
+
+Result<Frame> RpcClient::Call(Frame request) {
+  MutexLock serial(&call_mu_);
+  Exchange x(this, std::move(request));
+  while (!x.done()) Exchange::Await({&x}, Exchange::Clock::time_point::max());
+  return x.TakeResponse();
 }
 
 Result<std::string> RpcClient::Get(const Slice& key, uint64_t version) {
-  Frame request;
-  request.op = Opcode::kGet;
-  request.version = version;
-  request.key = key.ToString();
-  Result<Frame> response = Call(std::move(request));
-  if (!response.ok()) return response.status();
-  Status s = StatusFromWire(response->status, response->value);
-  if (!s.ok()) return s;
-  return std::move(response->value);
+  return Unwrap(Call(Request(Opcode::kGet, key, version)));
 }
 
 Result<std::string> RpcClient::GetLatest(const Slice& key) {
-  Frame request;
-  request.op = Opcode::kGet;
+  Frame request = Request(Opcode::kGet, key);
   request.latest = true;
-  request.key = key.ToString();
-  Result<Frame> response = Call(std::move(request));
-  if (!response.ok()) return response.status();
-  Status s = StatusFromWire(response->status, response->value);
-  if (!s.ok()) return s;
-  return std::move(response->value);
+  return Unwrap(Call(std::move(request)));
 }
 
 Status RpcClient::Put(const Slice& key, uint64_t version, const Slice& value,
                       bool dedup) {
-  Frame request;
-  request.op = Opcode::kPut;
+  Frame request = Request(Opcode::kPut, key, version);
   request.dedup = dedup;
-  request.version = version;
-  request.key = key.ToString();
   request.value = value.ToString();
-  Result<Frame> response = Call(std::move(request));
-  if (!response.ok()) return response.status();
-  return StatusFromWire(response->status, response->value);
+  return Unwrap(Call(std::move(request))).status();
 }
 
 Status RpcClient::Del(const Slice& key, uint64_t version) {
-  Frame request;
-  request.op = Opcode::kDel;
-  request.version = version;
-  request.key = key.ToString();
-  Result<Frame> response = Call(std::move(request));
-  if (!response.ok()) return response.status();
-  return StatusFromWire(response->status, response->value);
+  return Unwrap(Call(Request(Opcode::kDel, key, version))).status();
 }
 
 Status RpcClient::WriteBatch(const std::vector<BatchOp>& ops,
                              std::vector<Status>* statuses) {
   if (statuses != nullptr) statuses->clear();
   if (ops.empty()) return Status::OK();
-  Frame request;
-  request.op = Opcode::kWriteBatch;
+  Frame request = Request(Opcode::kWriteBatch);
   EncodeBatchOps(ops, &request.value);
   Result<Frame> response = Call(std::move(request));
   if (!response.ok()) return response.status();
@@ -266,48 +310,30 @@ Status RpcClient::WriteBatch(const std::vector<BatchOp>& ops,
 }
 
 Result<std::string> RpcClient::Stats() {
-  Frame request;
-  request.op = Opcode::kStats;
-  Result<Frame> response = Call(std::move(request));
-  if (!response.ok()) return response.status();
-  Status s = StatusFromWire(response->status, response->value);
-  if (!s.ok()) return s;
-  return std::move(response->value);
+  return Unwrap(Call(Request(Opcode::kStats)));
 }
 
 Status RpcClient::Ping() {
-  Frame request;
-  request.op = Opcode::kPing;
+  Frame request = Request(Opcode::kPing);
   request.value = "ping";
-  Result<Frame> response = Call(std::move(request));
-  if (!response.ok()) return response.status();
-  return StatusFromWire(response->status, response->value);
+  return Unwrap(Call(std::move(request))).status();
 }
 
 Result<HeartbeatInfo> RpcClient::Heartbeat() {
-  Frame request;
-  request.op = Opcode::kHeartbeat;
-  Result<Frame> response = Call(std::move(request));
-  if (!response.ok()) return response.status();
-  Status s = StatusFromWire(response->status, response->value);
-  if (!s.ok()) return s;
+  Result<std::string> value = Unwrap(Call(Request(Opcode::kHeartbeat)));
+  if (!value.ok()) return value.status();
   HeartbeatInfo info;
-  Status parse = DecodeHeartbeatInfo(response->value, &info);
-  if (!parse.ok()) return parse;
+  if (Status s = DecodeHeartbeatInfo(*value, &info); !s.ok()) return s;
   return info;
 }
 
 Result<RepairPage> RpcClient::RepairScan(const RepairScanRequest& req) {
-  Frame request;
-  request.op = Opcode::kRepairScan;
+  Frame request = Request(Opcode::kRepairScan);
   EncodeRepairScanRequest(req, &request.value);
-  Result<Frame> response = Call(std::move(request));
-  if (!response.ok()) return response.status();
-  Status s = StatusFromWire(response->status, response->value);
-  if (!s.ok()) return s;
+  Result<std::string> value = Unwrap(Call(std::move(request)));
+  if (!value.ok()) return value.status();
   RepairPage page;
-  Status parse = DecodeRepairPage(response->value, &page);
-  if (!parse.ok()) return parse;
+  if (Status s = DecodeRepairPage(*value, &page); !s.ok()) return s;
   return page;
 }
 

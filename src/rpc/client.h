@@ -2,6 +2,7 @@
 #define DIRECTLOAD_RPC_CLIENT_H_
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -16,36 +17,36 @@
 
 namespace directload::rpc {
 
-/// A blocking client for the DirectLoad serving protocol. Each call carries
-/// a per-request deadline; connection failures are retried with a bounded
-/// number of reconnects (safe here because every operation is idempotent —
-/// a PUT names its exact key/version, so replaying it converges). Wire
-/// errors come back as the ordinary Status codes: the server's own result
-/// for the operation, kTimedOut for an expired deadline, kUnavailable when
-/// the server is unreachable, kProtocol / kCorruption when the byte stream
-/// itself is broken (those tear the connection down; the next call
-/// reconnects).
+/// A blocking client for the DirectLoad serving protocol. Every request runs
+/// as an `Exchange` (below), which resends after a broken connection — safe
+/// because every operation is idempotent: a PUT names its exact
+/// key/version, so replaying it converges. The typed calls drive one
+/// exchange to completion on the caller's thread. Wire errors come back as
+/// the ordinary Status codes: the server's own result for the operation,
+/// kTimedOut for an expired deadline, kUnavailable when the server is
+/// unreachable, kProtocol / kCorruption when the byte stream itself is
+/// broken (those tear the connection down; the next call reconnects).
 ///
 /// Thread-safe: calls are serialized on an internal lock (rank
-/// LockRank::kRpcClient). For parallel load, use one client per thread —
-/// that is what the closed-loop load generator does.
+/// LockRank::kRpcCall). For parallel load, use one client per thread.
 class RpcClient {
  public:
   struct Options {
     int connect_timeout_ms = 2000;
-    /// Per-request deadline covering send + receive of one attempt.
+    /// Per-send deadline covering send + receive of one attempt.
     int request_timeout_ms = 5000;
     /// Reconnect-and-resend attempts after a connection-level failure.
     int max_reconnects = 2;
-    /// Capped exponential backoff before retry k (1-based): the cap-clamped
-    /// base is backoff_initial_ms << (k-1), and the slept delay is drawn
-    /// uniformly from [base/2, base] — jittered so a fleet of clients
-    /// retrying against one recovering server does not stampede in phase.
+    /// The first resend dials at once; resend k+1 first sleeps a capped
+    /// exponential backoff: the cap-clamped base is backoff_initial_ms <<
+    /// (k-1), and the slept delay is drawn uniformly from [base/2, base] —
+    /// jittered so a fleet of clients retrying against one recovering
+    /// server does not stampede in phase.
     int backoff_initial_ms = 5;
     int backoff_max_ms = 200;
-    /// Per-call retry budget: once the elapsed time plus the next backoff
-    /// delay would exceed this, the call stops retrying and returns the
-    /// last connection error. Covers sleeps and attempts together.
+    /// Per-request retry budget: once the elapsed time plus the next
+    /// backoff delay would exceed this, the exchange stops resending and
+    /// returns the last connection error. Covers sleeps and sends together.
     int retry_budget_ms = 10000;
     /// Seed for the jitter stream. Deterministic per client, so a chaos
     /// schedule that fixes its seeds replays the same delays every run.
@@ -91,11 +92,13 @@ class RpcClient {
   /// One page of the node's repair scan (see Opcode::kRepairScan).
   Result<RepairPage> RepairScan(const RepairScanRequest& req) EXCLUDES(mu_);
 
-  /// The capped-exponential reconnect delay for attempt `attempt`
-  /// (1-based), jitter included — exposed so tests can pin the schedule
-  /// (base doubling, cap clamp, [base/2, base] jitter bounds) without
-  /// standing up a failing server and timing real sleeps.
-  int BackoffDelayMsForTest(int attempt) { return BackoffDelayMs(attempt); }
+  /// The jittered backoff step `attempt` (1-based), drawn as Options
+  /// describes. An exchange sleeps it before each re-dial after the first,
+  /// and a caller that retries a whole request (the coordinator's write
+  /// retry) sleeps it too.
+  int BackoffDelayMs(int attempt) EXCLUDES(mu_);
+
+  class Exchange;
 
   // -- Pipelined surface (the load generator drives this directly) --------
 
@@ -123,12 +126,8 @@ class RpcClient {
       const std::vector<RpcClient*>& clients, int timeout_ms);
 
  private:
-  /// One request/response exchange with reconnect-and-resend.
-  Result<Frame> Call(Frame request) EXCLUDES(mu_);
-
-  /// The jittered delay before reconnect attempt `attempt` (1-based). Takes
-  /// mu_ briefly for the jitter draw; the caller sleeps unlocked.
-  int BackoffDelayMs(int attempt) EXCLUDES(mu_);
+  /// One exchange driven to completion on the caller's thread.
+  Result<Frame> Call(Frame request) EXCLUDES(call_mu_);
 
   Status EnsureConnectedLocked() REQUIRES(mu_);
   Status SendLocked(const Frame& frame, int timeout_ms) REQUIRES(mu_);
@@ -140,11 +139,67 @@ class RpcClient {
   const Options options_;
   std::atomic<uint64_t> next_id_{1};
 
+  Mutex call_mu_{LockRank::kRpcCall, "RpcClient::call_mu_"};
   Mutex mu_{LockRank::kRpcClient, "RpcClient::mu_"};
   Socket socket_ GUARDED_BY(mu_);
   FrameDecoder decoder_ GUARDED_BY(mu_);
   Random backoff_rng_ GUARDED_BY(mu_);
 };
+
+/// One request on one client, run as a state machine so that one thread
+/// can drive several at once (MintCoordinator does). The exchange
+///  - sends the request under a fresh id, each send with a fresh deadline;
+///  - on a broken connection re-dials and resends, at once the first time
+///    and after the client's jittered backoff later, within
+///    `max_reconnects` and `retry_budget_ms`;
+///  - skips responses to other request ids (a reconnect or an abandoned
+///    request may leave them ahead of its own);
+///  - ends with the response, a transport failure, or kTimedOut at the
+///    deadline, which leaves the stream intact.
+/// The caller owns the client while the exchange runs.
+class RpcClient::Exchange {
+ public:
+  using Clock = std::chrono::steady_clock;
+
+  /// Sends `request` on `client`.
+  Exchange(RpcClient* client, Frame request);
+
+  bool done() const { return done_; }
+
+  /// Once done: the response, or the failure that ended the exchange.
+  Result<Frame> TakeResponse();
+
+  /// Waits until `until`, or until an unfinished exchange among
+  /// `exchanges` receives, fails, reaches its deadline or its resend time,
+  /// and advances those.
+  static void Await(const std::vector<Exchange*>& exchanges,
+                    Clock::time_point until);
+
+ private:
+  void Transmit();
+  /// Takes responses until this exchange's own arrives, up to `until`.
+  void Poll(Clock::time_point until);
+  /// Schedules a resend if `s` is a broken connection and one is left;
+  /// otherwise ends the exchange with `s`.
+  void Fail(const Status& s);
+
+  RpcClient* client_;
+  Frame request_;
+  int resends_ = 0;
+  Clock::time_point budget_;
+  /// When the exchange acts on its own: the deadline of the latest send,
+  /// or the time of a pending resend.
+  Clock::time_point due_;
+  bool resend_pending_ = false;
+  bool done_ = false;
+  Status status_;
+  Frame response_;
+};
+
+/// What a response says about its operation: the transport failure when
+/// there is no response, else the server's status, with the value on
+/// success.
+Result<std::string> Unwrap(Result<Frame> response);
 
 }  // namespace directload::rpc
 

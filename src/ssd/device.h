@@ -72,11 +72,6 @@ class SsdDevice {
   uint32_t MaxEraseCount() const;
   double MeanEraseCount() const;
 
-  /// The completion time of the most recent media operation; the device is
-  /// busy until then. Used by latency benchmarks to compute queueing delay
-  /// relative to externally scheduled arrival times.
-  uint64_t busy_until_micros() const { return busy_until_micros_; }
-
   /// Fault injection: flips one bit of a programmed page in place (models
   /// silent media corruption / transmission damage). No time cost, no
   /// state change — checksumming layers above must catch it.
@@ -89,6 +84,7 @@ class SsdDevice {
   LatencyModel latency_;
   SimClock* clock_;
   SsdStats stats_;
+  // Completion time of the latest media operation; Occupy queues behind it.
   uint64_t busy_until_micros_ = 0;
 
   std::vector<PageState> states_;

@@ -140,10 +140,6 @@ class SsdEnvImpl final : public SsdEnv {
   const Geometry& geometry() const override { return device_->geometry(); }
   InterfaceMode mode() const override { return mode_; }
   SimClock* clock() override { return clock_; }
-  uint64_t busy_until_micros() const override {
-    MutexLock lock(&mu_);
-    return device_->busy_until_micros();
-  }
 
   Status CorruptFileByteForTesting(const std::string& name,
                                    uint64_t offset) override {

@@ -108,10 +108,6 @@ class SsdEnv {
   virtual InterfaceMode mode() const = 0;
   virtual SimClock* clock() = 0;
 
-  /// Completion time of the latest device operation (for queueing-delay
-  /// computation in latency benchmarks).
-  virtual uint64_t busy_until_micros() const = 0;
-
   /// Targeted fault injection for tests: flips one bit of the persisted
   /// byte at `offset` of file `name` (silent media corruption). The
   /// checksums of the storage formats above must detect it. For randomized

@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -171,6 +172,7 @@ void RunReader(QinDb* db, int reader, const std::atomic<bool>* done,
       // Range scan racing the writers: whatever pairs it surfaces must
       // carry values that belong to their keys.
       QinDb::Scanner scanner = db->NewScanner();
+      scanner.SeekToFirst();
       for (int steps = 0; scanner.Valid() && steps < 64; ++steps) {
         Result<std::string> value = scanner.value();
         if (value.ok()) {
@@ -355,6 +357,125 @@ TEST_F(ConcurrencyTest, DropVersionRacesWritersOnEveryShard) {
   db.reset();
   db = OpenDb(options);
   check(db.get());
+}
+
+// The paper's update cycle under readers: each version lands through a bulk
+// session (about half its pairs deduplicated against the version before),
+// the version two back is dropped, and GC runs until the shard indexes
+// compact — with the block cache on and small segments, so relocations
+// re-key cached records while readers hit them. Every GetLatest must
+// return the bytes of a version that committed before the read returned
+// and whose drop had not finished before the read was sent.
+TEST_F(ConcurrencyTest, VersionCycleKeepsGetLatestInTheReadWindow) {
+  constexpr int kKeys = 1024;
+  constexpr uint64_t kVersions = 20;
+  constexpr uint64_t kUnset = ~uint64_t{0};
+  auto key_of = [](int i) {
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "url:%06d", i);
+    return std::string(buf);
+  };
+  auto dedup = [](int i, uint64_t v) { return v > 1 && (i * 7 + v) % 2 == 0; };
+  // The version whose bytes pair (i, v) reads: itself, or the version its
+  // dedup chain ends at.
+  auto referent = [&](int i, uint64_t v) {
+    while (dedup(i, v)) --v;
+    return v;
+  };
+  auto value_of = [&](int i, uint64_t v) {
+    return key_of(i) + "#" + std::to_string(v) + "#" +
+           std::string(64 + i % 32, static_cast<char>('a' + v % 26));
+  };
+
+  for (uint32_t shards : {1u, 4u}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    env_ = NewSsdEnv(ssd::InterfaceMode::kNativeBlock, StressGeometry(),
+                     ssd::LatencyModel(), &clock_);
+    QinDbOptions options;
+    options.num_shards = shards;
+    options.cache_bytes = 256 << 10;
+    auto db = OpenDb(options);
+
+    // A logical clock: commit starts, drop ends and reads are stamped on it.
+    std::atomic<uint64_t> now{1};
+    std::vector<std::atomic<uint64_t>> committed(kVersions + 1);
+    std::vector<std::atomic<uint64_t>> dropped(kVersions + 1);
+    for (uint64_t v = 0; v <= kVersions; ++v) {
+      committed[v].store(kUnset);
+      dropped[v].store(kUnset);
+    }
+    // Loads version v, drops v-2 and collects. False on a failed step, so
+    // the readers are still joined before the test ends.
+    auto cycle = [&](uint64_t v) {
+      std::vector<std::string> keys(kKeys);
+      std::vector<std::string> bytes(kKeys);
+      std::vector<IngestOp> ops(kKeys);
+      for (int i = 0; i < kKeys; ++i) {
+        ops[i].key = Slice(keys[i] = key_of(i));
+        ops[i].version = v;
+        ops[i].dedup = dedup(i, v);
+        if (!ops[i].dedup) ops[i].value = Slice(bytes[i] = value_of(i, v));
+      }
+      Status s = db->IngestBegin(v);
+      if (s.ok()) s = db->IngestRun(v, ops.data(), ops.size());
+      committed[v].store(now.fetch_add(1));
+      if (s.ok()) s = db->IngestCommit(v);
+      if (s.ok() && v > 2) {
+        s = db->DropVersion(v - 2).status();
+        dropped[v - 2].store(now.fetch_add(1));
+      }
+      if (s.ok()) s = db->ForceGc();
+      EXPECT_TRUE(s.ok()) << "version " << v << ": " << s.ToString();
+      return s.ok();
+    };
+    ASSERT_TRUE(cycle(1));
+
+    std::atomic<bool> done{false};
+    std::atomic<uint64_t> reads{0};
+    std::mutex errors_mu;
+    std::vector<std::string> errors;
+    std::vector<std::thread> readers;
+    for (int r = 0; r < kReaders; ++r) {
+      readers.emplace_back([&, r] {
+        Random rnd(4000 + r);
+        while (!done.load(std::memory_order_acquire)) {
+          const int i = static_cast<int>(rnd.Uniform(kKeys));
+          const uint64_t sent = now.fetch_add(1);
+          Result<std::string> got = db->GetLatest(key_of(i));
+          const uint64_t returned = now.fetch_add(1);
+          reads.fetch_add(1, std::memory_order_relaxed);
+          bool allowed = false;
+          for (uint64_t v = 1; got.ok() && v <= kVersions && !allowed; ++v) {
+            allowed = committed[v].load() < returned &&
+                      dropped[v].load() > sent &&
+                      *got == value_of(i, referent(i, v));
+          }
+          if (allowed) continue;
+          std::lock_guard<std::mutex> lock(errors_mu);
+          errors.push_back(key_of(i) + ": " +
+                           (got.ok() ? got->substr(0, 24)
+                                     : got.status().ToString()));
+        }
+      });
+    }
+    for (uint64_t v = 2; v <= kVersions; ++v) {
+      if (!cycle(v)) break;
+    }
+    done.store(true, std::memory_order_release);
+    for (std::thread& t : readers) t.join();
+
+    EXPECT_GT(reads.load(), 0u);
+    EXPECT_TRUE(errors.empty())
+        << errors.size() << " reads outside the window, first "
+        << errors.front();
+    // GC went far enough that every shard's index was rebuilt dense: its
+    // entries are far fewer than the pairs ever written to it.
+    for (uint32_t s = 0; s < shards; ++s) {
+      EXPECT_LT(db->memtable(s)->total_count(),
+                kKeys * kVersions / shards / 2)
+          << "shard " << s;
+    }
+  }
 }
 
 // Regression: reads_in_flight_ was a plain int mutated by ReadGuard from

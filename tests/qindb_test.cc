@@ -99,6 +99,33 @@ TEST_F(QinDbTest, DanglingDedupReportsCorruption) {
   EXPECT_TRUE(db->Get("url", 1).status().IsCorruption());
 }
 
+// A reader that found a deduplicated pair before it was deleted must not
+// trace back past its referent once GC has collected the referent's bytes:
+// an older version's value is not the pair's value.
+TEST_F(QinDbTest, StaleDedupReadNeverReturnsAnOlderVersionsBytes) {
+  QinDbOptions options;
+  options.auto_gc = false;
+  auto db = OpenDb(options);
+  ASSERT_TRUE(db->Put("url", 1, "v1").ok());
+  ASSERT_TRUE(db->Put("url", 2, "v2").ok());
+  ASSERT_TRUE(db->Put("url", 3, Slice(), /*dedup=*/true).ok());
+  QinDb::Scanner stale = db->NewScanner();
+  stale.SeekToFirst();
+  ASSERT_TRUE(stale.Valid());
+  ASSERT_EQ(stale.version(), 3u);
+
+  ASSERT_TRUE(db->Del("url", 3).ok());
+  ASSERT_TRUE(db->Del("url", 2).ok());  // No referent left: collectable.
+  ASSERT_TRUE(db->SealActive().ok());
+  ASSERT_TRUE(db->ForceGc().ok());
+  ASSERT_GT(db->gc_stats().segments_reclaimed, 0u);
+
+  Result<std::string> value = stale.value();
+  EXPECT_FALSE(value.ok()) << "read " << *value;
+  EXPECT_EQ(*db->Get("url", 1), "v1");
+  EXPECT_TRUE(db->GetLatest("url").ok());
+}
+
 TEST_F(QinDbTest, GetLatestSkipsDeletedVersions) {
   auto db = OpenDb();
   ASSERT_TRUE(db->Put("url", 1, "v1").ok());

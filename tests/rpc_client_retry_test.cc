@@ -1,10 +1,12 @@
 // RpcClient reconnect/backoff behavior: the capped-exponential schedule and
-// its jitter bounds (pinned via BackoffDelayMsForTest, no sleeping), the
-// seeded determinism chaos schedules rely on, the wall-clock retry budget
-// against a connection-refused target, and reconnect-and-resend across a
-// server restart on the same port. Also the pipelined receive with its own
-// deadline and the wait on several clients, against a raw socket peer that
-// writes response bytes when the test says so.
+// its jitter bounds (pinned via BackoffDelayMs, no sleeping), the seeded
+// determinism chaos schedules rely on, the wall-clock retry budget against
+// a connection-refused target, and reconnect-and-resend across a server
+// restart on the same port. Also, against a raw socket peer that reads
+// requests and writes response bytes when the test says so: the pipelined
+// receive with its own deadline, the wait on several clients, and the
+// request exchange every call runs on (resend after a hang-up, responses
+// to other ids skipped, the deadline leaving the stream intact).
 
 #include <gtest/gtest.h>
 
@@ -49,7 +51,7 @@ TEST(RpcClientBackoffTest, ScheduleDoublesFromInitialAndClampsAtCap) {
   // lands in [base - base/2, base].
   int expected_base = 5;
   for (int attempt = 1; attempt <= 12; ++attempt) {
-    const int delay = client.BackoffDelayMsForTest(attempt);
+    const int delay = client.BackoffDelayMs(attempt);
     EXPECT_GE(delay, expected_base - expected_base / 2)
         << "attempt " << attempt;
     EXPECT_LE(delay, expected_base) << "attempt " << attempt;
@@ -58,7 +60,7 @@ TEST(RpcClientBackoffTest, ScheduleDoublesFromInitialAndClampsAtCap) {
 
   // Deep attempts stay clamped at the cap.
   for (int attempt = 13; attempt <= 40; ++attempt) {
-    const int delay = client.BackoffDelayMsForTest(attempt);
+    const int delay = client.BackoffDelayMs(attempt);
     EXPECT_GE(delay, 100);
     EXPECT_LE(delay, 200);
   }
@@ -71,8 +73,8 @@ TEST(RpcClientBackoffTest, JitterIsDeterministicPerSeed) {
   RpcClient b("127.0.0.1", 1, options);
   std::vector<int> seq_a, seq_b;
   for (int attempt = 1; attempt <= 16; ++attempt) {
-    seq_a.push_back(a.BackoffDelayMsForTest(attempt));
-    seq_b.push_back(b.BackoffDelayMsForTest(attempt));
+    seq_a.push_back(a.BackoffDelayMs(attempt));
+    seq_b.push_back(b.BackoffDelayMs(attempt));
   }
   // Same seed, same schedule — the property chaos replays depend on.
   EXPECT_EQ(seq_a, seq_b);
@@ -81,7 +83,7 @@ TEST(RpcClientBackoffTest, JitterIsDeterministicPerSeed) {
   RpcClient c("127.0.0.1", 1, options);
   std::vector<int> seq_c;
   for (int attempt = 1; attempt <= 16; ++attempt) {
-    seq_c.push_back(c.BackoffDelayMsForTest(attempt));
+    seq_c.push_back(c.BackoffDelayMs(attempt));
   }
   // A different seed draws a different jitter stream. (Equality of every
   // one of 16 jittered draws across seeds would be astronomically
@@ -164,14 +166,14 @@ struct RawPeer {
   std::unique_ptr<RpcClient> client;
 };
 
-RawPeer ConnectRaw() {
+RawPeer ConnectRaw(RpcClient::Options options = RpcClient::Options()) {
   RawPeer peer;
   Result<Socket> listener = Listen("127.0.0.1", 0, 4);
   EXPECT_TRUE(listener.ok());
   Result<uint16_t> port = LocalPort(*listener);
   EXPECT_TRUE(port.ok());
   peer.listener = std::move(listener).value();
-  peer.client = std::make_unique<RpcClient>("127.0.0.1", *port);
+  peer.client = std::make_unique<RpcClient>("127.0.0.1", *port, options);
   EXPECT_TRUE(peer.client->Connect().ok());
   Result<Socket> server = AcceptOne(peer.listener, 2000);
   EXPECT_TRUE(server.ok());
@@ -243,6 +245,112 @@ TEST(RpcClientPipelineTest, WaitReadableSeesBufferedFramesAndClosedPeers) {
   Result<Frame> closed = b.client->Receive(0);
   ASSERT_FALSE(closed.ok());
   EXPECT_TRUE(closed.status().IsUnavailable()) << closed.status().ToString();
+}
+
+/// Reads one whole request frame off the peer's side of a connection.
+Frame ReadRequest(Socket* server) {
+  FrameDecoder decoder;
+  Frame frame;
+  char buf[4096];
+  while (true) {
+    Result<bool> got = decoder.Next(&frame);
+    if (!got.ok() || *got) {
+      EXPECT_TRUE(got.ok()) << got.status().ToString();
+      return frame;
+    }
+    Result<size_t> n = server->RecvSome(buf, sizeof(buf), 2000);
+    if (!n.ok() || *n == 0) {
+      ADD_FAILURE() << "no whole request arrived";
+      return frame;
+    }
+    decoder.Append(buf, *n);
+  }
+}
+
+Frame PingRequest() {
+  Frame request;
+  request.op = Opcode::kPing;
+  request.value = "ping";
+  return request;
+}
+
+/// Drives `x` on the calling thread until it ends.
+Result<Frame> Finish(RpcClient::Exchange* x) {
+  while (!x->done()) RpcClient::Exchange::Await({x}, Clock::time_point::max());
+  return x->TakeResponse();
+}
+
+TEST(RpcClientExchangeTest, HungUpConnectionIsRedialedAndResentOnce) {
+  RawPeer peer = ConnectRaw();
+  peer.server.Close();  // The peer hangs up on the idle connection.
+
+  RpcClient::Exchange x(peer.client.get(), PingRequest());
+  // Drive the exchange until its re-dial reaches the listener.
+  Socket redialed;
+  for (int i = 0; i < 200 && !redialed.valid(); ++i) {
+    RpcClient::Exchange::Await({&x},
+                               Clock::now() + std::chrono::milliseconds(10));
+    Result<Socket> accepted = AcceptOne(peer.listener, 0);
+    if (accepted.ok()) redialed = std::move(accepted).value();
+  }
+  ASSERT_TRUE(redialed.valid()) << "the exchange never dialed again";
+  ASSERT_FALSE(x.done());
+
+  const Frame resent = ReadRequest(&redialed);
+  EXPECT_EQ(resent.op, Opcode::kPing);
+  ASSERT_TRUE(redialed.SendAll(PongFrame(resent.request_id), 1000).ok());
+  Result<Frame> response = Finish(&x);
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  EXPECT_EQ(response->request_id, resent.request_id);
+  EXPECT_EQ(response->value, "pong" + std::to_string(resent.request_id));
+
+  // Resent once: no second request on the new connection, no third dial.
+  char byte;
+  EXPECT_TRUE(redialed.RecvSome(&byte, 1, 50).status().IsTimedOut());
+  EXPECT_TRUE(AcceptOne(peer.listener, 50).status().IsTimedOut());
+}
+
+TEST(RpcClientExchangeTest, ResponseToAnotherRequestIdIsSkipped) {
+  RawPeer peer = ConnectRaw();
+  RpcClient::Exchange x(peer.client.get(), PingRequest());
+  const Frame request = ReadRequest(&peer.server);
+
+  // An abandoned request's late answer arrives ahead of this one's.
+  const uint64_t stale_id = request.request_id + 100;
+  ASSERT_TRUE(peer.server
+                  .SendAll(PongFrame(stale_id) +
+                               PongFrame(request.request_id),
+                           1000)
+                  .ok());
+  Result<Frame> response = Finish(&x);
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  EXPECT_EQ(response->request_id, request.request_id);
+  EXPECT_EQ(response->value, "pong" + std::to_string(request.request_id));
+}
+
+TEST(RpcClientExchangeTest, DeadlineTimesOutAndLeavesTheStreamIntact) {
+  RpcClient::Options options;
+  options.request_timeout_ms = 50;
+  RawPeer peer = ConnectRaw(options);
+  RpcClient::Exchange x(peer.client.get(), PingRequest());
+  const Frame request = ReadRequest(&peer.server);
+
+  const std::string wire = PongFrame(request.request_id);
+  const size_t half = wire.size() / 2;
+  ASSERT_TRUE(peer.server.SendAll(Slice(wire.data(), half), 1000).ok());
+  Result<Frame> expired = Finish(&x);
+  ASSERT_FALSE(expired.ok());
+  EXPECT_TRUE(expired.status().IsTimedOut()) << expired.status().ToString();
+
+  // The half frame stayed buffered: the rest completes it.
+  ASSERT_TRUE(peer.server
+                  .SendAll(Slice(wire.data() + half, wire.size() - half),
+                           1000)
+                  .ok());
+  Result<Frame> whole = peer.client->Receive(1000);
+  ASSERT_TRUE(whole.ok()) << whole.status().ToString();
+  EXPECT_EQ(whole->request_id, request.request_id);
+  EXPECT_EQ(whole->value, "pong" + std::to_string(request.request_id));
 }
 
 }  // namespace

@@ -8,11 +8,18 @@ outside the field's own directory assigns. Setters are searched in src/,
 tests/, bench/, examples/ and perfbench/: an assignment is `.field =`,
 `->field =` (compound assignments too) or `&x.field` handed to a parser.
 
-The match is by field name, not by type: an assignment to a same-named
-field of another struct counts as a setter. That errs towards silence,
-never towards a false finding. A field that stays configurable for
-deployment (a listen address, say) carries
-`// dl-lint: ignore(option-setter)` on its declaration line.
+A setter counts for the struct its receiver has. The receiver's type is
+the one of its nearest declaration earlier in the same file (`T x`,
+`T* x`, `T& x`: a local or a parameter), and each further member of the
+chain has the type its Options field declares: in `o.mint.engine.x = 1`
+with `DirectLoadOptions o`, `mint` is `DirectLoadOptions::mint` and
+`engine` is `MintOptions::engine`. Where a type cannot be resolved (a
+member receiver declared in another file, `auto`, a template type, a
+field of a struct that is not an Options struct), the rest of the chain
+is matched by field name, which errs towards silence, never towards a
+false finding. A field that stays configurable for deployment (a listen
+address, say) carries `// dl-lint: ignore(option-setter)` on its
+declaration line.
 """
 
 import re
@@ -27,12 +34,21 @@ _STRUCT_RE = re.compile(r"\bstruct\s+(\w*Options)\s*\{")
 # The declarator of a data member (`type name`), once its initializer
 # (`= init` or `{init}`) is cut off.
 _DECL_RE = re.compile(r"^[\w:<>,*&\s]+?\s*[\s*&](\w+)$")
+# The last name of a declared type: `rpc::RpcClient::Options` -> `Options`.
+_TYPE_NAME_RE = re.compile(r"(\w+)[\s*&]*$")
 
 # A member chain (`.a.b`, `->a`) that is assigned (`=`, `+=`, designated
 # `{`), or whose address follows `&` (handed to a flag parser).
-_CHAIN = r"((?:\s*(?:\.|->)\s*\w+)+)"
-_SETTER_RE = re.compile(_CHAIN + r"\s*(?:[-+*/|&^]?=(?!=)|\{)"
-                        r"|&\s*\w+" + _CHAIN)
+_CHAIN = r"(?:\s*(?:\.|->)\s*\w+)+"
+_SETTER_RE = re.compile(
+    r"(?P<chain>" + _CHAIN + r")\s*(?:[-+*/|&^]?=(?!=)|\{)"
+    r"|&\s*(?P<recv>\w+)(?P<addr>" + _CHAIN + r")")
+_RECEIVER_RE = re.compile(r"(\w+)\s*$")
+
+# Words that can stand before a name without declaring it.
+_NOT_TYPES = frozenset((
+    "auto", "case", "co_return", "const", "delete", "else", "goto", "new",
+    "return", "sizeof", "throw", "typename", "using", "volatile"))
 
 
 def _matching_brace(code, open_idx):
@@ -46,7 +62,8 @@ def _matching_brace(code, open_idx):
 
 
 def _fields(sf):
-    """(struct, field, line) for each data member of each Options struct."""
+    """(struct, field, type name, line) for each data member of each Options
+    struct; the type name is None when it ends in a template argument."""
     code = sf.code
     for m in _STRUCT_RE.finditer(code):
         open_idx = m.end() - 1
@@ -78,28 +95,59 @@ def _fields(sf):
                 if fm is None:
                     continue  # A member function declaration.
                 offset = stmt_start + len(decl) - len(fm.group(1))
-                yield m.group(1), fm.group(1), sf.line_of(offset)
+                tm = _TYPE_NAME_RE.search(decl.lstrip()[:fm.start(1)])
+                yield (m.group(1), fm.group(1), tm.group(1) if tm else None,
+                       sf.line_of(offset))
+
+
+def _declared_type(code, name, before):
+    """The type name of the nearest declaration of `name` (`T name`,
+    `T* name`, `T& name`) ahead of offset `before`, or None."""
+    decl = re.compile(r"\b(\w+)\s*[*&]?\s*\b" + re.escape(name)
+                      + r"\s*[;=,(){\[]")
+    found = None
+    for m in decl.finditer(code, 0, before):
+        found = m.group(1)
+    return None if found in _NOT_TYPES else found
+
+
+def _setters(sf, field_types):
+    """(owner, name) for each member a setter in `sf` assigns; owner is the
+    type the member belongs to, or None where it is matched by name.
+    `field_types` maps (struct, field) to the field's type name."""
+    for m in _SETTER_RE.finditer(sf.code):
+        receiver = m.group("recv")
+        if receiver is None:
+            rm = _RECEIVER_RE.search(sf.code, max(0, m.start() - 80),
+                                     m.start())
+            receiver = rm.group(1) if rm else None
+        owner = receiver and _declared_type(sf.code, receiver, m.start())
+        # Every member of an assigned chain counts as set:
+        # `o.mint.engine.cache_bytes = n` sets mint and engine too.
+        for name in re.findall(r"\w+", m.group("chain") or m.group("addr")):
+            yield owner, name
+            owner = owner and field_types.get((owner, name))
 
 
 def run(ctx):
     fields = []
+    field_types = {}
     for sf in ctx.project.files_under("src"):
-        for struct, field, line in _fields(sf):
+        for struct, field, type_name, line in _fields(sf):
+            field_types[(struct, field)] = type_name
             if not sf.suppressed(line, NAME):
                 fields.append((sf, struct, field, line))
 
-    set_in = {}  # field -> set of directories assigning it
+    set_in = {}  # (owner, field) -> set of directories assigning it
     for sf in ctx.project.files_under(*_SETTER_DIRS):
-        for m in _SETTER_RE.finditer(sf.code):
-            # Every member of an assigned chain counts as set:
-            # `o.mint.engine.cache_bytes = n` sets mint and engine too.
-            for name in re.findall(r"\w+", m.group(1) or m.group(2)):
-                set_in.setdefault(name, set()).add(sf.path.parent)
+        for key in _setters(sf, field_types):
+            set_in.setdefault(key, set()).add(sf.path.parent)
 
     findings = []
     for sf, struct, field, line in fields:
-        outside = set_in.get(field, set()) - {sf.path.parent}
-        if outside:
+        setters = set_in.get((struct, field), set()) | set_in.get(
+            (None, field), set())
+        if setters - {sf.path.parent}:
             continue
         findings.append(Finding(
             NAME, sf.path, line,
