@@ -328,20 +328,26 @@ Status AofManager::ReadBytesLocked(uint32_t segment_id, uint64_t offset,
 Status AofManager::ReadRecord(const RecordAddress& addr, uint64_t extent_hint,
                               RecordView* out) const {
   ReaderLock lock(&mu_);
-  uint64_t extent = extent_hint;
-  if (extent == 0) {
-    std::string hdr;
-    Status s = ReadBytesLocked(addr.segment_id, addr.offset,
-                               RecordHeader::kSize, &hdr);
-    if (!s.ok()) return s;
-    RecordHeader header;
-    s = DecodeHeader(hdr, &header);
-    if (!s.ok()) return s;
-    extent = RecordExtent(header.key_len, header.value_len);
+  auto it = segments_.find(addr.segment_id);
+  if (it == segments_.end()) return Status::NotFound("unknown segment");
+  uint64_t n = std::max<uint64_t>(extent_hint, RecordHeader::kSize);
+  if (addr.offset < it->second.total_bytes) {
+    n = std::min(n, it->second.total_bytes - addr.offset);
   }
   std::string body;
-  Status s = ReadBytesLocked(addr.segment_id, addr.offset, extent, &body);
+  Status s = ReadBytesLocked(addr.segment_id, addr.offset, n, &body);
   if (!s.ok()) return s;
+  RecordHeader header;
+  s = DecodeHeader(body, &header);
+  if (!s.ok()) return s;
+  const uint64_t extent = RecordExtent(header.key_len, header.value_len);
+  if (body.size() < extent) {
+    std::string rest;
+    s = ReadBytesLocked(addr.segment_id, addr.offset + body.size(),
+                        extent - body.size(), &rest);
+    if (!s.ok()) return s;
+    body += rest;
+  }
   return DecodeRecord(body, out);
 }
 

@@ -130,9 +130,11 @@ class AofManager {
       const std::vector<std::pair<RecordAddress, uint64_t>>& dead)
       EXCLUDES(mu_);
 
-  /// Reads and verifies the record at `addr`. `extent_hint`, when nonzero,
-  /// is the record's full extent (saving a separate header read); the
-  /// engine computes it from the memtable item.
+  /// Reads and verifies the record at `addr`. Its length comes from its
+  /// own header; `extent_hint` is only how many bytes to read first (the
+  /// engine computes it from the memtable item). A hint that is short costs
+  /// one more read for the rest, and one that is long is cut at the end of
+  /// the segment's records, so a stale hint never fails a read.
   Status ReadRecord(const RecordAddress& addr, uint64_t extent_hint,
                     RecordView* out) const EXCLUDES(mu_);
 

@@ -113,11 +113,21 @@ enum class LockRank : int {
   /// kQinDbWrite); the leader takes it under kQinDbWrite to drain the
   /// queue and publish results. Nothing is ever acquired while holding it.
   kQinDbBatchQueue = 12,
+  /// Lock: `Shard::read_gc_mu_` — the shard's live `mem_` pointer, and the
+  /// records its entries address: shared for one read, exclusive for GC.
+  /// Sibling instances: one per shard, named `qindb-read-gc/sNN`.
+  ///
+  /// A read holds it shared from the index lookup to the record bytes; GC
+  /// holds it exclusively (under kQinDbWrite) while it relocates, purges
+  /// and erases one victim segment, and while it swaps in a rebuilt index.
+  /// So a read never sees its record move. The AOF, env and cache locks
+  /// rank above it; writers take it only for the pointer copy.
+  kQinDbReadGc = 15,
   /// Lock: `AofManager::mu_` — segment map, active writer, occupancy
   /// (shared for record reads).
   ///
   /// Exclusive for appends/seals/collection. Taken under kQinDbWrite by
-  /// mutators or standalone by readers.
+  /// mutators and under kQinDbReadGc by record reads and GC.
   kAofManager = 20,
   /// Lock: `AofManager::readers_mu_` — the lazy per-segment reader cache,
   /// taken with kAofManager held (at least shared).
@@ -138,14 +148,6 @@ enum class LockRank : int {
   /// re-key cache entries while holding the AOF lock, and read-path inserts
   /// run right after a device read.
   kQinDbBlockCache = 44,
-  /// Lock: `Shard::pin_mu_` — the shard's `mem_` pointer swap and
-  /// `retired_` list (leaf).
-  /// Sibling instances: one per shard, named `qindb-pin/sNN`.
-  ///
-  /// Nothing is ever acquired while holding it: it is taken either
-  /// standalone (readers pinning the index) or as the innermost lock of a
-  /// mutator.
-  kQinDbPin = 50,
   /// Lock: `LatencyEstimator::mu_` — one estimator's rolling sample window
   /// and its cached quantile.
   /// Sibling instances: one per estimator (per remote replica), all leaves;

@@ -122,7 +122,9 @@ MemEntry* MemIndex::TracebackValue(const Slice& key, uint64_t version) const {
   return nullptr;
 }
 
-MemEntry* MemIndex::FindLatestLive(const Slice& key) const {
+MemEntry* MemIndex::FindLatestLive(const Slice& key,
+                                   const MemEntry** newest) const {
+  if (newest != nullptr) *newest = nullptr;
   MemEntry probe{};
   FillProbe(&probe, key, UINT64_MAX);
   MemEntry* probe_ptr = &probe;
@@ -130,10 +132,9 @@ MemEntry* MemIndex::FindLatestLive(const Slice& key) const {
   for (it.Seek(probe_ptr); it.Valid(); it.Next()) {
     MemEntry* entry = it.key();
     if (entry->user_key() != key) return nullptr;
-    if (!entry->purged.load(std::memory_order_acquire) &&
-        !entry->deleted.load(std::memory_order_acquire)) {
-      return entry;
-    }
+    if (entry->purged.load(std::memory_order_acquire)) continue;
+    if (newest != nullptr && *newest == nullptr) *newest = entry;
+    if (!entry->deleted.load(std::memory_order_acquire)) return entry;
   }
   return nullptr;
 }

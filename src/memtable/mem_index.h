@@ -20,17 +20,18 @@ namespace directload {
 ///
 /// The identity fields (key, version) are immutable once the entry is
 /// published through the skip list. The state fields are atomics because
-/// they are mutated in place by writers and the GC while reader threads
-/// traverse the index lock-free; each field is individually coherent and
-/// readers tolerate (and retry on) cross-field races such as an address
-/// observed next to a stale value_size.
+/// writers mutate them in place while reader threads traverse the index
+/// lock-free; each field is individually coherent, and readers tolerate
+/// cross-field races such as an address observed next to a stale
+/// value_size (the record's own header gives its length). The engine's GC
+/// patches them only while no read of the index is in flight.
 struct MemEntry {
   const char* key_data;
   uint32_t key_size;
   uint64_t version;
 
   // Opaque AOF record address (owned by the AOF layer). Patched by re-PUTs
-  // and by GC relocation while reads are in flight.
+  // and by GC relocation.
   std::atomic<uint64_t> address;
   // Stored value length; 0 when the value is NULL.
   std::atomic<uint32_t> value_size;
@@ -94,8 +95,11 @@ class MemIndex {
   MemEntry* TracebackValue(const Slice& key, uint64_t version) const;
 
   /// Newest entry of `key` that is neither purged nor deleted, or nullptr.
-  /// Stops at the first such entry, so older versions cost nothing.
-  MemEntry* FindLatestLive(const Slice& key) const;
+  /// Stops at the first such entry, so older versions cost nothing. When
+  /// `newest` is set, it receives the first non-purged entry the walk met
+  /// (what FindLatest returned as the walk began), or nullptr.
+  MemEntry* FindLatestLive(const Slice& key,
+                           const MemEntry** newest = nullptr) const;
 
   /// Non-purged entry of `key` with the smallest version strictly above
   /// `version` (the next newer version), or nullptr. One O(log n) search,

@@ -35,18 +35,6 @@ constexpr int kWriteAttempts = 2;
 constexpr double kHedgeQuantile = 0.95;
 constexpr double kHedgeFloorMs = 1.0;
 
-/// Data-path client settings. They keep per-op worst cases short: a
-/// coordinator facing a dead replica should fail the replica fast and let
-/// quorum + the detector absorb it, not burn the caller's patience.
-constexpr rpc::RpcClient::Options kDataPathClient = [] {
-  rpc::RpcClient::Options o;
-  o.connect_timeout_ms = 500;
-  o.request_timeout_ms = 2000;
-  o.max_reconnects = 1;
-  o.retry_budget_ms = 1000;
-  return o;
-}();
-
 /// A failure of the transport (or the peer's availability), as opposed to
 /// the server answering the operation with an error. Only these count as
 /// failure-detector misses: a NotFound is a healthy node disagreeing about
@@ -110,7 +98,7 @@ MintCoordinator::MintCoordinator(std::vector<std::vector<NodeEndpoint>> groups,
     : options_(options) {
   // Probe clients are deliberately impatient: no reconnects, short
   // deadlines — a probe that needs a retry *is* a miss.
-  rpc::RpcClient::Options probe_opts = kDataPathClient;
+  rpc::RpcClient::Options probe_opts;
   probe_opts.connect_timeout_ms = options_.heartbeat_timeout_ms;
   probe_opts.request_timeout_ms = options_.heartbeat_timeout_ms;
   probe_opts.max_reconnects = 0;
@@ -186,19 +174,31 @@ double MintCoordinator::HedgeDelayMsFor(int node_id) {
   return std::max(kHedgeFloorMs, q);
 }
 
+rpc::RpcClient::Options DataPathClientOptions(int node_id, uint64_t serial) {
+  rpc::RpcClient::Options o;
+  o.connect_timeout_ms = 500;
+  o.request_timeout_ms = 2000;
+  o.max_reconnects = 1;
+  o.retry_budget_ms = 1000;
+  o.backoff_seed = (static_cast<uint64_t>(node_id) << 32) ^ serial;
+  return o;
+}
+
 std::unique_ptr<rpc::RpcClient> MintCoordinator::AcquireClient(int node_id) {
+  uint64_t serial = 0;
   {
     MutexLock lock(&mu_);
-    auto& pool = nodes_[node_id]->pool;
-    if (!pool.empty()) {
-      std::unique_ptr<rpc::RpcClient> client = std::move(pool.back());
-      pool.pop_back();
+    Node* node = nodes_[node_id].get();
+    if (!node->pool.empty()) {
+      std::unique_ptr<rpc::RpcClient> client = std::move(node->pool.back());
+      node->pool.pop_back();
       return client;
     }
+    serial = node->clients_made++;
   }
   const NodeEndpoint& endpoint = nodes_[node_id]->endpoint;
-  return std::make_unique<rpc::RpcClient>(endpoint.host, endpoint.port,
-                                          kDataPathClient);
+  return std::make_unique<rpc::RpcClient>(
+      endpoint.host, endpoint.port, DataPathClientOptions(node_id, serial));
 }
 
 void MintCoordinator::ReleaseClient(int node_id,

@@ -26,6 +26,14 @@ struct NodeEndpoint {
   uint16_t port = 0;
 };
 
+/// Settings of the data-path client the coordinator builds the `serial`-th
+/// time for `node_id`. They keep per-op worst cases short: a coordinator
+/// facing a dead replica should fail the replica fast and let quorum + the
+/// detector absorb it, not burn the caller's patience. Each client gets its
+/// own backoff seed, so clients whose requests fail together do not resend
+/// in phase.
+rpc::RpcClient::Options DataPathClientOptions(int node_id, uint64_t serial);
+
 /// Failure-detector verdict for a node. `kSuspect` deprioritizes the node
 /// for reads (it is tried last among the candidates); `kDown` additionally
 /// routes writes around it — the pairs it misses are healed by RepairNode.
@@ -168,6 +176,8 @@ class MintCoordinator {
     /// Idle data-path clients. A client is popped for the duration of one
     /// call and pushed back only if the transport stayed healthy.
     std::vector<std::unique_ptr<rpc::RpcClient>> pool;  // Guarded by mu_.
+    /// Data-path clients built for the node so far; guarded by mu_.
+    uint64_t clients_made = 0;
     /// The detector's dedicated probe client; detector thread only.
     std::unique_ptr<rpc::RpcClient> probe;
     /// Rolling successful-read latencies (wall ms); internally locked.

@@ -20,11 +20,6 @@ struct QinDbOptions {
   /// mismatch fails the open rather than silently misrouting keys.
   uint32_t num_shards = 0;
 
-  /// AOF GC is deferred while reads are in flight, unless disk usage crosses
-  /// `gc_space_pressure` (fraction of device capacity). This is the paper's
-  /// "GC will be deferred if there are ongoing reads and free disk space".
-  double gc_space_pressure = 0.85;
-
   /// Periodic checkpointing ("the memtable ... is checkpointed
   /// periodically", Section 2.1): after this many ingested bytes a
   /// checkpoint is written automatically. Zero disables it. Sharded, each
@@ -55,7 +50,7 @@ struct QinDbStats {
   std::atomic<uint64_t> traceback_gets{0};  // GETs resolved via older versions.
   std::atomic<uint64_t> dels{0};
   std::atomic<uint64_t> gc_invocations{0};  // MaybeGc calls that collected.
-  std::atomic<uint64_t> gc_deferrals{0};    // Victims existed but GC deferred.
+  std::atomic<uint64_t> gc_deferrals{0};    // Lazy GC skipped: a session open.
 
   /// Application-level ingested bytes (keys + values of PUTs). This is the
   /// "User Write" of the paper's Figure 5.

@@ -157,8 +157,8 @@ Result<std::unique_ptr<QinDb>> QinDb::Open(ssd::SsdEnv* env,
     shard_options.aof.shared_gc_stats = &db->gc_stats_;
     // The cache budget is engine-wide; each shard governs its slice.
     shard_options.cache_bytes = db->options_.cache_bytes / num_shards;
-    Result<std::unique_ptr<Shard>> shard = Shard::Open(
-        env, shard_options, shard_id, &db->stats_, &db->reads_in_flight_);
+    Result<std::unique_ptr<Shard>> shard =
+        Shard::Open(env, shard_options, shard_id, &db->stats_);
     if (shard.ok()) {
       db->shards_[shard_id] = std::move(shard).value();
     } else {

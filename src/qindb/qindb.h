@@ -1,7 +1,6 @@
 #ifndef DIRECTLOAD_QINDB_QINDB_H_
 #define DIRECTLOAD_QINDB_QINDB_H_
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -50,8 +49,10 @@ namespace directload::qindb {
 /// Thread model: each shard serializes its mutations on its own write mutex
 /// (all at rank LockRank::kQinDbWrite — the rank checker's equal-rank
 /// rejection machine-enforces that no thread ever nests two shards' locks);
-/// reads take no engine lock. Cross-shard operations visit shards strictly
-/// one at a time, in ascending shard order. See docs/qindb_internals.md.
+/// a read holds only its shard's read/GC lock, shared, which keeps that
+/// shard's GC from moving the record it reads. Cross-shard operations visit
+/// shards strictly one at a time, in ascending shard order. See
+/// docs/qindb_internals.md.
 class QinDb {
  public:
   /// Opens (or recovers) an engine over `env`. The first open writes the
@@ -150,11 +151,12 @@ class QinDb {
   std::map<uint64_t, uint64_t> VersionCounts() const;
 
   /// Runs the lazy GC policy on every shard, one at a time: each collects
-  /// its victim segments (occupancy <= threshold) unless deferred by
-  /// ongoing reads with free space remaining.
+  /// its victim segments (occupancy <= threshold) unless a bulk-ingest
+  /// session is open on it. A collection waits only for the reads of its
+  /// own shard in flight.
   Status MaybeGc();
 
-  /// Collects all victims on all shards regardless of the deferral policy.
+  /// Collects all victims on all shards; Busy while a session is open.
   Status ForceGc();
 
   /// Seals each shard's active segment and persists per-shard checkpoints,
@@ -181,9 +183,10 @@ class QinDb {
   /// sorted memtable provides for free. A k-way merge over the per-shard
   /// scanners (shard key sets are disjoint, so the merge never ties): the
   /// stream is globally key-ordered exactly as the unsharded scanner was.
-  /// Each per-shard cursor pins the index that was current at construction;
-  /// keys inserted afterwards may not be visible, and values of pairs
-  /// deleted+collected concurrently may fail to read.
+  /// Each per-shard cursor walks the keys of the index that was current at
+  /// construction; keys inserted afterwards may not be visible. A value is
+  /// read through the live index: a pair deleted or collected since the
+  /// cursor reached it reads NotFound.
   class Scanner {
    public:
     bool Valid() const { return current_ != SIZE_MAX; }
@@ -214,29 +217,6 @@ class QinDb {
 
   /// Scanner over the state at `version` (UINT64_MAX = newest of each key).
   Scanner NewScanner(uint64_t version = UINT64_MAX);
-
-  /// RAII guard marking a logical read stream in flight (GC deferral).
-  /// Guards may be taken from any thread and may nest. The counter is
-  /// engine-wide: any in-flight read defers every shard's GC.
-  class ReadGuard {
-   public:
-    explicit ReadGuard(QinDb* db) : db_(db) {
-      db_->reads_in_flight_.fetch_add(1, std::memory_order_relaxed);
-    }
-    ~ReadGuard() {
-      db_->reads_in_flight_.fetch_sub(1, std::memory_order_relaxed);
-    }
-    ReadGuard(const ReadGuard&) = delete;
-    ReadGuard& operator=(const ReadGuard&) = delete;
-
-   private:
-    QinDb* db_;
-  };
-
-  /// Number of read streams currently in flight (GC deferral input).
-  int reads_in_flight() const {
-    return reads_in_flight_.load(std::memory_order_relaxed);
-  }
 
   /// True once a write-path failure (I/O error, corruption, or invariant
   /// violation while appending, checkpointing, or collecting) has forced
@@ -271,7 +251,9 @@ class QinDb {
 
   /// Pins one shard's current memtable index (default: shard 0 — THE
   /// memtable at num_shards=1). The pin keeps the index and its entries
-  /// alive across a concurrent GC rebuild, so live engines may walk it.
+  /// alive across a concurrent GC rebuild, so live engines may walk it;
+  /// a retired index's addresses are stale, so values are read through
+  /// Get, not through its entries.
   std::shared_ptr<const MemIndex> memtable(size_t shard = 0) const {
     return shards_[shard]->PinIndex();
   }
@@ -301,7 +283,6 @@ class QinDb {
   /// Facade-owned aggregates every shard updates through pointers.
   QinDbStats stats_;
   aof::GcStats gc_stats_;
-  std::atomic<int> reads_in_flight_{0};
 
   /// The shards, indexed by routing id. Immutable after Open.
   std::vector<std::unique_ptr<Shard>> shards_;

@@ -47,32 +47,11 @@ constexpr uint64_t kGroupMaxBytes = 1ull << 20;
 constexpr uint8_t kCkptDedup = 1u << 0;
 constexpr uint8_t kCkptDeleted = 1u << 1;
 
-// Lookups per Get/GetLatest. A version dropped while a read of it runs can
-// lose its record, or its referent's, to GC, and a lookup that a commit and
-// a drop overtake can miss every live version; so a failed lookup or read
-// looks the pair up again in the current index, which finds it gone or the
-// version that replaced it.
-constexpr int kMaxLookups = 3;
-
 std::string ShardLockName(const char* base, uint32_t shard_id) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%s/s%02u", base, shard_id);
   return buf;
 }
-
-/// RAII bump of the engine-wide reads-in-flight counter (GC deferral).
-/// Shard-internal readers (Get, Scrub, Scanner::value) count like facade
-/// ReadGuards so a shard's GC defers for reads against any shard.
-struct FlightGuard {
-  explicit FlightGuard(std::atomic<int>* counter) : counter_(counter) {
-    counter_->fetch_add(1, std::memory_order_relaxed);
-  }
-  ~FlightGuard() { counter_->fetch_sub(1, std::memory_order_relaxed); }
-  FlightGuard(const FlightGuard&) = delete;
-  FlightGuard& operator=(const FlightGuard&) = delete;
-
-  std::atomic<int>* counter_;
-};
 
 uint64_t EntryExtent(const MemEntry* e) {
   return aof::RecordExtent(e->key_size,
@@ -228,7 +207,7 @@ struct Shard::CommitTally {
 };
 
 Shard::Shard(ssd::SsdEnv* env, const QinDbOptions& options, uint32_t shard_id,
-             QinDbStats* stats, std::atomic<int>* reads_in_flight)
+             QinDbStats* stats)
     : env_(env),
       options_(options),
       shard_id_(shard_id),
@@ -236,30 +215,24 @@ Shard::Shard(ssd::SsdEnv* env, const QinDbOptions& options, uint32_t shard_id,
       checkpoint_temp_(options.aof.file_prefix + kCheckpointTemp),
       write_name_(ShardLockName("qindb-write", shard_id)),
       queue_name_(ShardLockName("qindb-batch-queue", shard_id)),
-      pin_name_(ShardLockName("qindb-pin", shard_id)),
+      read_gc_name_(ShardLockName("qindb-read-gc", shard_id)),
       write_mutex_(LockRank::kQinDbWrite, write_name_.c_str()),
       batch_mu_(LockRank::kQinDbBatchQueue, queue_name_.c_str()),
-      pin_mu_(LockRank::kQinDbPin, pin_name_.c_str()),
+      read_gc_mu_(LockRank::kQinDbReadGc, read_gc_name_.c_str()),
+      mem_(std::make_shared<MemIndex>()),
       cache_(options.cache_bytes > 0
                  ? std::make_unique<BlockCache>(options.cache_bytes, shard_id)
                  : nullptr),
-      stats_(stats),
-      reads_in_flight_(reads_in_flight) {}
+      stats_(stats) {}
 
 Result<std::unique_ptr<Shard>> Shard::Open(ssd::SsdEnv* env,
                                            const QinDbOptions& options,
                                            uint32_t shard_id,
-                                           QinDbStats* stats,
-                                           std::atomic<int>* reads_in_flight) {
-  std::unique_ptr<Shard> shard(
-      new Shard(env, options, shard_id, stats, reads_in_flight));
+                                           QinDbStats* stats) {
+  std::unique_ptr<Shard> shard(new Shard(env, options, shard_id, stats));
   // Nothing else can reach the shard yet; hold the write mutex anyway so
   // the recovery helpers see their capability held.
   MutexLock lock(&shard->write_mutex_);
-  {
-    MutexLock pin(&shard->pin_mu_);
-    shard->mem_ = std::make_shared<MemIndex>();
-  }
 
   std::map<uint32_t, aof::SegmentMeta> metas;
   uint32_t next_segment = 0;
@@ -291,12 +264,12 @@ Result<std::unique_ptr<Shard>> Shard::Open(ssd::SsdEnv* env,
 }
 
 std::shared_ptr<const MemIndex> Shard::PinIndex() const {
-  MutexLock lock(&pin_mu_);
+  ReaderLock lock(&read_gc_mu_);
   return mem_;
 }
 
 MemIndex* Shard::CurrentIndex() const {
-  MutexLock lock(&pin_mu_);
+  ReaderLock lock(&read_gc_mu_);
   return mem_.get();
 }
 
@@ -320,8 +293,8 @@ Status Shard::NoteWriteError(Status s) {
 
 Result<ScrubReport> Shard::Scrub() {
   ScrubReport report;
-  FlightGuard guard(reads_in_flight_);  // Scrubbing is an ongoing read.
-  const std::shared_ptr<const MemIndex> index = PinIndex();
+  ReaderLock read(&read_gc_mu_);
+  const MemIndex* index = mem_.get();
   for (MemIndex::Iterator it = index->NewIterator(); it.Valid(); it.Next()) {
     MemEntry* entry = it.entry();
     ++report.entries_checked;
@@ -397,16 +370,20 @@ void Shard::Scanner::FindVisibleEntry() {
 
 Result<std::string> Shard::Scanner::value() const {
   if (!valid_) return Status::InvalidArgument("scanner not positioned");
-  FlightGuard guard(shard_->reads_in_flight_);
-  return shard_->ReadPairValue(*index_, current_);
+  // The walked index may be stale: read the pair as the live index has it.
+  ReaderLock read(&shard_->read_gc_mu_);
+  const MemEntry* entry = shard_->mem_->FindExact(key(), version());
+  if (entry == nullptr || entry->deleted) {
+    return Status::NotFound("pair deleted since the scan reached it");
+  }
+  return shard_->ReadPairValue(entry);
 }
 
-Result<std::string> Shard::ReadPairValue(const MemIndex& index,
-                                         const MemEntry* entry) {
+Result<std::string> Shard::ReadPairValue(const MemEntry* entry) {
   if (entry->dedup) {
     // The value field was removed by Bifrost: traceback to the newest
     // older version that still carries one (Figure 2, bottom right).
-    entry = index.TracebackValue(entry->user_key(), entry->version);
+    entry = mem_->TracebackValue(entry->user_key(), entry->version);
     if (entry == nullptr) {
       return Status::Corruption(
           "deduplicated pair with no value-bearing older version");
@@ -416,89 +393,63 @@ Result<std::string> Shard::ReadPairValue(const MemIndex& index,
 }
 
 Result<std::string> Shard::ReadEntryValue(const MemEntry* entry) {
-  constexpr int kMaxAttempts = 8;
-  Status last = Status::Aborted("record kept moving during read");
-  for (int attempt = 0; attempt < kMaxAttempts; ++attempt) {
-    const uint64_t epoch = gc_epoch_.load(std::memory_order_acquire);
-    const uint64_t address = entry->address.load(std::memory_order_acquire);
-    const uint32_t value_size =
-        entry->value_size.load(std::memory_order_acquire);
-    if (cache_ != nullptr) {
-      DIRECTLOAD_FAILPOINT(fp_cache_lookup);
-      std::string cached;
-      if (cache_->Lookup(address, entry->user_key(), entry->version,
-                         &cached)) {
-        return cached;
-      }
+  // GC cannot move or erase the record while read_gc_mu_ is held. A re-PUT
+  // may move `address` and `value_size` apart, so the size is only a hint:
+  // the record's own header gives its length.
+  const uint64_t address = entry->address.load(std::memory_order_acquire);
+  const uint32_t value_size = entry->value_size.load(std::memory_order_acquire);
+  if (cache_ != nullptr) {
+    DIRECTLOAD_FAILPOINT(fp_cache_lookup);
+    std::string cached;
+    if (cache_->Lookup(address, entry->user_key(), entry->version, &cached)) {
+      return cached;
     }
-    aof::RecordView view;
-    Status s = aof_->ReadRecord(aof::RecordAddress::Unpack(address),
-                                aof::RecordExtent(entry->key_size, value_size),
-                                &view);
-    if (s.ok()) {
-      if (view.key == entry->user_key() &&
-          view.header.version == entry->version) {
-        if (cache_ != nullptr) {
-          bool fill = true;
-#if DIRECTLOAD_FAILPOINTS_COMPILED
-          if (fp_cache_insert->armed() &&
-              !fp_cache_insert->MaybeFail().ok()) {
-            fill = false;  // Injected: serve the value, skip the fill.
-          }
-#endif
-          if (fill) {
-            cache_->Insert(address, view.key, entry->version, view.value);
-          }
-        }
-        return view.value.ToString();
-      }
-      s = Status::Internal("memtable offset points at the wrong record");
-    }
-    // A failed read may have raced a GC relocation of the record or a re-PUT
-    // superseding it (address/value_size observed torn). Retry when either
-    // signal moved; otherwise the failure is real.
-    if (entry->address.load(std::memory_order_acquire) == address &&
-        gc_epoch_.load(std::memory_order_acquire) == epoch) {
-      return s;
-    }
-    last = s;
   }
-  return last;
+  aof::RecordView view;
+  Status s = aof_->ReadRecord(aof::RecordAddress::Unpack(address),
+                              aof::RecordExtent(entry->key_size, value_size),
+                              &view);
+  if (!s.ok()) return s;
+  if (view.key != entry->user_key() || view.header.version != entry->version) {
+    return Status::Internal("memtable offset points at the wrong record");
+  }
+  if (cache_ != nullptr) {
+    bool fill = true;
+#if DIRECTLOAD_FAILPOINTS_COMPILED
+    if (fp_cache_insert->armed() && !fp_cache_insert->MaybeFail().ok()) {
+      fill = false;  // Injected: serve the value, skip the fill.
+    }
+#endif
+    if (fill) cache_->Insert(address, view.key, entry->version, view.value);
+  }
+  return view.value.ToString();
 }
 
 Result<std::string> Shard::Get(const Slice& key, uint64_t version) {
   ++stats_->gets;
-  FlightGuard guard(reads_in_flight_);
-  Result<std::string> value = Status::NotFound("no such key/version");
-  for (int lookup = 0; lookup < kMaxLookups; ++lookup) {
-    const std::shared_ptr<const MemIndex> index = PinIndex();
-    MemEntry* entry = index->FindExact(key, version);
-    if (entry == nullptr || entry->deleted) {
-      return Status::NotFound("no such key/version");
-    }
-    if (entry->dedup) ++stats_->traceback_gets;
-    value = ReadPairValue(*index, entry);
-    if (value.ok()) break;
+  ReaderLock read(&read_gc_mu_);
+  const MemEntry* entry = mem_->FindExact(key, version);
+  if (entry == nullptr || entry->deleted) {
+    return Status::NotFound("no such key/version");
   }
-  return value;
+  if (entry->dedup) ++stats_->traceback_gets;
+  return ReadPairValue(entry);
 }
 
 Result<std::string> Shard::GetLatest(const Slice& key) {
   ++stats_->gets;
-  FlightGuard guard(reads_in_flight_);
-  Result<std::string> value = Status::NotFound("no live version");
-  for (int lookup = 0; lookup < kMaxLookups; ++lookup) {
-    const std::shared_ptr<const MemIndex> index = PinIndex();
-    MemEntry* entry = index->FindLatestLive(key);
-    if (entry == nullptr) {
-      value = Status::NotFound("no live version");
-      continue;
-    }
-    if (entry->dedup) ++stats_->traceback_gets;
-    value = ReadPairValue(*index, entry);
-    if (value.ok()) break;
+  ReaderLock read(&read_gc_mu_);
+  // Writers do not wait for readers: a commit and a drop can both land
+  // while a walk that skips deleted versions runs, and leave it past every
+  // live version. The key's newest entry then changed, so walk again.
+  const MemEntry* newest = nullptr;
+  const MemEntry* entry = mem_->FindLatestLive(key, &newest);
+  while (entry != newest && mem_->FindLatest(key) != newest) {
+    entry = mem_->FindLatestLive(key, &newest);
   }
-  return value;
+  if (entry == nullptr) return Status::NotFound("no live version");
+  if (entry->dedup) ++stats_->traceback_gets;
+  return ReadPairValue(entry);
 }
 
 // ---------------------------------------------------------------------------
@@ -1014,14 +965,6 @@ Status Shard::MaybeGcLocked() {
     return Status::OK();
   }
   if (aof_->GcVictims().empty()) return Status::OK();
-  if (reads_in_flight_->load(std::memory_order_relaxed) > 0) {
-    const double usage = static_cast<double>(env_->TotalFileBytes()) /
-                         static_cast<double>(env_->CapacityBytes());
-    if (usage < options_.gc_space_pressure) {
-      ++stats_->gc_deferrals;
-      return Status::OK();
-    }
-  }
   // GC rewrites live records; a failure partway through can leave a victim
   // half-relocated, so it degrades the engine like any other write fault.
   return NoteWriteError(CollectVictimsLocked());
@@ -1053,33 +996,18 @@ Status Shard::CollectVictimsLocked() {
   // sweep in tests/chaos_test.cc exercises exactly these windows.)
   if (Status s = InvalidateCheckpoint(); !s.ok()) return s;
 
-  // The callbacks below run with the AOF manager's lock held exclusively,
-  // so they must not re-enter the manager and must not take pin_mu_ (the
-  // rank order allows it, but the analysis cannot see into lambdas): the
-  // live index is captured up front. It cannot be retired mid-collection
-  // because only this function retires indices, under write_mutex_.
+  // The callbacks below run with read_gc_mu_ and the AOF manager's lock
+  // held exclusively, so they must re-enter neither: the live index is
+  // captured up front. It cannot be swapped mid-collection because only
+  // this function swaps indices, under write_mutex_.
   MemIndex* live = CurrentIndex();
   BlockCache* cache = cache_.get();
   const uint32_t oldest = aof_->SegmentMetas().begin()->first;
 
-  // Snapshot the retired indices still pinned by readers: relocations must
-  // patch their entries too, or a pinned snapshot would keep chasing
-  // addresses inside segments that no longer exist.
-  std::vector<std::shared_ptr<MemIndex>> retired;
-  {
-    MutexLock pin_lock(&pin_mu_);
-    retired.reserve(retired_.size());
-    for (auto it = retired_.begin(); it != retired_.end();) {
-      if (std::shared_ptr<MemIndex> idx = it->lock()) {
-        retired.push_back(std::move(idx));
-        ++it;
-      } else {
-        it = retired_.erase(it);  // No pinned reader left.
-      }
-    }
-  }
-
   for (uint32_t id : victims) {
+    // No read of this shard is between its index lookup and its record
+    // bytes while a victim's records move, drop and go with their segment.
+    WriterLock collect(&read_gc_mu_);
     Status s = aof_->CollectSegment(
         id,
         /*classify=*/
@@ -1116,29 +1044,21 @@ Status Shard::CollectVictimsLocked() {
           return IsReferentIn(*live, rec.key, rec.header.version);
         },
         /*relocate=*/
-        [live, &retired, cache](const aof::RecordAddress& old_addr,
-                                const aof::RecordAddress& new_addr,
-                                const aof::RecordView& rec) {
+        [live, cache](const aof::RecordAddress& old_addr,
+                      const aof::RecordAddress& new_addr,
+                      const aof::RecordView& rec) {
           // Tombstones and markers have no memtable item to patch.
           if (rec.is_tombstone() || rec.is_marker()) return;
-          const uint64_t old_packed = old_addr.Pack();
           const uint64_t new_packed = new_addr.Pack();
           if (cache != nullptr) {
             // The bytes are identical at the new address: move the cached
             // copy instead of losing it (stale-address entries would miss
             // forever — addresses are never reused).
-            cache->Rekey(old_packed, new_packed);
+            cache->Rekey(old_addr.Pack(), new_packed);
           }
           MemEntry* entry = live->FindExact(rec.key, rec.header.version);
           if (entry != nullptr) {
             entry->address.store(new_packed, std::memory_order_release);
-          }
-          for (const auto& idx : retired) {
-            MemEntry* ghost = idx->FindExact(rec.key, rec.header.version);
-            if (ghost != nullptr &&
-                ghost->address.load(std::memory_order_acquire) == old_packed) {
-              ghost->address.store(new_packed, std::memory_order_release);
-            }
           }
         },
         /*drop=*/
@@ -1159,24 +1079,20 @@ Status Shard::CollectVictimsLocked() {
           }
         });
     if (!s.ok()) return s;
-    // Readers whose record read failed mid-collection use the epoch bump as
-    // the signal to retry against the patched addresses.
-    gc_epoch_.fetch_add(1, std::memory_order_release);
   }
   ++stats_->gc_invocations;
 
   // The skip list never physically unlinks nodes; once purged ghosts
   // dominate, rebuild a dense index so memory stays proportional to live
-  // entries (Section 2.1's "sufficient memory space" invariant). Pinned
-  // readers keep the retired index alive via their refcount; it is freed
-  // when the last of them drops its pin.
+  // entries (Section 2.1's "sufficient memory space" invariant). Snapshots
+  // keep the retired index's keys walkable; it is freed, outside the lock,
+  // when the last of them lets go.
   if (live->total_count() > 4096 &&
       live->live_count() * 2 < live->total_count()) {
-    auto fresh = std::make_shared<MemIndex>();
-    live->CompactInto(fresh.get());
-    MutexLock pin_lock(&pin_mu_);
-    retired_.push_back(mem_);
-    mem_ = std::move(fresh);
+    std::shared_ptr<MemIndex> retired = std::make_shared<MemIndex>();
+    live->CompactInto(retired.get());
+    WriterLock swap(&read_gc_mu_);
+    mem_.swap(retired);
   }
 
   return Status::OK();

@@ -43,27 +43,29 @@ struct IngestOp {
 /// engine; the QinDb facade routes keys to shards, splits WriteBatches into
 /// per-shard sub-batches, and stitches results back together.
 ///
-/// Thread model (unchanged from the unsharded engine): mutations are
-/// serialized on write_mutex_ (rank LockRank::kQinDbWrite); reads take no
-/// engine lock — they pin the current memtable index via the leaf pin_mu_
-/// (rank LockRank::kQinDbPin), traverse the skip list lock-free, and read
-/// sealed AOF bytes under the AOF manager's shared lock. Every shard's locks
-/// carry the same ranks with per-shard names; the rank checker rejects
-/// equal-rank nesting, so it machine-enforces the sharding discipline that
-/// no thread ever holds one shard's lock while acquiring another shard's.
-/// Cross-shard operations (facade Write, Checkpoint, GC, Scrub) visit shards
-/// strictly one at a time. See docs/qindb_internals.md.
+/// Thread model: mutations are serialized on write_mutex_ (rank
+/// LockRank::kQinDbWrite). A read holds read_gc_mu_ (rank
+/// LockRank::kQinDbReadGc) shared from its index lookup to its record
+/// bytes; GC holds it exclusively while it moves, purges or erases records
+/// and while it swaps in a rebuilt index, so a read's record never moves
+/// under it and no read retries. Writers do not exclude readers: the skip
+/// list is lock-free, and a read racing a re-PUT reads the old record or
+/// the new one whole. Every shard's locks carry the same ranks with
+/// per-shard names; the rank checker rejects equal-rank nesting, so it
+/// machine-enforces the sharding discipline that no thread ever holds one
+/// shard's lock while acquiring another shard's. Cross-shard operations
+/// (facade Write, Checkpoint, GC, Scrub) visit shards strictly one at a
+/// time. See docs/qindb_internals.md.
 class Shard {
  public:
   /// Opens (or recovers) one shard over `env`. `options.aof.file_prefix`
-  /// namespaces this shard's files; `options.aof.shared_gc_stats`, `stats`
-  /// and `reads_in_flight` point at facade-owned aggregates shared by all
-  /// shards (they must outlive the shard).
+  /// namespaces this shard's files; `options.aof.shared_gc_stats` and
+  /// `stats` point at facade-owned aggregates shared by all shards (they
+  /// must outlive the shard).
   static Result<std::unique_ptr<Shard>> Open(ssd::SsdEnv* env,
                                              const QinDbOptions& options,
                                              uint32_t shard_id,
-                                             QinDbStats* stats,
-                                             std::atomic<int>* reads_in_flight);
+                                             QinDbStats* stats);
 
   Shard(const Shard&) = delete;
   Shard& operator=(const Shard&) = delete;
@@ -139,26 +141,29 @@ class Shard {
 
   /// GET(k/t): the value of `key` at exactly `version`, tracing back through
   /// older versions when the pair was deduplicated.
-  Result<std::string> Get(const Slice& key, uint64_t version);
+  Result<std::string> Get(const Slice& key, uint64_t version)
+      EXCLUDES(read_gc_mu_);
 
   /// The value of the newest non-deleted version of `key`.
-  Result<std::string> GetLatest(const Slice& key);
+  Result<std::string> GetLatest(const Slice& key) EXCLUDES(read_gc_mu_);
 
   /// Live (non-deleted) pair counts per version within this shard.
   std::map<uint64_t, uint64_t> VersionCounts() const;
 
   /// Runs the lazy GC policy: collects victim segments (occupancy <=
-  /// threshold) unless deferred by ongoing reads with free space remaining.
+  /// threshold) unless a bulk-ingest session is open. Each victim's
+  /// collection waits for the reads of this shard in flight.
   Status MaybeGc() EXCLUDES(write_mutex_);
 
-  /// Collects all victims regardless of the deferral policy.
+  /// Collects all victims, or answers Busy while a session is open.
   Status ForceGc() EXCLUDES(write_mutex_);
 
   /// Seals the active segment and persists this shard's checkpoint.
   Status Checkpoint() EXCLUDES(write_mutex_);
 
-  /// Integrity scrub of this shard's entries (see qindb/options.h).
-  Result<ScrubReport> Scrub();
+  /// Integrity scrub of this shard's entries (see qindb/options.h). Holds
+  /// read_gc_mu_ shared for the whole walk.
+  Result<ScrubReport> Scrub() EXCLUDES(read_gc_mu_);
 
   /// Ordered range scan over the live pairs of one version within this
   /// shard. The facade's scanner merges the per-shard scanners into one
@@ -172,7 +177,9 @@ class Shard {
     void Next();
     Slice key() const { return current_->user_key(); }
     uint64_t version() const { return current_->version; }
-    /// Reads the value (possibly via traceback). Device I/O happens here.
+    /// Reads the value (possibly via traceback) of the pair in the live
+    /// index; NotFound if it was deleted or collected since the scan
+    /// reached it. Device I/O happens here.
     Result<std::string> value() const;
 
    private:
@@ -183,7 +190,9 @@ class Shard {
 
     Shard* shard_;
     uint64_t version_;
-    std::shared_ptr<const MemIndex> index_;  // Keeps entries alive across GC.
+    /// The index the scan walks. Only its keys are read: a GC rebuild may
+    /// retire it, and its entries' addresses then go stale.
+    std::shared_ptr<const MemIndex> index_;
     MemIndex::Iterator it_;
     MemEntry* current_ = nullptr;
     bool valid_ = false;
@@ -203,7 +212,7 @@ class Shard {
 
  private:
   Shard(ssd::SsdEnv* env, const QinDbOptions& options, uint32_t shard_id,
-        QinDbStats* stats, std::atomic<int>* reads_in_flight);
+        QinDbStats* stats);
 
   Status RecoverFromScan(uint32_t min_segment) REQUIRES(write_mutex_);
   Status LoadCheckpoint(const std::string& name, bool* loaded,
@@ -212,23 +221,25 @@ class Shard {
   Status ApplyCheckpointEntries() REQUIRES(write_mutex_);
   Status InvalidateCheckpoint() REQUIRES(write_mutex_);
 
-  /// Takes a refcount on the current index so its entries (and arena) stay
-  /// alive even if GC swaps in a rebuilt index meanwhile.
-  std::shared_ptr<const MemIndex> PinIndex() const EXCLUDES(pin_mu_);
+  /// A snapshot of the current index for walking its keys (scanners,
+  /// counts, QinDb::memtable()). Its entries stay alive after a GC rebuild
+  /// retires it, but their addresses are no longer patched: record bytes
+  /// are read only through the live index under read_gc_mu_.
+  std::shared_ptr<const MemIndex> PinIndex() const EXCLUDES(read_gc_mu_);
 
   /// The raw current-index pointer, for mutators running under
-  /// write_mutex_: takes pin_mu_ only for the pointer copy, and the index
-  /// stays alive because only CollectVictimsLocked — itself serialized on
-  /// write_mutex_ — retires indices.
-  MemIndex* CurrentIndex() const EXCLUDES(pin_mu_);
+  /// write_mutex_: takes read_gc_mu_ only for the pointer copy, and the
+  /// index stays current because only CollectVictimsLocked — itself
+  /// serialized on write_mutex_ — swaps indices.
+  MemIndex* CurrentIndex() const EXCLUDES(read_gc_mu_);
 
-  /// Reads the value bytes of a memtable entry's record, retrying when the
-  /// record was relocated by GC or superseded by a re-PUT mid-read.
-  Result<std::string> ReadEntryValue(const MemEntry* entry);
-  /// The value of a pair in `index`: a deduplicated pair's comes from the
-  /// older version it traces back to.
-  Result<std::string> ReadPairValue(const MemIndex& index,
-                                    const MemEntry* entry);
+  /// Reads the value bytes of a live entry's record.
+  Result<std::string> ReadEntryValue(const MemEntry* entry)
+      REQUIRES_SHARED(read_gc_mu_);
+  /// The value of a live pair: a deduplicated pair's comes from the older
+  /// version it traces back to.
+  Result<std::string> ReadPairValue(const MemEntry* entry)
+      REQUIRES_SHARED(read_gc_mu_);
 
   /// Routes a mutation-path status: failures that can leave the log or its
   /// accounting torn (kIOError/kCorruption/kInternal) trip degraded mode.
@@ -278,7 +289,7 @@ class Shard {
   /// construction.
   const std::string write_name_;
   const std::string queue_name_;
-  const std::string pin_name_;
+  const std::string read_gc_name_;
 
   /// Serializes all mutations on THIS shard. Same rank as every other
   /// shard's write mutex (LockRank::kQinDbWrite): the rank checker's
@@ -299,18 +310,16 @@ class Shard {
   CondVar batch_cv_{&batch_mu_};
   std::deque<PendingWrite*> write_queue_ GUARDED_BY(batch_mu_);
 
-  /// Guards the mem_ pointer itself (not the index contents). Readers take
-  /// it briefly to copy the shared_ptr; GC takes it to swap in a rebuild.
-  /// Leaf lock (LockRank::kQinDbPin): taken under write_mutex_, under the
-  /// AOF manager's lock (GC classify callbacks), or standalone by readers.
-  mutable Mutex pin_mu_;
-  std::shared_ptr<MemIndex> mem_ GUARDED_BY(pin_mu_);
-  /// Indices retired by GC rebuilds that pinned readers may still traverse.
-  /// Relocations patch these too so stale snapshots keep resolving reads.
-  std::vector<std::weak_ptr<MemIndex>> retired_ GUARDED_BY(pin_mu_);
+  /// The read/GC lock (LockRank::kQinDbReadGc). Shared: one read, from
+  /// its index lookup to its record bytes. Exclusive: GC's collection of
+  /// one victim segment, and its swap of `mem_` for a rebuilt index.
+  mutable SharedMutex read_gc_mu_;
+  /// The live index. A shared_ptr only so that PinIndex snapshots keep a
+  /// retired index's keys walkable.
+  std::shared_ptr<MemIndex> mem_ GUARDED_BY(read_gc_mu_);
 
-  // Mutators reach it under write_mutex_, but readers (Get traceback,
-  // scans) call it with no shard lock at all — the manager is internally
+  // Mutators reach it under write_mutex_, reads under read_gc_mu_ and the
+  // stats with no shard lock at all — the manager is internally
   // synchronized (LockRank::kAofManager), so a GUARDED_BY here would be
   // wrong, not just noisy.
   std::unique_ptr<aof::AofManager> aof_;  // dl-lint: ignore(guarded-by-coverage)
@@ -321,9 +330,8 @@ class Shard {
   /// lock alike.
   std::unique_ptr<BlockCache> cache_;  // dl-lint: ignore(guarded-by-coverage)
 
-  /// Facade-owned aggregates shared by all shards.
+  /// Facade-owned aggregate shared by all shards.
   QinDbStats* const stats_;
-  std::atomic<int>* const reads_in_flight_;
 
   /// Per-shard counters behind StatsSnapshot (the aggregate lives in
   /// *stats_).
@@ -333,9 +341,6 @@ class Shard {
 
   /// Set by NoteWriteError, never cleared in-process; see degraded().
   std::atomic<bool> degraded_{false};
-  /// Bumped whenever GC relocates records; readers use it to detect that a
-  /// failed record read raced a collection and should be retried.
-  std::atomic<uint64_t> gc_epoch_{0};
   uint64_t bytes_at_last_checkpoint_ GUARDED_BY(write_mutex_) = 0;
   bool checkpoint_valid_ GUARDED_BY(write_mutex_) = false;
   /// Deserialized entries awaiting apply.

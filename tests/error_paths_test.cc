@@ -3,8 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <memory>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "aof/aof_manager.h"
 #include "bifrost/wire/slice_codec.h"
@@ -183,40 +186,6 @@ TEST_F(QinDbErrorTest, EmptyStoreBehaviors) {
   EXPECT_TRUE(reopened.ok());  // ...and recoverable.
 }
 
-TEST_F(QinDbErrorTest, ReadGuardsNest) {
-  {
-    qindb::QinDb::ReadGuard outer(db_.get());
-    {
-      qindb::QinDb::ReadGuard inner(db_.get());
-    }
-    // Still guarded: deferral logic counts outstanding guards.
-    ASSERT_TRUE(db_->Put("k", 1, "v").ok());
-  }
-  ASSERT_TRUE(db_->MaybeGc().ok());
-}
-
-TEST_F(QinDbErrorTest, SpacePressureOverridesReadDeferral) {
-  // With gc_space_pressure = 0, GC runs even while reads are in flight.
-  qindb::QinDbOptions options;
-  options.num_shards = 1;
-  options.aof.segment_bytes = 16 << 10;
-  options.gc_space_pressure = 0.0;
-  SimClock clock;
-  auto env = NewSsdEnv(ssd::InterfaceMode::kNativeBlock, SmallGeometry(),
-                       ssd::LatencyModel(), &clock);
-  auto db = std::move(qindb::QinDb::Open(env.get(), options)).value();
-  for (int i = 0; i < 30; ++i) {
-    ASSERT_TRUE(
-        db->Put("k" + std::to_string(i), 1, std::string(2000, 'v')).ok());
-  }
-  qindb::QinDb::ReadGuard guard(db.get());
-  for (int i = 0; i < 30; ++i) {
-    ASSERT_TRUE(db->Del("k" + std::to_string(i), 1).ok());
-  }
-  EXPECT_GT(db->gc_stats().segments_reclaimed, 0u);
-  EXPECT_EQ(db->stats().gc_deferrals, 0u);
-}
-
 TEST_F(QinDbErrorTest, DegradedReadOnlyModeAfterInjectedWriteFailure) {
   if (!failpoint::kCompiledIn) {
     GTEST_SKIP() << "failpoint sites not compiled in (DIRECTLOAD_FAILPOINTS)";
@@ -271,6 +240,82 @@ TEST_F(QinDbErrorTest, NoSpaceDoesNotDegrade) {
   EXPECT_TRUE(s.IsNoSpace()) << s.ToString();
   EXPECT_FALSE(db_->degraded());
   EXPECT_TRUE(db_->Put("k1", 1, "v1").ok());
+}
+
+// A read holds only its own shard's read/GC lock, from its index lookup to
+// its record bytes. Paused there (inside the cache lookup), it leaves
+// another shard's lazy GC free to collect, and a collection of the segment
+// it reads waits for it instead of moving the record away.
+TEST(QinDbReadGcTest, PausedReadHoldsOffOnlyItsOwnShardsGc) {
+  if (!failpoint::kCompiledIn) {
+    GTEST_SKIP() << "failpoint sites not compiled in (DIRECTLOAD_FAILPOINTS)";
+  }
+  using Clock = std::chrono::steady_clock;
+  failpoint::Registry& reg = failpoint::Registry::Instance();
+  failpoint::FailPoint* pause = reg.Register("cache_lookup");
+  SimClock clock;
+  auto env = NewSsdEnv(ssd::InterfaceMode::kNativeBlock, SmallGeometry(),
+                       ssd::LatencyModel(), &clock);
+  qindb::QinDbOptions options;
+  options.num_shards = 2;
+  options.aof.segment_bytes = 16 << 10;
+  options.cache_bytes = 1 << 20;  // The pause point is the cache lookup.
+  auto db = std::move(qindb::QinDb::Open(env.get(), options)).value();
+  const std::string value(2000, 'v');
+  std::vector<std::string> keys[2];
+  for (int i = 0; keys[0].size() < 24 || keys[1].size() < 24; ++i) {
+    const std::string key = "k" + std::to_string(i);
+    std::vector<std::string>& shard_keys = keys[db->ShardOf(key)];
+    if (shard_keys.size() == 24) continue;
+    shard_keys.push_back(key);
+    ASSERT_TRUE(db->Put(key, 1, value).ok());
+  }
+  // Shard 0 keeps one live pair; every other record of it is garbage, so
+  // once sealed, the segment holding that pair is a victim.
+  const std::string& read_key = keys[0].front();
+  for (size_t i = 1; i < keys[0].size(); ++i) {
+    ASSERT_TRUE(db->Del(keys[0][i], 1).ok());
+  }
+  ASSERT_TRUE(db->SealActive().ok());
+
+  Result<std::string> read = Status::Internal("not read");
+  auto paused_read = [&](int delay_ms) {
+    const uint64_t hits = pause->hits();
+    EXPECT_TRUE(reg.Activate("cache_lookup",
+                             "1*delay(" + std::to_string(delay_ms) + ")")
+                    .ok());
+    std::thread reader([&] { read = db->Get(read_key, 1); });
+    while (pause->hits() == hits) std::this_thread::yield();
+    return reader;
+  };
+
+  // Lazy GC on shard 1, at its DELs' write boundaries, while the read on
+  // shard 0 is paused.
+  std::thread reader = paused_read(1500);
+  const uint64_t reclaimed = db->gc_stats().segments_reclaimed;
+  for (const std::string& key : keys[1]) EXPECT_TRUE(db->Del(key, 1).ok());
+  EXPECT_GT(db->gc_stats().segments_reclaimed, reclaimed);
+  EXPECT_EQ(db->stats().gc_deferrals, 0u);
+  reader.join();
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_EQ(*read, value);
+
+  // Collecting shard 0's victims, the read's own segment among them, waits
+  // until the paused read has its bytes.
+  constexpr int kPauseMs = 1000;
+  const Clock::time_point start = Clock::now();
+  reader = paused_read(kPauseMs);
+  const uint64_t before_gc = db->gc_stats().segments_reclaimed;
+  const Status gc = db->ForceGc();
+  const Clock::duration waited = Clock::now() - start;
+  reader.join();
+  reg.DeactivateAll();
+  ASSERT_TRUE(gc.ok()) << gc.ToString();
+  EXPECT_GT(db->gc_stats().segments_reclaimed, before_gc);
+  EXPECT_GE(waited, std::chrono::milliseconds(kPauseMs));
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_EQ(*read, value);
+  EXPECT_EQ(*db->Get(read_key, 1), value);
 }
 
 TEST(QinDbBulkErrorTest, FailedBeginLeavesNoSessionOnAnyShard) {

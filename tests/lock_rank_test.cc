@@ -28,19 +28,22 @@ static_assert(sizeof(SharedMutex) == sizeof(std::shared_mutex),
 #endif
 
 TEST(LockRankTest, OrderedAcquisitionSucceeds) {
-  // The full documented chain, in rank order, nested like a mutator's
-  // deepest path (engine write lock -> AOF -> reader creation -> env).
+  // The full documented chain, in rank order, nested like GC's deepest
+  // path (engine write lock -> read/GC lock -> AOF -> reader creation ->
+  // env -> the cache re-key of a relocated record).
   Mutex write(LockRank::kQinDbWrite, "qindb-write");
+  SharedMutex read_gc(LockRank::kQinDbReadGc, "qindb-read-gc");
   SharedMutex aof(LockRank::kAofManager, "aof-mu");
   Mutex readers(LockRank::kAofReaders, "aof-readers");
   Mutex env(LockRank::kSsdEnv, "ssd-env");
-  Mutex pin(LockRank::kQinDbPin, "qindb-pin");
+  Mutex cache(LockRank::kQinDbBlockCache, "qindb-cache");
   {
     MutexLock l1(&write);
-    WriterLock l2(&aof);
-    MutexLock l3(&readers);
-    MutexLock l4(&env);
-    MutexLock l5(&pin);
+    WriterLock l2(&read_gc);
+    WriterLock l3(&aof);
+    MutexLock l4(&readers);
+    MutexLock l5(&env);
+    MutexLock l6(&cache);
   }
   // Re-acquirable after release, and a fresh thread starts with an empty
   // held stack.
@@ -58,11 +61,14 @@ TEST(LockRankTest, SharedThenHigherExclusiveSucceeds) {
 
 TEST(LockRankTest, SequentialReleaseThenLowerRankSucceeds) {
   // Taking a high rank, releasing it, then a lower rank is legal — the
-  // checker constrains nesting, not program order. (QinDb::Get pins the
-  // index under pin_mu_, releases it, then reads under the AOF lock.)
-  Mutex pin(LockRank::kQinDbPin, "qindb-pin");
+  // checker constrains nesting, not program order. (A read under the
+  // read/GC lock misses the block cache, releases the stripe, then reads
+  // under the AOF lock.)
+  SharedMutex read_gc(LockRank::kQinDbReadGc, "qindb-read-gc");
+  Mutex cache(LockRank::kQinDbBlockCache, "qindb-cache");
   SharedMutex aof(LockRank::kAofManager, "aof-mu");
-  { MutexLock l(&pin); }
+  ReaderLock read(&read_gc);
+  { MutexLock l(&cache); }
   ReaderLock r(&aof);
 }
 

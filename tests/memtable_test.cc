@@ -202,6 +202,16 @@ TEST(MemIndexTest, NewestFirstLookupsStopAtTheNearestVersion) {
   index.FindExact("k", 9)->deleted.store(true);
   EXPECT_EQ(index.FindLatestLive("k")->version, 5u);
   EXPECT_EQ(index.FindNextNewer("k", 5)->version, 9u);
+  // The live lookup also reports the newest entry it walked past, deleted
+  // or not, so a caller can tell whether a newer version landed since.
+  const MemEntry* newest = nullptr;
+  EXPECT_EQ(index.FindLatestLive("k", &newest)->version, 5u);
+  EXPECT_EQ(newest, index.FindLatest("k"));
+  index.Purge(index.FindExact("k", 9));
+  EXPECT_EQ(index.FindLatestLive("k", &newest)->version, 5u);
+  EXPECT_EQ(newest->version, 5u);
+  EXPECT_EQ(index.FindLatestLive("missing", &newest), nullptr);
+  EXPECT_EQ(newest, nullptr);
 }
 
 TEST(MemIndexTest, PurgeHidesEntry) {

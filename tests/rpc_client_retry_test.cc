@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "mint/cluster.h"
+#include "mint/coordinator.h"
 #include "rpc/client.h"
 #include "rpc/socket.h"
 #include "server/kv_server.h"
@@ -89,6 +90,31 @@ TEST(RpcClientBackoffTest, JitterIsDeterministicPerSeed) {
   // one of 16 jittered draws across seeds would be astronomically
   // unlikely, not merely flaky.)
   EXPECT_NE(seq_a, seq_c);
+}
+
+// The coordinator's pooled data-path clients each get their own jitter
+// stream: two clients built for one node draw different first delays, so
+// writes that fail together are not resent in phase.
+TEST(RpcClientBackoffTest, CoordinatorClientsOfOneNodeDrawApart) {
+  RpcClient first("127.0.0.1", 1, mint::DataPathClientOptions(0, 0));
+  RpcClient second("127.0.0.1", 1, mint::DataPathClientOptions(0, 1));
+  EXPECT_NE(first.BackoffDelayMs(1), second.BackoffDelayMs(1));
+  // And every client's stream differs from every other's.
+  std::vector<std::vector<int>> streams;
+  for (int node = 0; node < 3; ++node) {
+    for (uint64_t serial = 0; serial < 4; ++serial) {
+      RpcClient client("127.0.0.1", 1,
+                       mint::DataPathClientOptions(node, serial));
+      std::vector<int> stream;
+      for (int attempt = 1; attempt <= 16; ++attempt) {
+        stream.push_back(client.BackoffDelayMs(attempt));
+      }
+      for (const std::vector<int>& other : streams) {
+        EXPECT_NE(stream, other) << "node " << node << " client " << serial;
+      }
+      streams.push_back(std::move(stream));
+    }
+  }
 }
 
 TEST(RpcClientBackoffTest, RetryBudgetBoundsWallClock) {
